@@ -5,6 +5,10 @@
 #   vet        stdlib static analysis
 #   race test  the full suite under the race detector (the Conv vs
 #              ConvConcurrent bit-identity tests run here)
+#   benchmark  the whole-network benchmark's own package tests (a
+#              reduced run of every workload plus the BENCHMARK.json
+#              catalogue check); benchmark/ is a nested module, so the
+#              root go test ./... does not reach it
 #   lint       albireo-lint: the type-aware module rules
 #              (hotpath-alloc-proof, lock-order,
 #              map-iteration-determinism) plus determinism,
@@ -49,6 +53,9 @@ go vet ./...
 
 echo "==> go test -race ./..."
 go test -race ./...
+
+echo "==> go -C benchmark test ./..."
+go -C benchmark test ./...
 
 echo "==> albireo-lint ./... (JSON report in lint.out)"
 go run ./cmd/albireo-lint -json lint.out ./...

@@ -370,13 +370,6 @@ func (c *Chip) FullyConnected(a *tensor.Volume, w *tensor.Kernels, relu bool) []
 	return out
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // ConvConcurrent is Conv with the PLCGs driven by parallel goroutines.
 // PLCGs are independent hardware blocks with private noise streams and
 // private scratch arenas, so partitioning kernels by their owning

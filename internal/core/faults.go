@@ -94,12 +94,43 @@ func (p *PLCU) InjectFault(f Fault) {
 	}
 	p.faults = append(p.faults, f)
 	p.faultEpoch++
+	p.rebuildRingGains()
 }
 
 // ClearFaults removes all injected defects.
 func (p *PLCU) ClearFaults() {
 	p.faults = nil
 	p.faultEpoch++
+	p.rebuildRingGains()
+}
+
+// driftingRing marks a gains entry whose ring has a drifting fault: its
+// gain depends on the cycle counter, so accumulate calls ringGain.
+const driftingRing = -1
+
+// rebuildRingGains recomputes the static ring-gain table from the fault
+// list. A ring without a drifting fault has a cycle-independent gain,
+// so ringGain's value for it is computed once here. With no ring
+// faults at all the table is nil: every gain would be exactly 1.
+func (p *PLCU) rebuildRingGains() {
+	p.gains = nil
+	for _, f := range p.faults {
+		if f.Kind == StuckMZM {
+			continue
+		}
+		if p.gains == nil {
+			nd := p.cfg.Nd
+			p.gains = make([]float64, p.cfg.Nm*nd)
+			for t := 0; t < p.cfg.Nm; t++ {
+				for d := 0; d < nd; d++ {
+					p.gains[t*nd+d] = p.ringGain(t, d)
+				}
+			}
+		}
+		if f.Drift > 0 {
+			p.gains[f.Tap*p.cfg.Nd+f.Column] = driftingRing
+		}
+	}
 }
 
 // Faults returns the injected defects.
@@ -124,7 +155,9 @@ func (p *PLCU) effectiveWeight(tap int, w float64) float64 {
 // ring at (tap, column): 1 when healthy, 0 for DeadRing, the residual
 // coupling for DetunedRing. A drifting detuned ring loses Drift of
 // residual coupling per elapsed modulation cycle, so the same fault
-// reads progressively worse as the chip runs.
+// reads progressively worse as the chip runs. accumulate reads the
+// static gains table instead, and calls ringGain only for drifting
+// rings.
 func (p *PLCU) ringGain(tap, column int) float64 {
 	g := 1.0
 	for _, f := range p.faults {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"albireo/internal/circuit"
 	"albireo/internal/noise"
@@ -32,17 +33,20 @@ type PLCU struct {
 	// unitCurrent is the photocurrent of one full-scale product
 	// (weight 1 x activation 1) after the complete optical path.
 	unitCurrent float64
-	// xtalk[i][j] is the fractional leakage of grid channel j into a
-	// ring tuned to channel i.
-	xtalk [][]float64
-	// busChannels[t] lists, for the MZM bus of tap t, the (column d,
-	// grid channel) pairs riding that bus.
-	busChannels [][]int
-	np          noise.Params
-	wq, aq      quant.Quantizer
-	rng         *rand.Rand
+	// coef is the shared crosstalk table of the unit's geometry (see
+	// crosstalkTable); nil when crosstalk is disabled.
+	coef []float64
+	// sigma is the standard deviation of the detector noise current,
+	// constant for the unit's operating point.
+	sigma  float64
+	wq, aq quant.Quantizer
+	rng    *rand.Rand
 	// faults holds injected hardware defects (see faults.go).
 	faults []Fault
+	// gains is the static ring-gain table built from faults, indexed
+	// [tap*Nd+column]; nil when no ring is faulted. Rings with a
+	// drifting fault hold driftingRing and are evaluated per cycle.
+	gains []float64
 	// faultEpoch advances on every InjectFault/ClearFaults so the
 	// chip's weight-program cache can detect that previously compiled
 	// fault-effective weights are stale.
@@ -56,6 +60,53 @@ type PLCU struct {
 	// backing array.
 	qwBuf []float64
 	qaBuf [][]float64
+	// pos and neg are accumulate's per-column positive and negative
+	// waveguide sums.
+	pos, neg []float64
+}
+
+// xtalkKey is the geometry a crosstalk table depends on.
+type xtalkKey struct {
+	k2                       float64
+	nm, nd, kernelH, kernelW int
+}
+
+// xtalkTables memoizes crosstalkTable, a pure function of the key.
+// Entries are never written after insertion, so sharing them across
+// chips cannot couple one chip's results to another's.
+var (
+	xtalkMu     sync.Mutex
+	xtalkTables = map[xtalkKey][]float64{}
+)
+
+// crosstalkTable returns the crosstalk coefficients of cfg's geometry
+// as one flat table: coef[(t*Nd+d)*Nd+dp] is the fractional leakage of
+// column dp's wavelength into the ring of column d on tap t's bus (zero
+// on the diagonal, which accumulate skips). The table is immutable and
+// memoized per geometry, so every PLCU of that geometry shares one
+// backing array.
+func crosstalkTable(cfg Config) []float64 {
+	key := xtalkKey{cfg.K2, cfg.Nm, cfg.Nd, cfg.KernelH, cfg.KernelW}
+	xtalkMu.Lock()
+	defer xtalkMu.Unlock()
+	if coef, ok := xtalkTables[key]; ok {
+		return coef
+	}
+	xt := circuit.NewCrosstalkAnalysis(cfg.K2, cfg.WavelengthsPerPLCU()).CrosstalkMatrix()
+	nd := cfg.Nd
+	coef := make([]float64, cfg.Nm*nd*nd)
+	for t := 0; t < cfg.Nm; t++ {
+		for d := 0; d < nd; d++ {
+			own := cfg.gridChannel(t, d)
+			for dp := 0; dp < nd; dp++ {
+				if dp != d {
+					coef[(t*nd+d)*nd+dp] = xt[own][cfg.gridChannel(t, dp)]
+				}
+			}
+		}
+	}
+	xtalkTables[key] = coef
+	return coef
 }
 
 // NewPLCU builds a functional PLCU for the given configuration. The
@@ -66,21 +117,11 @@ func NewPLCU(cfg Config) *PLCU {
 	}
 	delivered := cfg.SignalPath().Deliver(cfg.LaserPower)
 	pd := photonics.NewPhotodiode()
+	unitCurrent := pd.Responsivity * delivered
 
-	nw := cfg.WavelengthsPerPLCU()
-	xa := circuit.NewCrosstalkAnalysis(cfg.K2, nw)
-	var xt [][]float64
+	var coef []float64
 	if !cfg.DisableCrosstalk {
-		xt = xa.CrosstalkMatrix()
-	}
-
-	bus := make([][]int, cfg.Nm)
-	for t := 0; t < cfg.Nm; t++ {
-		cols := make([]int, cfg.Nd)
-		for d := 0; d < cfg.Nd; d++ {
-			cols[d] = cfg.gridChannel(t, d)
-		}
-		bus[t] = cols
+		coef = crosstalkTable(cfg)
 	}
 
 	np := noise.DefaultParams()
@@ -94,15 +135,16 @@ func NewPLCU(cfg Config) *PLCU {
 
 	return &PLCU{
 		cfg:         cfg,
-		unitCurrent: pd.Responsivity * delivered,
-		xtalk:       xt,
-		busChannels: bus,
-		np:          np,
+		unitCurrent: unitCurrent,
+		coef:        coef,
+		sigma:       np.TotalSigma(unitCurrent, cfg.Nm),
 		wq:          quant.NewWeight(cfg.DACBits, 1),
 		aq:          quant.NewActivation(cfg.DACBits, 1),
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		qwBuf:       make([]float64, cfg.Nm),
 		qaBuf:       qaBuf,
+		pos:         make([]float64, cfg.Nd),
+		neg:         make([]float64, cfg.Nd),
 	}
 }
 
@@ -207,45 +249,65 @@ func (p *PLCU) currentsPrequantized(dst []float64, qw []float64, qa [][]float64)
 // with crosstalk and ring faults, balanced detection, and noise. qw
 // and qa must already be quantized and fault-adjusted.
 //
+// Taps run on the outside so the Nd columns' accumulations are
+// independent, but each column still sees exactly the per-column
+// operation order of the physical model: taps ascending, the ring's
+// own signal first, then the leakage from the other columns in
+// ascending order, then the ring gain. Noise is drawn once per column
+// in column order after all taps.
+//
 //hot: innermost per-column loop; must not allocate.
 func (p *PLCU) accumulate(dst []float64, qw []float64, qa [][]float64) []float64 {
-	cfg := p.cfg
-	for d := 0; d < cfg.Nd; d++ {
-		var pos, neg float64
-		for t := 0; t < cfg.Nm; t++ {
-			w := qw[t]
-			if w == 0 {
-				continue
-			}
-			mag := math.Abs(w)
+	nm, nd := p.cfg.Nm, p.cfg.Nd
+	coef, gains := p.coef, p.gains
+	pos, neg := p.pos[:nd], p.neg[:nd]
+	for d := range pos {
+		pos[d] = 0
+		neg[d] = 0
+	}
+	for t := 0; t < nm; t++ {
+		w := qw[t]
+		if w == 0 {
+			continue
+		}
+		mag := math.Abs(w)
+		row := qa[t][:nd]
+		sum := neg
+		if w > 0 {
+			sum = pos
+		}
+		sum = sum[:nd] // lets the compiler drop the bounds check on sum[d]
+		for d, a := range row {
 			// Intended signal: the ring for (t, d) drops its own
 			// wavelength carrying |w| * a.
-			sig := mag * qa[t][d]
+			sig := mag * a
 			// Crosstalk: the same ring couples a fraction of the other
 			// columns' wavelengths riding tap t's bus.
-			if p.xtalk != nil {
-				own := p.busChannels[t][d]
-				for dp := 0; dp < cfg.Nd; dp++ {
-					if dp == d {
-						continue
-					}
-					sig += p.xtalk[own][p.busChannels[t][dp]] * mag * qa[t][dp]
+			if coef != nil {
+				c := coef[(t*nd+d)*nd : (t*nd+d+1)*nd]
+				for dp := 0; dp < d; dp++ {
+					sig += c[dp] * mag * row[dp]
+				}
+				for dp := d + 1; dp < nd; dp++ {
+					sig += c[dp] * mag * row[dp]
 				}
 			}
 			// Switching-ring faults attenuate whatever this ring
 			// couples (signal and leakage alike).
-			if p.faults != nil {
-				sig *= p.ringGain(t, d)
+			if gains != nil {
+				g := gains[t*nd+d]
+				if g < 0 {
+					g = p.ringGain(t, d)
+				}
+				sig *= g
 			}
-			if w > 0 {
-				pos += sig
-			} else {
-				neg += sig
-			}
+			sum[d] += sig
 		}
-		i := (pos - neg) * p.unitCurrent
-		if !cfg.DisableNoise {
-			i += p.np.Sample(p.rng, p.unitCurrent, cfg.Nm)
+	}
+	for d := 0; d < nd; d++ {
+		i := (pos[d] - neg[d]) * p.unitCurrent
+		if !p.cfg.DisableNoise {
+			i += p.rng.NormFloat64() * p.sigma
 		}
 		dst[d] = i
 	}

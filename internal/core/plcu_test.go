@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"albireo/internal/device"
+	"albireo/internal/noise"
 )
 
 func idealConfig() Config {
@@ -182,7 +183,9 @@ func TestPLCUNoiseStatistics(t *testing.T) {
 	}
 	mean := sum / trials
 	std := math.Sqrt(sum2/trials - mean*mean)
-	want := p.np.TotalSigma(p.unitCurrent, 9)
+	np := noise.DefaultParams()
+	np.Bandwidth = p.cfg.ModulationRate()
+	want := np.TotalSigma(p.unitCurrent, 9)
 	if math.Abs(std-want)/want > 0.1 {
 		t.Errorf("noise std %g, want %g", std, want)
 	}

@@ -61,9 +61,18 @@ func fillWindow(dst [][]float64, a *tensor.Volume, z, oy, ox0, stride, pad int, 
 			continue
 		}
 		ay := ay0 + ch.ky[t]
-		kx := ch.kx[t]
+		x0 := ox0*stride - pad + ch.kx[t]
+		if ay >= 0 && ay < a.Y && x0 >= 0 && x0+(nd-1)*stride < a.X {
+			// Interior row: no padding to synthesize, read the volume
+			// row directly.
+			src := a.Data[(z*a.Y+ay)*a.X+x0:]
+			for d := 0; d < nd; d++ {
+				row[d] = src[d*stride]
+			}
+			continue
+		}
 		for d := 0; d < nd; d++ {
-			row[d] = a.AtPadded(z, ay, (ox0+d)*stride-pad+kx)
+			row[d] = a.AtPadded(z, ay, x0+d*stride)
 		}
 	}
 }

@@ -195,9 +195,11 @@ func TestJournalRecordsTransitions(t *testing.T) {
 func TestJournalShedAndSeqs(t *testing.T) {
 	t.Parallel()
 	dir, a, _ := startJournal(t, journal.Header{Pool: 1, Seed: 40})
-	// A long linger with no ticks parks admitted requests, so the
-	// two-deep queue fills and the third submission sheds.
-	s, err := fleet.New(fleet.Options{MaxBatch: 1, MaxLinger: 1000, QueueDepth: 2, Journal: a}, analogUnit(40))
+	// A long linger with no ticks parks admitted requests in one
+	// partial batch (MaxBatch above the queue depth, so it never fills
+	// and no worker can drain it), so the two-deep queue fills and the
+	// third submission sheds.
+	s, err := fleet.New(fleet.Options{MaxBatch: 4, MaxLinger: 1000, QueueDepth: 2, Journal: a}, analogUnit(40))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

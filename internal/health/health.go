@@ -251,6 +251,7 @@ func (e *Engine) scanUnit(cfg core.Config, ref core.UnitRef, unit *core.PLCU) ([
 	for t := range avals {
 		avals[t] = make([]float64, cfg.Nd)
 	}
+	out := make([]float64, cfg.Nd)
 	var probes int64
 
 	// probe measures the normalized response of one (tap, column) at
@@ -260,7 +261,7 @@ func (e *Engine) scanUnit(cfg core.Config, ref core.UnitRef, unit *core.PLCU) ([
 		avals[tap][col] = 1
 		var sum float64
 		for r := 0; r < e.opt.Repeats; r++ {
-			sum += unit.Dot(weights, avals)[col]
+			sum += unit.DotInto(out, weights, avals)[col]
 			probes++
 		}
 		weights[tap] = 0
@@ -273,9 +274,9 @@ func (e *Engine) scanUnit(cfg core.Config, ref core.UnitRef, unit *core.PLCU) ([
 	// modulator produces: the absolute response is level-independent,
 	// so dividing by the smaller quantized level inflates it.
 	stuckRatio := unit.QuantizeWeight(e.opt.LevelHigh) / unit.QuantizeWeight(e.opt.LevelLow)
+	hi := make([]float64, cfg.Nd)
+	lo := make([]float64, cfg.Nd)
 	for tap := 0; tap < cfg.Nm; tap++ {
-		hi := make([]float64, cfg.Nd)
-		lo := make([]float64, cfg.Nd)
 		var hiSum, loSum float64
 		lit := 0
 		for col := 0; col < cfg.Nd; col++ {
