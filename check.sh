@@ -3,8 +3,11 @@
 #
 #   build      the whole module compiles
 #   vet        stdlib static analysis
-#   race test  the full suite under the race detector (the Conv vs
-#              ConvConcurrent bit-identity tests run here)
+#   race test  the full suite under the race detector (the Conv
+#              lane bit-identity tests run here)
+#   lanes      the core goldens, lane and shard tests at -cpu 1,2,4:
+#              the one-lane loop, and more lanes than the race step's
+#              default GOMAXPROCS
 #   benchmark  the whole-network benchmark's own package tests (a
 #              reduced run of every workload plus the BENCHMARK.json
 #              catalogue check); benchmark/ is a nested module, so the
@@ -53,6 +56,9 @@ go vet ./...
 
 echo "==> go test -race ./..."
 go test -race ./...
+
+echo "==> kernel lanes at -cpu 1,2,4 (goldens, lane and shard tests)"
+go test -count=1 -cpu 1,2,4 -run 'Golden|Lane|Shard' ./internal/core
 
 echo "==> go -C benchmark test ./..."
 go -C benchmark test ./...

@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
-	"albireo/internal/obs"
 	"albireo/internal/quant"
 	"albireo/internal/tensor"
 )
@@ -48,6 +46,11 @@ type Chip struct {
 	posVol, negVol tensor.Volume
 	gemmAcc        []float64
 	bviews         map[*tensor.Matrix]*gemmView
+	// lanes is the kernel dispatcher's job; conv and block are the
+	// per-mapping bodies it runs, refilled per layer (see lanes.go).
+	lanes laneJob
+	conv  convLayer
+	block blockLayer
 }
 
 // NewChip builds a functional chip.
@@ -153,45 +156,70 @@ func (c *Chip) Conv(a *tensor.Volume, w *tensor.Kernels, cfg tensor.ConvConfig, 
 	if w.Z != a.Z {
 		panic(fmt.Sprintf("core: kernel depth %d != input channels %d", w.Z, a.Z)) //lint:ignore exit-hygiene kernel/input shape invariant; caller bug
 	}
-	stride := cfg.Stride
-	if stride == 0 {
-		stride = 1
-	}
-	qa, aScale := c.prequantizeInput(a)
-	pr := c.programFor(progConv, w)
-	outScale := aScale * pr.wScale
-
-	by := tensor.ConvOutputDim(a.Y, w.Y, cfg.Pad, stride)
-	bx := tensor.ConvOutputDim(a.X, w.X, cfg.Pad, stride)
-	out := tensor.NewVolume(w.M, by, bx)
-	sp := c.ins.beginLayer("conv", w.M, w.Z, w.Y, w.X)
-	defer sp.End()
-	if outScale == 0 {
-		return out
-	}
-	for m := 0; m < w.M; m++ {
-		c.convKernel(qa, pr, sp, out, m, by, bx, stride, cfg.Pad, relu, outScale)
-	}
+	stride := convStride(cfg)
+	out := tensor.NewVolume(w.M, tensor.ConvOutputDim(a.Y, w.Y, cfg.Pad, stride), tensor.ConvOutputDim(a.X, w.X, cfg.Pad, stride))
+	c.receptiveField(progConv, a, w, stride, cfg.Pad, relu, ShardSpec{}, out)
 	return out
 }
 
-// convKernel streams every output tile of kernel m through its owning
-// PLCG: weights come from the compiled program, activations are
+// convStride is the layer stride, with the zero value meaning 1.
+func convStride(cfg tensor.ConvConfig) int {
+	if cfg.Stride == 0 {
+		return 1
+	}
+	return cfg.Stride
+}
+
+// receptiveField runs the shard's kernels of a dense (progConv) or
+// depthwise (progDepthwise) layer into the caller's pre-zeroed out
+// volume: the activations are pre-quantized once, the weight program
+// comes from the cache, and the kernels fan out over the lanes.
+func (c *Chip) receptiveField(kind programKind, a *tensor.Volume, w *tensor.Kernels, stride, pad int, relu bool, shard ShardSpec, out *tensor.Volume) {
+	qa, aScale := c.prequantizeInput(a)
+	pr := c.programShard(kind, w, shard)
+	name, body := "conv", kernelBody(&c.conv)
+	if kind == progDepthwise {
+		name, body = "depthwise", (*depthwiseLayer)(&c.conv)
+	}
+	sp := c.ins.beginLayer(name, w.M, w.Z, w.Y, w.X)
+	defer sp.End()
+	if s := aScale * pr.wScale; s != 0 {
+		c.conv = convLayer{c: c, qa: qa, pr: pr, out: out, stride: stride, pad: pad, relu: relu, outScale: s}
+		c.forEachKernel(sp, w.M, shard, body)
+	}
+}
+
+// convLayer is the per-kernel body of a receptive-field layer: the
+// pre-quantized input, the compiled weights, the output volume, and
+// the geometry every kernel shares. The chip owns one and refills it
+// per layer.
+type convLayer struct {
+	c           *Chip
+	qa          *tensor.Volume
+	pr          *weightProgram
+	out         *tensor.Volume
+	stride, pad int
+	relu        bool
+	outScale    float64
+}
+
+// kernel streams every output tile of dense-conv kernel m through its
+// owning PLCG: weights come from the compiled program, activations are
 // gathered into the group's scratch arena, and partial sums
-// accumulate across channel groups and tap chunks. Shared by Conv and
-// ConvConcurrent; in the concurrent path each goroutine owns exactly
-// one PLCG, so the group scratch needs no locking.
+// accumulate across channel groups and tap chunks. Only the lane that
+// owns m's group position runs it, so the group scratch needs no
+// locking.
 //
 //hot: steady-state layer loop; per-tile work must not allocate.
-func (c *Chip) convKernel(qa *tensor.Volume, pr *weightProgram, sp *obs.Span, out *tensor.Volume, m, by, bx, stride, pad int, relu bool, outScale float64) {
-	gi := c.assignGroup(m)
+func (l *convLayer) kernel(m int) {
+	c, pr := l.c, l.pr
+	gi := c.activeGroup(m)
 	g := c.groups[gi]
 	nug := g.Capacity()
 	sc := &g.conv
-	c.ins.tile(sp, m, gi)
 	nchunks := len(pr.chunks)
-	for oy := 0; oy < by; oy++ {
-		for ox0 := 0; ox0 < bx; ox0 += c.cfg.Nd {
+	for oy := 0; oy < l.out.Y; oy++ {
+		for ox0 := 0; ox0 < l.out.X; ox0 += c.cfg.Nd {
 			acc := sc.acc
 			for d := range acc {
 				acc[d] = 0
@@ -201,7 +229,7 @@ func (c *Chip) convKernel(qa *tensor.Volume, pr *weightProgram, sp *obs.Span, ou
 				for ci := 0; ci < nchunks; ci++ {
 					for u := 0; u < nu; u++ {
 						sc.weights[u] = pr.slot(m, (z0+u)*nchunks+ci)
-						fillWindow(sc.avals[u], qa, z0+u, oy, ox0, stride, pad, &pr.chunks[ci], c.cfg.Nd)
+						fillWindow(sc.avals[u], l.qa, z0+u, oy, ox0, l.stride, l.pad, &pr.chunks[ci], c.cfg.Nd)
 					}
 					part := g.stepPrequantized(sc.part, sc.weights[:nu], sc.avals[:nu])
 					if c.ins != nil {
@@ -212,13 +240,58 @@ func (c *Chip) convKernel(qa *tensor.Volume, pr *weightProgram, sp *obs.Span, ou
 					}
 				}
 			}
-			for d := 0; d < c.cfg.Nd && ox0+d < bx; d++ {
-				v := acc[d] * outScale
-				if relu && v < 0 {
-					v = 0
-				}
-				out.Set(m, oy, ox0+d, v)
+			l.writeTile(acc, m, oy, ox0)
+		}
+	}
+}
+
+// writeTile scales one Nd-wide accumulator tile into output plane m,
+// applying the ReLU and dropping columns past the row end.
+//
+//hot: per-tile write-back; must not allocate.
+func (l *convLayer) writeTile(acc []float64, m, oy, ox0 int) {
+	for d := 0; d < len(acc) && ox0+d < l.out.X; d++ {
+		v := acc[d] * l.outScale
+		if l.relu && v < 0 {
+			v = 0
+		}
+		l.out.Set(m, oy, ox0+d, v)
+	}
+}
+
+// depthwiseLayer is convLayer's depthwise body: one single-channel
+// kernel per input channel, no cross-channel aggregation (Section
+// III-C: "aggregation is not performed across channels for depthwise
+// kernels").
+type depthwiseLayer convLayer
+
+// kernel streams every output tile of channel z through the first
+// healthy unit of its owning PLCG.
+//
+//hot: steady-state layer loop; per-tile work must not allocate.
+func (l *depthwiseLayer) kernel(z int) {
+	c, pr := l.c, l.pr
+	gi := c.activeGroup(z)
+	g := c.groups[gi]
+	sc := &g.conv
+	for oy := 0; oy < l.out.Y; oy++ {
+		for ox0 := 0; ox0 < l.out.X; ox0 += c.cfg.Nd {
+			acc := sc.acc
+			for d := range acc {
+				acc[d] = 0
 			}
+			for ci := range pr.chunks {
+				sc.weights[0] = pr.slot(z, ci)
+				fillWindow(sc.avals[0], l.qa, z, oy, ox0, l.stride, l.pad, &pr.chunks[ci], c.cfg.Nd)
+				part := g.stepPrequantized(sc.part, sc.weights[:1], sc.avals[:1])
+				if c.ins != nil {
+					c.ins.step(gi, 1)
+				}
+				for d := range acc {
+					acc[d] += part[d]
+				}
+			}
+			(*convLayer)(l).writeTile(acc, z, oy, ox0)
 		}
 	}
 }
@@ -231,10 +304,7 @@ func (c *Chip) groupedConv(a *tensor.Volume, w *tensor.Kernels, cfg tensor.ConvC
 		panic(fmt.Sprintf("core: groups %d do not divide channels %d/%d", groups, a.Z, w.M)) //lint:ignore exit-hygiene group divisibility invariant; caller bug
 	}
 	zPer, mPer := a.Z/groups, w.M/groups
-	stride := cfg.Stride
-	if stride == 0 {
-		stride = 1
-	}
+	stride := convStride(cfg)
 	by := tensor.ConvOutputDim(a.Y, w.Y, cfg.Pad, stride)
 	bx := tensor.ConvOutputDim(a.X, w.X, cfg.Pad, stride)
 	out := tensor.NewVolume(w.M, by, bx)
@@ -262,60 +332,14 @@ func (c *Chip) groupedConv(a *tensor.Volume, w *tensor.Kernels, cfg tensor.ConvC
 }
 
 // depthwiseConv applies one single-channel kernel per input channel
-// without cross-channel aggregation (Section III-C: "aggregation is
-// not performed across channels for depthwise kernels").
+// (see depthwiseLayer).
 func (c *Chip) depthwiseConv(a *tensor.Volume, w *tensor.Kernels, cfg tensor.ConvConfig, relu bool) *tensor.Volume {
 	if w.M != a.Z || w.Z != 1 {
 		panic("core: depthwise wants one depth-1 kernel per input channel") //lint:ignore exit-hygiene depthwise kernel shape invariant; caller bug
 	}
-	stride := cfg.Stride
-	if stride == 0 {
-		stride = 1
-	}
-	qa, aScale := c.prequantizeInput(a)
-	pr := c.programFor(progDepthwise, w)
-	outScale := aScale * pr.wScale
-	by := tensor.ConvOutputDim(a.Y, w.Y, cfg.Pad, stride)
-	bx := tensor.ConvOutputDim(a.X, w.X, cfg.Pad, stride)
-	out := tensor.NewVolume(a.Z, by, bx)
-	sp := c.ins.beginLayer("depthwise", w.M, w.Z, w.Y, w.X)
-	defer sp.End()
-	if outScale == 0 {
-		return out
-	}
-	nchunks := len(pr.chunks)
-	for z := 0; z < a.Z; z++ {
-		gi := c.assignGroup(z)
-		g := c.groups[gi]
-		sc := &g.conv
-		c.ins.tile(sp, z, gi)
-		for oy := 0; oy < by; oy++ {
-			for ox0 := 0; ox0 < bx; ox0 += c.cfg.Nd {
-				acc := sc.acc
-				for d := range acc {
-					acc[d] = 0
-				}
-				for ci := 0; ci < nchunks; ci++ {
-					sc.weights[0] = pr.slot(z, ci)
-					fillWindow(sc.avals[0], qa, z, oy, ox0, stride, cfg.Pad, &pr.chunks[ci], c.cfg.Nd)
-					part := g.stepPrequantized(sc.part, sc.weights[:1], sc.avals[:1])
-					if c.ins != nil {
-						c.ins.step(gi, 1)
-					}
-					for d := range acc {
-						acc[d] += part[d]
-					}
-				}
-				for d := 0; d < c.cfg.Nd && ox0+d < bx; d++ {
-					v := acc[d] * outScale
-					if relu && v < 0 {
-						v = 0
-					}
-					out.Set(z, oy, ox0+d, v)
-				}
-			}
-		}
-	}
+	stride := convStride(cfg)
+	out := tensor.NewVolume(a.Z, tensor.ConvOutputDim(a.Y, w.Y, cfg.Pad, stride), tensor.ConvOutputDim(a.X, w.X, cfg.Pad, stride))
+	c.receptiveField(progDepthwise, a, w, stride, cfg.Pad, relu, ShardSpec{}, out)
 	return out
 }
 
@@ -327,19 +351,8 @@ func (c *Chip) Pointwise(a *tensor.Volume, w *tensor.Kernels, relu bool) *tensor
 	if w.Y != 1 || w.X != 1 || w.Z != a.Z {
 		panic("core: pointwise wants 1x1 kernels of full depth") //lint:ignore exit-hygiene pointwise kernel shape invariant; caller bug
 	}
-	qa, aScale := c.prequantizeInput(a)
-	pr := c.programFor(progBlock, w)
-	outScale := aScale * pr.wScale
 	out := tensor.NewVolume(w.M, a.Y, a.X)
-	sp := c.ins.beginLayer("pointwise", w.M, w.Z, w.Y, w.X)
-	defer sp.End()
-	if outScale == 0 {
-		return out
-	}
-	npix := a.Y * a.X
-	for m := 0; m < w.M; m++ {
-		c.pointwiseKernel(qa, pr, sp, out, m, npix, relu, outScale)
-	}
+	c.pointwiseShard(a, w, relu, ShardSpec{}, out)
 	return out
 }
 
@@ -348,73 +361,7 @@ func (c *Chip) Pointwise(a *tensor.Volume, w *tensor.Kernels, relu bool) *tensor
 // does useful work per PLCU (no parameter sharing); the others carry
 // zero activations.
 func (c *Chip) FullyConnected(a *tensor.Volume, w *tensor.Kernels, relu bool) []float64 {
-	if w.Z != a.Z || w.Y != a.Y || w.X != a.X {
-		panic("core: FC kernel shape must match the input volume") //lint:ignore exit-hygiene FC kernel shape invariant; caller bug
-	}
-	qa, aScale := c.prequantizeInput(a)
-	pr := c.programFor(progBlock, w)
-	outScale := aScale * pr.wScale
 	out := make([]float64, w.M)
-	sp := c.ins.beginLayer("fc", w.M, w.Z, w.Y, w.X)
-	defer sp.End()
-	if outScale == 0 {
-		return out
-	}
-	for m := 0; m < w.M; m++ {
-		v := c.fcNeuron(qa, pr, sp, m) * outScale
-		if relu && v < 0 {
-			v = 0
-		}
-		out[m] = v
-	}
-	return out
-}
-
-// ConvConcurrent is Conv with the PLCGs driven by parallel goroutines.
-// PLCGs are independent hardware blocks with private noise streams and
-// private scratch arenas, so partitioning kernels by their owning
-// group preserves every group's sequential draw order: the result is
-// bit-identical to Conv for the dense stride/pad path. Grouped and
-// depthwise layers fall back to the sequential implementation.
-func (c *Chip) ConvConcurrent(a *tensor.Volume, w *tensor.Kernels, cfg tensor.ConvConfig, relu bool) *tensor.Volume {
-	if cfg.Depthwise || (cfg.Groups != 0 && cfg.Groups != 1) {
-		return c.Conv(a, w, cfg, relu)
-	}
-	if w.Z != a.Z {
-		panic(fmt.Sprintf("core: kernel depth %d != input channels %d", w.Z, a.Z)) //lint:ignore exit-hygiene kernel/input shape invariant; caller bug
-	}
-	stride := cfg.Stride
-	if stride == 0 {
-		stride = 1
-	}
-	qa, aScale := c.prequantizeInput(a)
-	pr := c.programFor(progConv, w)
-	outScale := aScale * pr.wScale
-	by := tensor.ConvOutputDim(a.Y, w.Y, cfg.Pad, stride)
-	bx := tensor.ConvOutputDim(a.X, w.X, cfg.Pad, stride)
-	out := tensor.NewVolume(w.M, by, bx)
-	sp := c.ins.beginLayer("conv", w.M, w.Z, w.Y, w.X)
-	defer sp.End()
-	if outScale == 0 {
-		return out
-	}
-
-	var wg sync.WaitGroup
-	for pos := range c.active {
-		pos := pos
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Kernel ownership is by active-group position, the same
-			// assignment Conv's sequential assignGroup walk produces,
-			// so each PLCU sees its kernels in the same order and the
-			// noise draws stay bit-identical - and each goroutine
-			// touches exactly one group's scratch arena.
-			for m := pos; m < w.M; m += len(c.active) {
-				c.convKernel(qa, pr, sp, out, m, by, bx, stride, cfg.Pad, relu, outScale)
-			}
-		}()
-	}
-	wg.Wait()
+	c.FullyConnectedShard(a, w, relu, ShardSpec{}, out)
 	return out
 }

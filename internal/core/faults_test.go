@@ -318,31 +318,21 @@ func TestFaultPropagatesThroughGroupedConv(t *testing.T) {
 }
 
 func TestConvConcurrentWithFaultsBitIdentical(t *testing.T) {
-	t.Parallel()
-	// Faults are deterministic transfer modifiers, so the concurrent
-	// schedule must reproduce the sequential faulty output bit for bit
-	// (noise enabled: the per-group noise streams see the same call
-	// order either way).
-	inject := func(c *Chip) {
+	// Faults are deterministic transfer modifiers, so the lane path
+	// must reproduce the one-lane faulty output bit for bit (noise
+	// enabled: the per-group noise streams see the same call order
+	// either way, and the drifting ring's cycle counter is per unit).
+	faulty := func() *Chip {
+		c := NewChip(DefaultConfig())
 		c.Groups()[0].Units()[0].InjectFault(Fault{Kind: DeadRing, Tap: 4, Column: 1})
 		c.Groups()[1].Units()[1].InjectFault(Fault{Kind: StuckMZM, Tap: 2, Value: 0.8})
 		c.Groups()[2].Units()[2].InjectFault(Fault{Kind: DetunedRing, Tap: 0, Column: 0, Value: 0.9, Drift: 1e-4})
+		return c
 	}
 	a := tensor.RandomVolume(6, 10, 10, 311)
 	w := tensor.RandomKernels(13, 6, 3, 3, 312)
 	cc := tensor.ConvConfig{Stride: 1, Pad: 1}
-
-	seqChip := NewChip(DefaultConfig())
-	inject(seqChip)
-	seq := seqChip.Conv(a, w, cc, true)
-
-	parChip := NewChip(DefaultConfig())
-	inject(parChip)
-	par := parChip.ConvConcurrent(a, w, cc, true)
-
-	for i := range seq.Data {
-		if seq.Data[i] != par.Data[i] {
-			t.Fatalf("faulty concurrent divergence at %d: %g vs %g", i, seq.Data[i], par.Data[i])
-		}
-	}
+	seq := oneLane(func() *tensor.Volume { return faulty().Conv(a, w, cc, true) })
+	par := manyLanes(func() *tensor.Volume { return faulty().Conv(a, w, cc, true) })
+	assertSameBits(t, "faulty conv", seq.Data, par.Data)
 }

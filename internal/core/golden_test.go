@@ -47,7 +47,7 @@ type goldenCase struct {
 }
 
 func goldenMatrix() []goldenCase {
-	dense := func(cfg Config, az, ay, ax, m, ky, kx, stride, pad int, relu, concurrent bool, seed int64, prep func(*Chip)) func() []float64 {
+	dense := func(cfg Config, az, ay, ax, m, ky, kx, stride, pad int, relu bool, seed int64, prep func(*Chip)) func() []float64 {
 		return func() []float64 {
 			chip := NewChip(cfg)
 			if prep != nil {
@@ -55,11 +55,7 @@ func goldenMatrix() []goldenCase {
 			}
 			a := tensor.RandomVolume(az, ay, ax, seed)
 			w := tensor.RandomKernels(m, az, ky, kx, seed+1)
-			ccfg := tensor.ConvConfig{Stride: stride, Pad: pad}
-			if concurrent {
-				return chip.ConvConcurrent(a, w, ccfg, relu).Data
-			}
-			return chip.Conv(a, w, ccfg, relu).Data
+			return chip.Conv(a, w, tensor.ConvConfig{Stride: stride, Pad: pad}, relu).Data
 		}
 	}
 	cfg := DefaultConfig()
@@ -69,23 +65,26 @@ func goldenMatrix() []goldenCase {
 	voltage.VoltageDomainWeights = true
 
 	return []goldenCase{
-		{name: "conv/s1p1relu", want: 0x5af577f95cd683af, run: dense(cfg, 6, 10, 10, 4, 3, 3, 1, 1, true, false, 3, nil)},
-		{name: "conv/s2p0", want: 0xd74f0fe6d44b80ed, run: dense(cfg, 5, 9, 9, 3, 3, 3, 2, 0, false, false, 11, nil)},
-		{name: "conv/concurrent", want: 0x5af577f95cd683af, run: dense(cfg, 6, 10, 10, 4, 3, 3, 1, 1, true, true, 3, nil)},
-		{name: "conv/5x5chunked", want: 0x284ace40e5917b5d, run: dense(cfg, 3, 12, 12, 2, 5, 5, 1, 2, true, false, 7, nil)},
-		{name: "conv/noiseless", want: 0xea33dffd9758d61b, run: dense(quiet, 6, 10, 10, 4, 3, 3, 1, 1, true, false, 3, nil)},
-		{name: "conv/voltage-domain", want: 0x37064b3756ff7884, run: dense(voltage, 6, 10, 10, 4, 3, 3, 1, 1, true, false, 3, nil)},
-		{name: "conv/faulty", want: 0xe76ecc0aef12a3de, run: dense(cfg, 6, 10, 10, 4, 3, 3, 1, 1, true, false, 3, func(c *Chip) {
+		{name: "conv/s1p1relu", want: 0x5af577f95cd683af, run: dense(cfg, 6, 10, 10, 4, 3, 3, 1, 1, true, 3, nil)},
+		{name: "conv/s2p0", want: 0xd74f0fe6d44b80ed, run: dense(cfg, 5, 9, 9, 3, 3, 3, 2, 0, false, 11, nil)},
+		// The -concurrent cases once ran a separate goroutine-per-group
+		// entry point. Conv now fans out over the host cores itself,
+		// so they pin the same bits as their sequential twins.
+		{name: "conv/concurrent", want: 0x5af577f95cd683af, run: dense(cfg, 6, 10, 10, 4, 3, 3, 1, 1, true, 3, nil)},
+		{name: "conv/5x5chunked", want: 0x284ace40e5917b5d, run: dense(cfg, 3, 12, 12, 2, 5, 5, 1, 2, true, 7, nil)},
+		{name: "conv/noiseless", want: 0xea33dffd9758d61b, run: dense(quiet, 6, 10, 10, 4, 3, 3, 1, 1, true, 3, nil)},
+		{name: "conv/voltage-domain", want: 0x37064b3756ff7884, run: dense(voltage, 6, 10, 10, 4, 3, 3, 1, 1, true, 3, nil)},
+		{name: "conv/faulty", want: 0xe76ecc0aef12a3de, run: dense(cfg, 6, 10, 10, 4, 3, 3, 1, 1, true, 3, func(c *Chip) {
 			mustFault(c, 0, 0, Fault{Kind: StuckMZM, Tap: 2, Value: 0.7})
 			mustFault(c, 1, 1, Fault{Kind: DeadRing, Tap: 4, Column: 1})
 			mustFault(c, 2, 2, Fault{Kind: DetunedRing, Tap: 6, Column: 3, Value: 0.9, Drift: 1e-4})
 		})},
-		{name: "conv/quarantined", want: 0x203722e2d7a9b685, run: dense(cfg, 6, 10, 10, 4, 3, 3, 1, 1, true, false, 3, func(c *Chip) {
+		{name: "conv/quarantined", want: 0x203722e2d7a9b685, run: dense(cfg, 6, 10, 10, 4, 3, 3, 1, 1, true, 3, func(c *Chip) {
 			mustQuarantine(c, 1, 0)
 			mustQuarantine(c, 3, 1)
 			mustQuarantine(c, 3, 2)
 		})},
-		{name: "conv/quarantined-concurrent", want: 0x203722e2d7a9b685, run: dense(cfg, 6, 10, 10, 4, 3, 3, 1, 1, true, true, 3, func(c *Chip) {
+		{name: "conv/quarantined-concurrent", want: 0x203722e2d7a9b685, run: dense(cfg, 6, 10, 10, 4, 3, 3, 1, 1, true, 3, func(c *Chip) {
 			mustQuarantine(c, 1, 0)
 			mustQuarantine(c, 3, 1)
 			mustQuarantine(c, 3, 2)

@@ -66,7 +66,7 @@ type chipObs struct {
 // chip. Either may be nil; passing both nil detaches instrumentation
 // entirely, restoring the bare hot path (a single pointer check per
 // PLCG step). Counters are cycle/event-denominated and never consult
-// a wall clock, so Conv and ConvConcurrent on the same inputs produce
+// a wall clock, so Conv on one lane and on many produces
 // bit-identical registry snapshots.
 func (c *Chip) Instrument(reg *obs.Registry, trace *obs.Trace) {
 	if reg == nil && trace == nil {
@@ -127,10 +127,9 @@ func (o *chipObs) beginLayer(kind string, m, z, ky, kx int) *obs.Span {
 		obs.String("kernel_shape", fmt.Sprintf("%dx%dx%d", z, ky, kx)))
 }
 
-// tile records one kernel being scheduled onto a PLCG. Span events
-// are mutex-serialized, so ConvConcurrent may emit them from its
-// per-group goroutines; the arrival order differs run to run but the
-// event names and counts are identical to Conv's.
+// tile records one kernel being scheduled onto a PLCG. forEachKernel
+// emits the tile events in a sequential pre-pass in kernel order, so
+// the trace is the same on any number of lanes.
 func (o *chipObs) tile(sp *obs.Span, m, gi int) {
 	if o == nil || o.trace == nil {
 		return

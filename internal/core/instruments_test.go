@@ -17,42 +17,26 @@ func instrumentedChip(t *testing.T) (*Chip, *obs.Registry, *obs.Trace) {
 }
 
 // TestConvVsConcurrentTelemetryIdentical is the determinism invariant
-// from the observability contract: the sequential and concurrent
-// convolution paths must produce bit-identical registry snapshots and
-// identical per-kind trace event counts on the same inputs.
+// from the observability contract: Conv's lane path and the one-lane
+// oracle must produce bit-identical outputs, bit-identical registry
+// snapshots, and byte-identical traces on the same inputs.
 func TestConvVsConcurrentTelemetryIdentical(t *testing.T) {
-	t.Parallel()
 	a := tensor.RandomVolume(7, 12, 12, 3)
 	w := tensor.RandomKernels(11, 7, 3, 3, 4)
 	cc := tensor.ConvConfig{Stride: 1, Pad: 1}
 
 	seq, seqReg, seqTr := instrumentedChip(t)
-	outSeq := seq.Conv(a, w, cc, true)
+	outSeq := oneLane(func() *tensor.Volume { return seq.Conv(a, w, cc, true) })
 
 	con, conReg, conTr := instrumentedChip(t)
-	outCon := con.ConvConcurrent(a, w, cc, true)
+	outCon := manyLanes(func() *tensor.Volume { return con.Conv(a, w, cc, true) })
 
-	for i := range outSeq.Data {
-		if outSeq.Data[i] != outCon.Data[i] {
-			t.Fatalf("outputs diverge at %d: %g vs %g", i, outSeq.Data[i], outCon.Data[i])
-		}
-	}
+	assertSameBits(t, "conv", outSeq.Data, outCon.Data)
 	if !seqReg.Snapshot().Equal(conReg.Snapshot()) {
 		t.Fatalf("registry snapshots differ:\nseq: %+v\ncon: %+v",
 			seqReg.Snapshot().Counters, conReg.Snapshot().Counters)
 	}
-	seqKinds, conKinds := seqTr.CountByKind(), conTr.CountByKind()
-	if len(seqKinds) != len(conKinds) {
-		t.Fatalf("trace kinds differ: %v vs %v", seqKinds, conKinds)
-	}
-	for k, n := range seqKinds {
-		if conKinds[k] != n {
-			t.Fatalf("trace kind %q: seq %d vs concurrent %d", k, n, conKinds[k])
-		}
-	}
-	if seqTr.Len() != conTr.Len() {
-		t.Fatalf("trace lengths differ: %d vs %d", seqTr.Len(), conTr.Len())
-	}
+	assertSameTrace(t, seqTr, conTr)
 }
 
 // TestInstrumentationDoesNotPerturbOutputs proves attaching a registry

@@ -30,11 +30,10 @@ type PLCG struct {
 	// cross-unit sum and the per-unit currents StepInto reuses across
 	// cycles instead of allocating per call.
 	sumBuf, curBuf []float64
-	// conv is the group-owned scratch arena the chip's layer loops
-	// (Conv, ConvConcurrent, depthwise, Pointwise, FullyConnected)
-	// stage slot weights and activations in. Group-owned so
-	// ConvConcurrent's one-goroutine-per-PLCG partitioning keeps it
-	// race-free.
+	// conv is the group-owned scratch arena the chip's per-kernel
+	// bodies (conv, depthwise, pointwise, FC, GEMM) stage slot
+	// weights and activations in. Group-owned so the kernel lanes'
+	// one-lane-per-PLCG partitioning keeps it race-free.
 	conv convScratch
 }
 

@@ -133,16 +133,16 @@ func TestQuarantineBitIdenticalAcrossMappings(t *testing.T) {
 }
 
 func TestConvConcurrentUnderQuarantine(t *testing.T) {
-	t.Parallel()
-	// The concurrent schedule partitions kernels by active-group
-	// position, so it must agree bit for bit with sequential Conv even
-	// when quarantine has shrunk (and renumbered) the group list.
+	// The lanes partition kernels by active-group position, so Conv
+	// must agree bit for bit with the one-lane oracle even when
+	// quarantine has shrunk (and renumbered) the group list.
 	a := tensor.RandomVolume(6, 9, 9, 301)
 	w := tensor.RandomKernels(13, 6, 3, 3, 302)
 	cc := tensor.ConvConfig{Stride: 1, Pad: 1}
-	quarantine := func(c *Chip) {
+	quarantined := func() *Chip {
 		// Empty group 1 entirely plus one unit elsewhere: exercises both
 		// group-drop and capacity-shrink remapping.
+		c := NewChip(DefaultConfig())
 		for u := 0; u < c.Config().Nu; u++ {
 			if err := c.Quarantine(1, u); err != nil {
 				t.Fatal(err)
@@ -151,18 +151,11 @@ func TestConvConcurrentUnderQuarantine(t *testing.T) {
 		if err := c.Quarantine(4, 2); err != nil {
 			t.Fatal(err)
 		}
+		return c
 	}
-	seqChip := NewChip(DefaultConfig())
-	quarantine(seqChip)
-	parChip := NewChip(DefaultConfig())
-	quarantine(parChip)
-	seq := seqChip.Conv(a, w, cc, true)
-	par := parChip.ConvConcurrent(a, w, cc, true)
-	for i := range seq.Data {
-		if seq.Data[i] != par.Data[i] {
-			t.Fatalf("concurrent divergence under quarantine at %d", i)
-		}
-	}
+	seq := oneLane(func() *tensor.Volume { return quarantined().Conv(a, w, cc, true) })
+	par := manyLanes(func() *tensor.Volume { return quarantined().Conv(a, w, cc, true) })
+	assertSameBits(t, "quarantined conv", seq.Data, par.Data)
 }
 
 func TestQuarantineObservability(t *testing.T) {

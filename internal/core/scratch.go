@@ -8,8 +8,8 @@ import "albireo/internal/tensor"
 // once at construction and reused for every tile of every layer. The
 // activation rows share one backing array for locality.
 //
-// The arena belongs to exactly one PLCG because ConvConcurrent
-// partitions kernels by owning group - one goroutine per PLCG - so
+// The arena belongs to exactly one PLCG because the kernel lanes
+// partition kernels by owning group - one lane per PLCG at a time - so
 // group-owned scratch needs no locking.
 type convScratch struct {
 	// acc accumulates partial dot products across channel groups and

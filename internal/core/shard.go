@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"albireo/internal/obs"
 	"albireo/internal/tensor"
 )
 
@@ -223,10 +222,7 @@ func (c *Chip) ConvShard(a *tensor.Volume, w *tensor.Kernels, cfg tensor.ConvCon
 	if w.Z != a.Z {
 		panic(fmt.Sprintf("core: kernel depth %d != input channels %d", w.Z, a.Z)) //lint:ignore exit-hygiene kernel/input shape invariant; caller bug
 	}
-	stride := cfg.Stride
-	if stride == 0 {
-		stride = 1
-	}
+	stride := convStride(cfg)
 	by := tensor.ConvOutputDim(a.Y, w.Y, cfg.Pad, stride)
 	bx := tensor.ConvOutputDim(a.X, w.X, cfg.Pad, stride)
 	if out.Z != w.M || out.Y != by || out.X != bx {
@@ -236,39 +232,19 @@ func (c *Chip) ConvShard(a *tensor.Volume, w *tensor.Kernels, cfg tensor.ConvCon
 		c.pointwiseShard(a, w, relu, shard, out)
 		return
 	}
-	qa, aScale := c.prequantizeInput(a)
-	pr := c.programShard(progConv, w, shard)
-	outScale := aScale * pr.wScale
-	sp := c.ins.beginLayer("conv", w.M, w.Z, w.Y, w.X)
-	defer sp.End()
-	if outScale == 0 {
-		return
-	}
-	for m := 0; m < w.M; m++ {
-		if !shard.Owns(m) {
-			continue
-		}
-		c.convKernel(qa, pr, sp, out, m, by, bx, stride, cfg.Pad, relu, outScale)
-	}
+	c.receptiveField(progConv, a, w, stride, cfg.Pad, relu, shard, out)
 }
 
 // pointwiseShard is the owned-slice pointwise mapping behind
-// ConvShard's routing.
+// ConvShard's routing and Pointwise.
 func (c *Chip) pointwiseShard(a *tensor.Volume, w *tensor.Kernels, relu bool, shard ShardSpec, out *tensor.Volume) {
 	qa, aScale := c.prequantizeInput(a)
 	pr := c.programShard(progBlock, w, shard)
-	outScale := aScale * pr.wScale
 	sp := c.ins.beginLayer("pointwise", w.M, w.Z, w.Y, w.X)
 	defer sp.End()
-	if outScale == 0 {
-		return
-	}
-	npix := a.Y * a.X
-	for m := 0; m < w.M; m++ {
-		if !shard.Owns(m) {
-			continue
-		}
-		c.pointwiseKernel(qa, pr, sp, out, m, npix, relu, outScale)
+	if s := aScale * pr.wScale; s != 0 {
+		c.block = blockLayer{c: c, qa: qa, pr: pr, dst: out.Data, npix: a.Y * a.X, outScale: s, relu: relu}
+		c.forEachKernel(sp, w.M, shard, &c.block)
 	}
 }
 
@@ -287,21 +263,11 @@ func (c *Chip) FullyConnectedShard(a *tensor.Volume, w *tensor.Kernels, relu boo
 	}
 	qa, aScale := c.prequantizeInput(a)
 	pr := c.programShard(progBlock, w, shard)
-	outScale := aScale * pr.wScale
 	sp := c.ins.beginLayer("fc", w.M, w.Z, w.Y, w.X)
 	defer sp.End()
-	if outScale == 0 {
-		return
-	}
-	for m := 0; m < w.M; m++ {
-		if !shard.Owns(m) {
-			continue
-		}
-		v := c.fcNeuron(qa, pr, sp, m) * outScale
-		if relu && v < 0 {
-			v = 0
-		}
-		out[m] = v
+	if s := aScale * pr.wScale; s != 0 {
+		c.block = blockLayer{c: c, qa: qa, pr: pr, dst: out, outScale: s, relu: relu}
+		c.forEachKernel(sp, w.M, shard, (*fcLayer)(&c.block))
 	}
 }
 
@@ -344,6 +310,8 @@ func (c *Chip) GEMMShard(a, b *tensor.Matrix, relu bool, shard ShardSpec, out *t
 			c.gemmPass(qa, pr, sp, dst, mRows, s, true, shard)
 		}
 	}
+	// Digital write-back: dst holds the product transposed (one PLCG
+	// kernel per output column); untranspose into row-major and clamp.
 	for j := 0; j < n; j++ {
 		if !shard.Owns(j) {
 			continue
@@ -358,17 +326,32 @@ func (c *Chip) GEMMShard(a, b *tensor.Matrix, relu bool, shard ShardSpec, out *t
 	}
 }
 
-// pointwiseKernel streams every output pixel of kernel m through its
-// owning PLCG under the Section III-C pointwise mapping. Shared by
-// Pointwise and the shard path, like convKernel for the conv layout.
+// blockLayer is the per-kernel body of the Section III-C block layout
+// shared by Pointwise and the GEMM passes: kernel m's npix outputs
+// land at dst[m*npix:]. A GEMM negative pass subtracts instead of
+// assigning (the digital aggregation unit's A = A+ - A- combine).
+type blockLayer struct {
+	c              *Chip
+	qa             *tensor.Volume
+	pr             *weightProgram
+	dst            []float64
+	npix           int
+	outScale       float64
+	relu, subtract bool
+}
+
+// kernel streams every output pixel of kernel m through its owning
+// PLCG: each tap carries one input channel, each PD column one pixel,
+// and blocks of Nm channels round-robin over the group's healthy
+// units.
 //
 //hot: steady-state layer loop; per-tile work must not allocate.
-func (c *Chip) pointwiseKernel(qa *tensor.Volume, pr *weightProgram, sp *obs.Span, out *tensor.Volume, m, npix int, relu bool, outScale float64) {
-	gi := c.assignGroup(m)
+func (l *blockLayer) kernel(m int) {
+	c, pr, qa, npix := l.c, l.pr, l.qa, l.npix
+	gi := c.activeGroup(m)
 	g := c.groups[gi]
 	nug := g.Capacity()
 	sc := &g.conv
-	c.ins.tile(sp, m, gi)
 	nm, nd := c.cfg.Nm, c.cfg.Nd
 	for p0 := 0; p0 < npix; p0 += nd {
 		acc := sc.acc
@@ -409,28 +392,36 @@ func (c *Chip) pointwiseKernel(qa *tensor.Volume, pr *weightProgram, sp *obs.Spa
 			}
 		}
 		for d := 0; d < nd && p0+d < npix; d++ {
-			v := acc[d] * outScale
-			if relu && v < 0 {
-				v = 0
+			v := acc[d] * l.outScale
+			o := &l.dst[m*npix+p0+d]
+			switch {
+			case l.subtract:
+				*o -= v
+			case l.relu && v < 0:
+				*o = 0
+			default:
+				*o = v
 			}
-			out.Data[m*npix+p0+d] = v
 		}
 	}
 }
 
-// fcNeuron accumulates output neuron m of an FC layer through its
-// owning PLCG and returns the raw (unscaled) sum. Shared by
-// FullyConnected and the shard path.
+// fcLayer is blockLayer's FC body: neuron m's kernel covers the whole
+// input volume, one element per tap, so only PD column 0 carries
+// useful work; its scaled sum lands at dst[m].
+type fcLayer blockLayer
+
+// kernel accumulates output neuron m through its owning PLCG.
 //
 //hot: steady-state layer loop; per-tile work must not allocate.
-func (c *Chip) fcNeuron(qa *tensor.Volume, pr *weightProgram, sp *obs.Span, m int) float64 {
+func (l *fcLayer) kernel(m int) {
+	c, pr, qa := l.c, l.pr, l.qa
 	n := qa.Z * qa.Y * qa.X
 	nm := c.cfg.Nm
-	gi := c.assignGroup(m)
+	gi := c.activeGroup(m)
 	g := c.groups[gi]
 	nug := g.Capacity()
 	sc := &g.conv
-	c.ins.tile(sp, m, gi)
 	var acc float64
 	for b0 := 0; b0 < pr.slotsPer; b0 += nug {
 		nu := min(nug, pr.slotsPer-b0)
@@ -454,5 +445,9 @@ func (c *Chip) fcNeuron(qa *tensor.Volume, pr *weightProgram, sp *obs.Span, m in
 		}
 		acc += part[0]
 	}
-	return acc
+	v := acc * l.outScale
+	if l.relu && v < 0 {
+		v = 0
+	}
+	l.dst[m] = v
 }

@@ -110,25 +110,67 @@ func (a *Async) Start() {
 	}()
 }
 
-// serve drains the queue, appending records in seq order.
+// serve drains the queue, appending records in seq order. Each pass
+// takes everything already queued and group-commits it with one write
+// and one fsync (Writer.AppendBatch), so a burst of records pays for
+// one sync instead of one each - per-record fsync falls behind the
+// admission rate whenever the disk stalls. A Drain barrier commits the
+// records queued before it first, then acks.
 func (a *Async) serve() {
+	var batch []asyncEntry
+	var pending []Entry
 	for e := range a.ch {
-		if e.ack != nil {
+		batch = append(batch[:0], e)
+	gather:
+		for {
+			select {
+			case e, ok := <-a.ch:
+				if !ok {
+					break gather
+				}
+				batch = append(batch, e)
+			default:
+				break gather
+			}
+		}
+		var first uint64
+		for _, e := range batch {
+			if e.ack == nil {
+				if len(pending) == 0 {
+					first = e.seq
+				}
+				pending = append(pending, Entry{Kind: e.kind, Payload: e.payload})
+				continue
+			}
+			a.commit(first, pending)
+			pending = pending[:0]
 			close(e.ack)
-			continue
 		}
-		seq, err := a.w.Append(e.kind, e.payload)
-		if err != nil || seq != e.seq {
-			// An append failure (or a seq skew, which cannot happen
-			// while enqueue order is preserved) poisons the chain's
-			// faithfulness: degrade and stop accepting records.
-			a.errsC.Inc()
-			a.markDegraded("journal append failed")
-			continue
-		}
-		a.appended.Inc()
-		a.headG.Set(float64(seq))
+		a.commit(first, pending)
+		// Drop the payload references until the next burst.
+		clear(batch)
+		clear(pending)
+		pending = pending[:0]
 	}
+}
+
+// commit group-commits a run of queued records whose first assigned
+// sequence number is first.
+func (a *Async) commit(first uint64, entries []Entry) {
+	if len(entries) == 0 {
+		return
+	}
+	seq, err := a.w.AppendBatch(entries)
+	if err != nil || seq != first {
+		// An append failure (or a seq skew, which cannot happen
+		// while enqueue order is preserved) poisons the chain's
+		// faithfulness: degrade and stop accepting records.
+		a.errsC.Inc()
+		a.markDegraded("journal append failed")
+		return
+	}
+	a.appended.Add(int64(len(entries)))
+	a.headG.Set(float64(seq + uint64(len(entries)-1)))
 }
 
 // markDegraded latches degradation and emits one trace event.

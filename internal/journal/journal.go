@@ -187,42 +187,76 @@ func (w *Writer) openSegmentLocked(index, firstSeq uint64, prev [32]byte) error 
 // NoSync) fsyncs before returning, so an acknowledged sequence number
 // is durable. Returns the record's sequence number.
 func (w *Writer) Append(kind Kind, payload []byte) (uint64, error) {
+	return w.AppendBatch([]Entry{{Kind: kind, Payload: payload}})
+}
+
+// Entry is one record of an AppendBatch group commit.
+type Entry struct {
+	Kind    Kind
+	Payload []byte
+}
+
+// AppendBatch appends entries in order as one group commit: the
+// frames bound for one segment go out in a single write followed by a
+// single fsync, so a burst of records pays for one sync instead of one
+// each. The segment bytes, rotation points and hash chain are exactly
+// those of appending the entries one at a time. Returns the first
+// entry's sequence number (an empty batch appends nothing). On error,
+// the frames of earlier segments stay durable and no later entry is
+// appended.
+func (w *Writer) AppendBatch(entries []Entry) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return 0, ErrClosed
 	}
-	seq := w.nextSeq
-	chain := chainHash(w.head, seq, kind, payload)
-	e := newEncoder(frameOverhead + minBody + len(payload))
+	first, seq, head := w.nextSeq, w.nextSeq, w.head
+	var buf []byte
+	for i, e := range entries {
+		head = chainHash(head, seq, e.Kind, e.Payload)
+		buf = appendFrame(buf, seq, e.Kind, head, e.Payload)
+		seq++
+		// Commit at the end of the batch and wherever a record at a
+		// time would have rotated the segment.
+		if i < len(entries)-1 && w.segSize+int64(len(buf)) < w.opt.SegmentBytes {
+			continue
+		}
+		if _, err := w.f.Write(buf); err != nil {
+			return 0, fmt.Errorf("journal: %w", err)
+		}
+		if !w.opt.NoSync {
+			if err := w.f.Sync(); err != nil {
+				return 0, fmt.Errorf("journal: %w", err)
+			}
+		}
+		w.segSize += int64(len(buf))
+		w.nextSeq, w.head = seq, head
+		buf = buf[:0]
+		if w.segSize >= w.opt.SegmentBytes {
+			if err := w.rotateLocked(); err != nil {
+				return 0, err
+			}
+		}
+	}
+	return first, nil
+}
+
+// appendFrame appends one CRC-framed record to buf.
+func appendFrame(buf []byte, seq uint64, kind Kind, chain [32]byte, payload []byte) []byte {
+	e := encoder{buf: buf}
+	start := len(buf)
 	e.u32(uint32(minBody + len(payload)))
 	e.u32(0) // CRC placeholder, patched below
 	e.u64(seq)
 	e.u8(uint8(kind))
 	e.buf = append(e.buf, chain[:]...)
 	e.buf = append(e.buf, payload...)
-	crc := crc32.ChecksumIEEE(e.buf[frameOverhead:])
-	e.buf[4] = byte(crc)
-	e.buf[5] = byte(crc >> 8)
-	e.buf[6] = byte(crc >> 16)
-	e.buf[7] = byte(crc >> 24)
-	if _, err := w.f.Write(e.buf); err != nil {
-		return 0, fmt.Errorf("journal: %w", err)
-	}
-	if !w.opt.NoSync {
-		if err := w.f.Sync(); err != nil {
-			return 0, fmt.Errorf("journal: %w", err)
-		}
-	}
-	w.segSize += int64(len(e.buf))
-	w.nextSeq = seq + 1
-	w.head = chain
-	if w.segSize >= w.opt.SegmentBytes {
-		if err := w.rotateLocked(); err != nil {
-			return 0, err
-		}
-	}
-	return seq, nil
+	crc := crc32.ChecksumIEEE(e.buf[start+frameOverhead:])
+	e.buf[start+4] = byte(crc)
+	e.buf[start+5] = byte(crc >> 8)
+	e.buf[start+6] = byte(crc >> 16)
+	e.buf[start+7] = byte(crc >> 24)
+	return e.buf
 }
 
 // rotateLocked seals the active segment and opens the next one.

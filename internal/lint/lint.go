@@ -1,7 +1,7 @@
 // Package lint implements albireo's repo-specific static analyzer.
 //
-// The simulator's headline guarantees - bit-identical results between
-// Conv and ConvConcurrent, SI units on every physical quantity, and
+// The simulator's headline guarantees - bit-identical results from
+// Conv on any number of host cores, SI units on every physical quantity, and
 // noise draws that come only from injected *rand.Rand streams - are
 // invariants nothing in the compiler enforces. This package builds a
 // type-aware analyzer framework on the standard library's go/parser,

@@ -17,14 +17,15 @@
 //     event-denominated. Nothing in this package reads the wall clock
 //     except WallClock, the injected Clock implementation that lives
 //     only at the cmd boundary. Two runs with the same seed produce
-//     bit-identical snapshots; Conv and ConvConcurrent produce
-//     bit-identical counter totals because counter addition commutes.
+//     bit-identical snapshots; Conv produces bit-identical counter
+//     totals on any number of lanes because counter addition
+//     commutes.
 //   - Nil-safe and off by default: every method on a nil *Registry,
 //     nil *Trace, nil *Span, nil *Counter, nil *Gauge, and nil
 //     *Histogram is a no-op, so instrumented hot paths cost one nil
 //     check when observation is not attached.
 //   - Race-safe: counters and gauges are atomics, histograms and the
-//     trace are mutex-protected, so ConvConcurrent's goroutines may
+//     trace are mutex-protected, so the chip's kernel lanes may
 //     record freely.
 package obs
 
