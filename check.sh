@@ -3,6 +3,9 @@
 #
 #   build      the whole module compiles
 #   vet        stdlib static analysis
+#   gofmt      every Go file is gofmt-clean (gofmt -l prints nothing);
+#              gofmt rewrites "//hot:" markers to "// hot:", which the
+#              alloc proof accepts too
 #   race test  the full suite under the race detector (the Conv
 #              lane bit-identity tests run here)
 #   lanes      the core goldens, lane and shard tests at -cpu 1,2,4:
@@ -53,6 +56,14 @@ go build ./...
 
 echo "==> go vet ./..."
 go vet ./...
+
+echo "==> gofmt -l ."
+unformatted="$(gofmt -l .)"
+if [ -n "${unformatted}" ]; then
+	echo "gofmt: these files need formatting:" >&2
+	echo "${unformatted}" >&2
+	exit 1
+fi
 
 echo "==> go test -race ./..."
 go test -race ./...

@@ -61,7 +61,7 @@ func TestCurrentsWrapperSingleAlloc(t *testing.T) {
 	}
 }
 
-func TestStepIntoAllocFree(t *testing.T) {
+func TestStepPrequantizedAllocFree(t *testing.T) {
 	cfg := DefaultConfig()
 	g := NewPLCG(cfg)
 	weights := make([][]float64, cfg.Nu)
@@ -70,11 +70,11 @@ func TestStepIntoAllocFree(t *testing.T) {
 		weights[u], avals[u] = hotInputs(cfg)
 	}
 	dst := make([]float64, cfg.Nd)
-	g.StepInto(dst, weights, avals)
+	g.stepPrequantized(dst, weights, avals, cfg.Nd)
 	if avg := testing.AllocsPerRun(200, func() {
-		g.StepInto(dst, weights, avals)
+		g.stepPrequantized(dst, weights, avals, cfg.Nd)
 	}); avg != 0 {
-		t.Fatalf("StepInto allocates %.1f times per cycle, want 0", avg)
+		t.Fatalf("stepPrequantized allocates %.1f times per cycle, want 0", avg)
 	}
 }
 

@@ -32,6 +32,9 @@ type Chip struct {
 	// backing array grows to the largest layer seen and is then
 	// reused.
 	qaVol tensor.Volume
+	// zero is the shared read-only all-zero activation row (length
+	// Nd) that idle taps view.
+	zero []float64
 	// progs caches compiled weight programs keyed by kernel-tensor
 	// identity and mapping kind.
 	progs map[progKey]*weightProgram
@@ -71,6 +74,7 @@ func NewChip(cfg Config) *Chip {
 		groups: groups,
 		active: active,
 		aq:     quant.NewActivation(cfg.DACBits, 1),
+		zero:   make([]float64, cfg.Nd),
 	}
 }
 
@@ -118,25 +122,49 @@ func (c *Chip) tapChunks(ky, kx int) []tapChunk {
 // all-zero input; the scratch contents are unused in that case
 // because callers early-return on a zero output scale.
 func (c *Chip) prequantizeInput(a *tensor.Volume) (*tensor.Volume, float64) {
+	return c.prequantizePadded(a, 0, a.Y, a.X)
+}
+
+// prequantizePadded is prequantizeInput into a zero-padded layout:
+// each channel becomes a ph x pw plane holding the input at row and
+// column offset pad, zero elsewhere - the values tensor.AtPadded reads
+// - so receptive-field windows read it without bounds checks.
+func (c *Chip) prequantizePadded(a *tensor.Volume, pad, ph, pw int) (*tensor.Volume, float64) {
 	for _, v := range a.Data {
 		if v < 0 {
 			panic("core: activations must be non-negative (optical power encoding)") //lint:ignore exit-hygiene non-negative activations are the optical power encoding invariant
 		}
 	}
 	scale := a.MaxAbs()
-	n := len(a.Data)
-	if cap(c.qaVol.Data) < n {
-		c.qaVol.Data = make([]float64, n)
-	}
-	c.qaVol.Data = c.qaVol.Data[:n]
-	c.qaVol.Z, c.qaVol.Y, c.qaVol.X = a.Z, a.Y, a.X
+	growVolume(&c.qaVol, a.Z, ph, pw)
 	if scale == 0 {
 		return &c.qaVol, 0
 	}
-	for i, v := range a.Data {
-		c.qaVol.Data[i] = c.aq.Quantize(v / scale)
+	if ph != a.Y || pw != a.X {
+		clear(c.qaVol.Data)
+	}
+	for z := 0; z < a.Z; z++ {
+		for y := 0; y < a.Y; y++ {
+			src := a.Data[(z*a.Y+y)*a.X:][:a.X]
+			dst := c.qaVol.Data[(z*ph+pad+y)*pw+pad:][:a.X]
+			for x, v := range src {
+				dst[x] = c.aq.Quantize(v / scale)
+			}
+		}
 	}
 	return &c.qaVol, scale
+}
+
+// paddedDims returns the plane extent of a receptive-field layer's
+// padded input (see prequantizePadded): pad rows and columns before
+// the data, and enough after it that every tap of every Nd-wide output
+// tile - dead columns past the row end included - reads inside the
+// plane.
+func paddedDims(a *tensor.Volume, w *tensor.Kernels, pad, stride int, out *tensor.Volume, nd int) (ph, pw int) {
+	lastTile := (out.X - 1) / nd * nd
+	ph = max(pad+a.Y, (out.Y-1)*stride+w.Y)
+	pw = max(pad+a.X, (lastTile+nd-1)*stride+w.X)
+	return ph, pw
 }
 
 // Conv executes a convolution layer through the analog pipeline
@@ -172,10 +200,12 @@ func convStride(cfg tensor.ConvConfig) int {
 
 // receptiveField runs the shard's kernels of a dense (progConv) or
 // depthwise (progDepthwise) layer into the caller's pre-zeroed out
-// volume: the activations are pre-quantized once, the weight program
-// comes from the cache, and the kernels fan out over the lanes.
+// volume: the activations are pre-quantized once into the padded
+// layout, the weight program comes from the cache, and the kernels fan
+// out over the lanes.
 func (c *Chip) receptiveField(kind programKind, a *tensor.Volume, w *tensor.Kernels, stride, pad int, relu bool, shard ShardSpec, out *tensor.Volume) {
-	qa, aScale := c.prequantizeInput(a)
+	ph, pw := paddedDims(a, w, pad, stride, out, c.cfg.Nd)
+	qa, aScale := c.prequantizePadded(a, pad, ph, pw)
 	pr := c.programShard(kind, w, shard)
 	name, body := "conv", kernelBody(&c.conv)
 	if kind == progDepthwise {
@@ -184,43 +214,44 @@ func (c *Chip) receptiveField(kind programKind, a *tensor.Volume, w *tensor.Kern
 	sp := c.ins.beginLayer(name, w.M, w.Z, w.Y, w.X)
 	defer sp.End()
 	if s := aScale * pr.wScale; s != 0 {
-		c.conv = convLayer{c: c, qa: qa, pr: pr, out: out, stride: stride, pad: pad, relu: relu, outScale: s}
+		c.conv = convLayer{c: c, qa: qa, pr: pr, out: out, stride: stride, relu: relu, outScale: s}
 		c.forEachKernel(sp, w.M, shard, body)
 	}
 }
 
 // convLayer is the per-kernel body of a receptive-field layer: the
-// pre-quantized input, the compiled weights, the output volume, and
-// the geometry every kernel shares. The chip owns one and refills it
+// padded pre-quantized input, the compiled weights, the output volume,
+// and the stride every kernel shares. The chip owns one and refills it
 // per layer.
 type convLayer struct {
-	c           *Chip
-	qa          *tensor.Volume
-	pr          *weightProgram
-	out         *tensor.Volume
-	stride, pad int
-	relu        bool
-	outScale    float64
+	c        *Chip
+	qa       *tensor.Volume
+	pr       *weightProgram
+	out      *tensor.Volume
+	stride   int
+	relu     bool
+	outScale float64
 }
 
 // kernel streams every output tile of dense-conv kernel m through its
 // owning PLCG: weights come from the compiled program, activations are
-// gathered into the group's scratch arena, and partial sums
-// accumulate across channel groups and tap chunks. Only the lane that
-// owns m's group position runs it, so the group scratch needs no
-// locking.
+// windows of the padded input, and partial sums accumulate across
+// channel groups and tap chunks. Only a tile's live columns - those
+// inside the output row - are computed. Only the lane that owns m's
+// group position runs it, so the group scratch needs no locking.
 //
-//hot: steady-state layer loop; per-tile work must not allocate.
+// hot: steady-state layer loop; per-tile work must not allocate.
 func (l *convLayer) kernel(m int) {
 	c, pr := l.c, l.pr
 	gi := c.activeGroup(m)
 	g := c.groups[gi]
 	nug := g.Capacity()
 	sc := &g.conv
+	nd := c.cfg.Nd
 	nchunks := len(pr.chunks)
 	for oy := 0; oy < l.out.Y; oy++ {
-		for ox0 := 0; ox0 < l.out.X; ox0 += c.cfg.Nd {
-			acc := sc.acc
+		for ox0 := 0; ox0 < l.out.X; ox0 += nd {
+			acc := sc.acc[:min(nd, l.out.X-ox0)]
 			for d := range acc {
 				acc[d] = 0
 			}
@@ -229,9 +260,9 @@ func (l *convLayer) kernel(m int) {
 				for ci := 0; ci < nchunks; ci++ {
 					for u := 0; u < nu; u++ {
 						sc.weights[u] = pr.slot(m, (z0+u)*nchunks+ci)
-						fillWindow(sc.avals[u], l.qa, z0+u, oy, ox0, l.stride, l.pad, &pr.chunks[ci], c.cfg.Nd)
+						sc.window(u, l.qa, z0+u, oy, ox0, l.stride, &pr.chunks[ci], c.zero)
 					}
-					part := g.stepPrequantized(sc.part, sc.weights[:nu], sc.avals[:nu])
+					part := g.stepPrequantized(sc.part, sc.weights[:nu], sc.avals[:nu], len(acc))
 					if c.ins != nil {
 						c.ins.step(gi, nu)
 					}
@@ -245,12 +276,12 @@ func (l *convLayer) kernel(m int) {
 	}
 }
 
-// writeTile scales one Nd-wide accumulator tile into output plane m,
-// applying the ReLU and dropping columns past the row end.
+// writeTile scales one accumulator tile of live columns into output
+// plane m, applying the ReLU.
 //
-//hot: per-tile write-back; must not allocate.
+// hot: per-tile write-back; must not allocate.
 func (l *convLayer) writeTile(acc []float64, m, oy, ox0 int) {
-	for d := 0; d < len(acc) && ox0+d < l.out.X; d++ {
+	for d := range acc {
 		v := acc[d] * l.outScale
 		if l.relu && v < 0 {
 			v = 0
@@ -268,22 +299,23 @@ type depthwiseLayer convLayer
 // kernel streams every output tile of channel z through the first
 // healthy unit of its owning PLCG.
 //
-//hot: steady-state layer loop; per-tile work must not allocate.
+// hot: steady-state layer loop; per-tile work must not allocate.
 func (l *depthwiseLayer) kernel(z int) {
 	c, pr := l.c, l.pr
 	gi := c.activeGroup(z)
 	g := c.groups[gi]
 	sc := &g.conv
+	nd := c.cfg.Nd
 	for oy := 0; oy < l.out.Y; oy++ {
-		for ox0 := 0; ox0 < l.out.X; ox0 += c.cfg.Nd {
-			acc := sc.acc
+		for ox0 := 0; ox0 < l.out.X; ox0 += nd {
+			acc := sc.acc[:min(nd, l.out.X-ox0)]
 			for d := range acc {
 				acc[d] = 0
 			}
 			for ci := range pr.chunks {
 				sc.weights[0] = pr.slot(z, ci)
-				fillWindow(sc.avals[0], l.qa, z, oy, ox0, l.stride, l.pad, &pr.chunks[ci], c.cfg.Nd)
-				part := g.stepPrequantized(sc.part, sc.weights[:1], sc.avals[:1])
+				sc.window(0, l.qa, z, oy, ox0, l.stride, &pr.chunks[ci], c.zero)
+				part := g.stepPrequantized(sc.part, sc.weights[:1], sc.avals[:1], len(acc))
 				if c.ins != nil {
 					c.ins.step(gi, 1)
 				}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -241,7 +242,7 @@ func TestPLCGStepTailChannels(t *testing.T) {
 		av[i] = make([]float64, 5)
 	}
 	av[0][0] = 1
-	out := g.Step([][]float64{w}, [][][]float64{av})
+	out := g.stepPrequantized(make([]float64, 5), [][]float64{w}, [][][]float64{av}, 5)
 	if math.Abs(out[0]-1) > 0.15 {
 		t.Errorf("single-slot step = %g, want ~1", out[0])
 	}
@@ -250,5 +251,68 @@ func TestPLCGStepTailChannels(t *testing.T) {
 			t.Error("too many slots should panic")
 		}
 	}()
-	g.Step(make([][]float64, 4), make([][][]float64, 4))
+	g.stepPrequantized(make([]float64, 5), make([][]float64, 4), make([][][]float64, 4), 5)
+}
+
+// TestKernelsDoNotWriteRowViews checks that no mapping's kernel body
+// writes through its activation row views, which alias the chip's
+// pre-quantized input and its shared zero row: after each layer runs
+// on the lane path, the pre-quantized volume still matches a fresh
+// pre-quantization of the layer's input bit for bit and the zero row
+// is still zero. The cases cover stride-1 views with tail tiles,
+// strided staging, tap-chunk tails, depthwise, pointwise full and tail
+// tiles with idle taps, FC, and the signed GEMM's second pass.
+func TestKernelsDoNotWriteRowViews(t *testing.T) {
+	padded := func(a *tensor.Volume, w *tensor.Kernels, stride, pad int) []float64 {
+		c := NewChip(DefaultConfig())
+		out := tensor.NewVolume(w.M, tensor.ConvOutputDim(a.Y, w.Y, pad, stride), tensor.ConvOutputDim(a.X, w.X, pad, stride))
+		ph, pw := paddedDims(a, w, pad, stride, out, c.cfg.Nd)
+		qa, _ := c.prequantizePadded(a, pad, ph, pw)
+		return qa.Data
+	}
+	flat := func(a *tensor.Volume) []float64 {
+		qa, _ := NewChip(DefaultConfig()).prequantizeInput(a)
+		return qa.Data
+	}
+	conv := func(az, k, stride, pad int, seed int64) (string, func(*Chip), []float64) {
+		a := tensor.RandomVolume(az, 9, 9, seed)
+		w := tensor.RandomKernels(7, az, k, k, seed+1)
+		cc := tensor.ConvConfig{Stride: stride, Pad: pad}
+		return fmt.Sprintf("conv%dx%d-s%dp%d", k, k, stride, pad), func(c *Chip) { c.Conv(a, w, cc, true) }, padded(a, w, stride, pad)
+	}
+	dwA, dwW := tensor.RandomVolume(5, 9, 9, 711), tensor.RandomKernels(5, 1, 3, 3, 712)
+	pwA, pwW := tensor.RandomVolume(6, 7, 7, 721), tensor.RandomKernels(13, 6, 1, 1, 722)
+	fcA, fcW := tensor.RandomVolume(4, 5, 5, 731), tensor.RandomKernels(6, 4, 5, 5, 732)
+	mA, mB := tensor.RandomMatrix(11, 14, 741), tensor.RandomMatrix(14, 13, 742)
+	neg := NewChip(DefaultConfig())
+	neg.stageSigned(mA)
+	type mapping struct {
+		name string
+		run  func(*Chip)
+		want []float64
+	}
+	var cases []mapping
+	for _, g := range []struct{ k, stride, pad int }{{3, 1, 1}, {3, 2, 1}, {5, 1, 2}} {
+		name, run, want := conv(6, g.k, g.stride, g.pad, int64(700+g.k+g.stride))
+		cases = append(cases, mapping{name, run, want})
+	}
+	cases = append(cases,
+		mapping{"depthwise", func(c *Chip) { c.Conv(dwA, dwW, tensor.ConvConfig{Pad: 1, Depthwise: true}, true) }, padded(dwA, dwW, 1, 1)},
+		mapping{"pointwise", func(c *Chip) { c.Pointwise(pwA, pwW, true) }, flat(pwA)},
+		mapping{"fc", func(c *Chip) { c.FullyConnected(fcA, fcW, true) }, flat(fcA)},
+		mapping{"gemm-signed", func(c *Chip) { c.GEMM(mA, mB, false) }, flat(&neg.negVol)},
+	)
+	for _, tc := range cases {
+		c := NewChip(DefaultConfig())
+		manyLanes(func() int { tc.run(c); return 0 })
+		if !sameBits(c.qaVol.Data, tc.want) {
+			t.Errorf("%s: the pre-quantized input changed while the kernels ran", tc.name)
+		}
+		for _, v := range c.zero {
+			if v != 0 {
+				t.Errorf("%s: the shared zero row was written", tc.name)
+				break
+			}
+		}
+	}
 }

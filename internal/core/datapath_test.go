@@ -137,15 +137,50 @@ func (tw datapathTwins) clear() {
 }
 
 // randomCode draws a weight code covering the cases the datapath
-// branches on: zero, negative zero, negative and positive magnitudes.
+// branches on: zero, negative zero, NaN, negative and positive
+// magnitudes.
 func randomCode(rng *rand.Rand) float64 {
 	switch r := rng.Float64(); {
 	case r < 0.15:
 		return 0
 	case r < 0.25:
 		return math.Copysign(0, -1)
+	case r < 0.27:
+		return math.NaN()
 	default:
 		return 2*rng.Float64() - 1
+	}
+}
+
+// randomRow fills one tap's activation row with a pattern the
+// datapath's tap skip branches on: all zero (either sign), a single
+// non-zero column, dense, or dense with a NaN.
+func randomRow(rng *rand.Rand, row []float64) {
+	switch r := rng.Float64(); {
+	case r < 0.3:
+		z := 0.0
+		if rng.Intn(4) == 0 {
+			z = math.Copysign(0, -1)
+		}
+		for d := range row {
+			row[d] = z
+		}
+	case r < 0.5:
+		for d := range row {
+			row[d] = 0
+		}
+		row[rng.Intn(len(row))] = rng.Float64()
+	default:
+		for d := range row {
+			if rng.Intn(8) == 0 {
+				row[d] = 0
+			} else {
+				row[d] = rng.Float64()
+			}
+		}
+		if r > 0.97 {
+			row[rng.Intn(len(row))] = math.NaN()
+		}
 	}
 }
 
@@ -231,8 +266,11 @@ func TestAccumulateMatchesReference(t *testing.T) {
 
 // runTwins runs both sides for n cycles and returns a description of
 // the first differing output, or "". Even cycles feed codes straight to
-// the datapath; odd cycles enter through CurrentsInto, so StuckMZM
-// faults reach the reference through the same effective weights. Faults
+// the datapath with a live width cycling through 1..Nd, and compare
+// only the live columns; odd cycles enter through CurrentsInto at full
+// width, so StuckMZM faults reach the reference through the same
+// effective weights, and every narrow cycle is followed by a full one
+// that proves the dead columns kept the noise stream aligned. Faults
 // change mid-run to exercise the gain-table rebuild.
 func runTwins(tw datapathTwins, rng *rand.Rand, n int) string {
 	cfg := tw.p.cfg
@@ -255,17 +293,13 @@ func runTwins(tw datapathTwins, rng *rand.Rand, n int) string {
 		}
 		for t := range qw {
 			qw[t] = randomCode(rng)
-			for d := range qa[t] {
-				if rng.Intn(8) == 0 {
-					qa[t][d] = 0
-				} else {
-					qa[t][d] = rng.Float64()
-				}
-			}
+			randomRow(rng, qa[t])
 		}
 		tw.ref.cycles++
+		live := cfg.Nd
 		if c%2 == 0 {
-			tw.p.currentsPrequantized(got, qw, qa)
+			live = 1 + c/2%cfg.Nd
+			tw.p.currentsPrequantized(got, qw, qa, live)
 			tw.ref.accumulate(want, qw, qa)
 		} else {
 			tw.p.CurrentsInto(got, qw, qa)
@@ -282,10 +316,10 @@ func runTwins(tw datapathTwins, rng *rand.Rand, n int) string {
 			}
 			tw.ref.accumulate(want, rqw, rqa)
 		}
-		for d := range got {
+		for d := range got[:live] {
 			if math.Float64bits(got[d]) != math.Float64bits(want[d]) {
-				return fmt.Sprintf("cycle %d column %d: got %#x, want %#x",
-					c, d, math.Float64bits(got[d]), math.Float64bits(want[d]))
+				return fmt.Sprintf("cycle %d live %d column %d: got %#x, want %#x",
+					c, live, d, math.Float64bits(got[d]), math.Float64bits(want[d]))
 			}
 		}
 	}

@@ -78,15 +78,15 @@ func (p *PLCU) InjectFault(f Fault) {
 	}
 	switch f.Kind {
 	case StuckMZM:
-		if f.Value < 0 || f.Value > 1 {
+		if !(f.Value >= 0 && f.Value <= 1) {
 			panic(fmt.Sprintf("core: stuck transfer %g outside [0,1]; an MZM transmits a fraction of its input", f.Value)) //lint:ignore exit-hygiene unphysical fault parameter; caller bug
 		}
 	case DetunedRing:
-		if f.Value < 0 || f.Value > 1 {
+		if !(f.Value >= 0 && f.Value <= 1) {
 			panic(fmt.Sprintf("core: residual coupling %g outside [0,1]; a detuned ring couples a fraction of its input", f.Value)) //lint:ignore exit-hygiene unphysical fault parameter; caller bug
 		}
 	}
-	if f.Drift < 0 {
+	if !(f.Drift >= 0) {
 		panic(fmt.Sprintf("core: drift %g must be non-negative; thermal detuning only loses coupling", f.Drift)) //lint:ignore exit-hygiene unphysical fault parameter; caller bug
 	}
 	if f.Drift > 0 && f.Kind != DetunedRing {

@@ -169,6 +169,12 @@ func TestFaultValidation(t *testing.T) {
 	expectPanic("negative residual", func() { p.InjectFault(Fault{Kind: DetunedRing, Tap: 0, Column: 0, Value: -0.1}) })
 	expectPanic("over-unity residual", func() { p.InjectFault(Fault{Kind: DetunedRing, Tap: 0, Column: 0, Value: 2}) })
 	expectPanic("negative drift", func() { p.InjectFault(Fault{Kind: DetunedRing, Tap: 0, Column: 0, Value: 1, Drift: -0.1}) })
+	// NaN passes both range comparisons, so it is tested for
+	// explicitly: a NaN ring gain would make the datapath's all-zero
+	// tap skip observable.
+	expectPanic("NaN stuck transfer", func() { p.InjectFault(Fault{Kind: StuckMZM, Tap: 0, Value: math.NaN()}) })
+	expectPanic("NaN residual", func() { p.InjectFault(Fault{Kind: DetunedRing, Tap: 0, Column: 0, Value: math.NaN()}) })
+	expectPanic("NaN drift", func() { p.InjectFault(Fault{Kind: DetunedRing, Tap: 0, Column: 0, Value: 1, Drift: math.NaN()}) })
 	expectPanic("drift on non-detuned", func() { p.InjectFault(Fault{Kind: DeadRing, Tap: 0, Column: 0, Drift: 0.1}) })
 	if len(p.Faults()) != 0 {
 		t.Error("rejected faults must not be recorded")

@@ -92,7 +92,7 @@ func (j *laneJob) run() {
 // and sequential; otherwise idle helpers are offered the job with
 // non-blocking sends and the caller runs a lane itself.
 //
-//hot: layer dispatch; runs once per layer and must not allocate.
+// hot: layer dispatch; runs once per layer and must not allocate.
 func (c *Chip) forEachKernel(sp *obs.Span, n int, shard ShardSpec, body kernelBody) {
 	if c.ins != nil {
 		for m := 0; m < n; m++ {

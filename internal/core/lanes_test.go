@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+	"time"
 
 	"albireo/internal/obs"
 	"albireo/internal/tensor"
@@ -210,7 +211,7 @@ func TestLaneNoGoroutineGrowth(t *testing.T) {
 	a := tensor.RandomVolume(6, 8, 8, 601)
 	w := tensor.RandomKernels(13, 6, 3, 3, 602)
 	cc := tensor.ConvConfig{Stride: 1, Pad: 1}
-	before := runtime.NumGoroutine()
+	before := steadyGoroutines()
 	manyLanes(func() int {
 		for i := 0; i < 100; i++ {
 			chip.Conv(a, w, cc, true)
@@ -220,6 +221,22 @@ func TestLaneNoGoroutineGrowth(t *testing.T) {
 	if after := runtime.NumGoroutine(); after != before {
 		t.Fatalf("goroutines %d -> %d over 100 layers", before, after)
 	}
+}
+
+// steadyGoroutines returns the goroutine count once it has held for
+// a few consecutive 1 ms polls: the previous test's runner goroutine
+// can still be exiting when this test starts.
+func steadyGoroutines() int {
+	n := runtime.NumGoroutine()
+	for same, polls := 0, 0; same < 5 && polls < 1000; polls++ {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n
 }
 
 // TestLaneSteadyStateAllocs is alloc_test.go's contract on the lane

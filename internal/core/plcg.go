@@ -14,7 +14,7 @@ import (
 // ceil(Wz/Nu) cycles before applying the activation (Section III-B).
 //
 // A PLCG degrades gracefully: quarantined PLCUs are removed from the
-// slot mapping, so Step schedules work onto the remaining healthy
+// slot mapping, so each step schedules work onto the remaining healthy
 // units only (fewer slots per cycle, more cycles per layer).
 type PLCG struct {
 	cfg   Config
@@ -24,11 +24,11 @@ type PLCG struct {
 	// at full amplitude on one polarity.
 	fullScaleCurrent float64
 	// avail lists the healthy (non-quarantined) unit indices in
-	// ascending order; Step slot i drives units[avail[i]].
+	// ascending order; step slot i drives units[avail[i]].
 	avail []int
 	// sumBuf and curBuf are the group's reduction scratch: the analog
-	// cross-unit sum and the per-unit currents StepInto reuses across
-	// cycles instead of allocating per call.
+	// cross-unit sum and the per-unit currents stepPrequantized reuses
+	// across cycles instead of allocating per call.
 	sumBuf, curBuf []float64
 	// conv is the group-owned scratch arena the chip's per-kernel
 	// bodies (conv, depthwise, pointwise, FC, GEMM) stage slot
@@ -90,69 +90,40 @@ func (g *PLCG) restoreAll() {
 	}
 }
 
-// Step performs one cycle: healthy PLCU slot i processes weights[i]
-// against avals[i] (shapes as in PLCU.Currents), the Nd per-column
+// stepPrequantized performs one cycle on compiled weight-program
+// slots and pre-quantized activation rows: healthy PLCU slot i drives
+// qw[i] against qa[i] (shapes as in PLCU.Currents), the per-column
 // currents are summed across units in the analog domain, digitized by
-// the shared ADC, and returned in the value domain (units of
-// full-scale products). Fewer than Capacity entries are allowed for
-// tail channel groups; missing units idle. Quarantined units are
-// never driven.
-func (g *PLCG) Step(weights [][]float64, avals [][][]float64) []float64 {
-	return g.StepInto(make([]float64, g.cfg.Nd), weights, avals)
-}
-
-// StepInto is the in-place variant of Step: it writes the Nd
-// aggregated values into dst (which must have length Nd) and returns
-// it. The reduction scratch is group-owned, so StepInto is not safe
-// for concurrent use on one PLCG.
+// the shared ADC, and written to dst in the value domain (units of
+// full-scale products). Fewer than Capacity slots are allowed for tail
+// channel groups; missing units idle, and quarantined units are never
+// driven. Only the first live columns are summed, digitized and
+// returned; every unit still draws all Nd noise samples, so the live
+// columns are bit-identical to a full-width cycle.
 //
-//hot: steady-state per-cycle group entry point; must not allocate.
-func (g *PLCG) StepInto(dst []float64, weights [][]float64, avals [][][]float64) []float64 {
-	if len(weights) > len(g.avail) || len(weights) != len(avals) {
-		panic(fmt.Sprintf("core: step wants <=%d matched channel slots, got %d/%d", //lint:ignore exit-hygiene slot-count shape invariant; caller bug
-			len(g.avail), len(weights), len(avals)))
-	}
-	sum := g.sumBuf
-	for d := range sum {
-		sum[d] = 0
-	}
-	for i := range weights {
-		cur := g.units[g.avail[i]].CurrentsInto(g.curBuf, weights[i], avals[i])
-		for d, c := range cur {
-			sum[d] += c
-		}
-	}
-	return g.aggregate(dst, sum, len(weights))
-}
-
-// stepPrequantized is StepInto for compiled weight-program slots and
-// pre-quantized activation rows: the quantization work is already
-// done, so healthy slots go straight to the analog datapath. Cycle
-// counts, noise draws, and ADC behaviour match Step bit for bit.
-//
-//hot: weight-stationary group inner loop; must not allocate.
-func (g *PLCG) stepPrequantized(dst []float64, qw [][]float64, qa [][][]float64) []float64 {
+// hot: weight-stationary group inner loop; must not allocate.
+func (g *PLCG) stepPrequantized(dst []float64, qw [][]float64, qa [][][]float64, live int) []float64 {
 	if len(qw) > len(g.avail) || len(qw) != len(qa) {
 		panic(fmt.Sprintf("core: step wants <=%d matched channel slots, got %d/%d", //lint:ignore exit-hygiene slot-count shape invariant; caller bug
 			len(g.avail), len(qw), len(qa)))
 	}
-	sum := g.sumBuf
+	sum := g.sumBuf[:live]
 	for d := range sum {
 		sum[d] = 0
 	}
 	for i := range qw {
-		cur := g.units[g.avail[i]].currentsPrequantized(g.curBuf, qw[i], qa[i])
-		for d, c := range cur {
-			sum[d] += c
+		cur := g.units[g.avail[i]].currentsPrequantized(g.curBuf, qw[i], qa[i], live)
+		for d := range sum {
+			sum[d] += cur[d]
 		}
 	}
-	return g.aggregate(dst, sum, len(qw))
+	return g.aggregate(dst[:live], sum, len(qw))
 }
 
 // aggregate applies the TIA + shared-ADC stage to the analog sum of
 // nslots active units and writes the value-domain result into dst.
 //
-//hot: shared aggregation tail; must not allocate.
+// hot: shared aggregation tail; must not allocate.
 func (g *PLCG) aggregate(dst, sum []float64, nslots int) []float64 {
 	unit := g.units[0].UnitCurrent()
 	// The TIA gain is programmed per layer so the ADC full scale

@@ -204,7 +204,7 @@ func (p *PLCU) Currents(weights []float64, avals [][]float64) []float64 {
 // is not safe for concurrent use on one PLCU - which mirrors the
 // hardware: a unit executes one modulation cycle at a time.
 //
-//hot: steady-state per-cycle entry point; must not allocate.
+// hot: steady-state per-cycle entry point; must not allocate.
 func (p *PLCU) CurrentsInto(dst, weights []float64, avals [][]float64) []float64 {
 	cfg := p.cfg
 	p.cycles++
@@ -229,20 +229,21 @@ func (p *PLCU) CurrentsInto(dst, weights []float64, avals [][]float64) []float64
 			row[d] = p.aq.Quantize(a)
 		}
 	}
-	return p.accumulate(dst, p.qwBuf, p.qaBuf)
+	return p.accumulate(dst, p.qwBuf, p.qaBuf, cfg.Nd)
 }
 
 // currentsPrequantized runs one cycle on weights and activations that
 // are already on the DAC grids: qw holds fault-effective quantized
 // weights (a compiled weight-program slot) and qa rows hold quantized
-// activations. It advances the same cycle counter and draws the same
-// noise samples as Currents, so outputs are bit-identical to the
+// activations. Only the first live columns' currents are written (see
+// accumulate). It advances the same cycle counter and draws the same
+// noise samples as Currents, so live outputs are bit-identical to the
 // quantize-on-entry path.
 //
-//hot: weight-stationary inner loop; must not allocate.
-func (p *PLCU) currentsPrequantized(dst []float64, qw []float64, qa [][]float64) []float64 {
+// hot: weight-stationary inner loop; must not allocate.
+func (p *PLCU) currentsPrequantized(dst []float64, qw []float64, qa [][]float64, live int) []float64 {
 	p.cycles++
-	return p.accumulate(dst, qw, qa)
+	return p.accumulate(dst, qw, qa, live)
 }
 
 // accumulate is the shared analog datapath: MZM scaling, MRR routing
@@ -256,11 +257,21 @@ func (p *PLCU) currentsPrequantized(dst []float64, qw []float64, qa [][]float64)
 // ascending order, then the ring gain. Noise is drawn once per column
 // in column order after all taps.
 //
-//hot: innermost per-column loop; must not allocate.
-func (p *PLCU) accumulate(dst []float64, qw []float64, qa [][]float64) []float64 {
+// Only columns d < live are computed and written to dst; the caller
+// discards the rest. A dead column still draws its noise sample, so
+// the unit's noise stream advances exactly as at full width, and its
+// activations still leak into the live columns. A tap whose Nd
+// activations are all zero is skipped: activations, magnitudes,
+// crosstalk coefficients and ring gains are non-negative and finite
+// (InjectFault rejects NaN parameters), so every term it would add is
+// ±0 and leaves the sums, which start at +0, unchanged. A NaN weight
+// code is not skipped, so it still poisons the sums.
+//
+// hot: innermost per-column loop; must not allocate.
+func (p *PLCU) accumulate(dst []float64, qw []float64, qa [][]float64, live int) []float64 {
 	nm, nd := p.cfg.Nm, p.cfg.Nd
 	coef, gains := p.coef, p.gains
-	pos, neg := p.pos[:nd], p.neg[:nd]
+	pos, neg := p.pos[:live], p.neg[:live]
 	for d := range pos {
 		pos[d] = 0
 		neg[d] = 0
@@ -272,12 +283,16 @@ func (p *PLCU) accumulate(dst []float64, qw []float64, qa [][]float64) []float64
 		}
 		mag := math.Abs(w)
 		row := qa[t][:nd]
+		if zeroRow(row) && !math.IsNaN(mag) {
+			continue
+		}
 		sum := neg
 		if w > 0 {
 			sum = pos
 		}
-		sum = sum[:nd] // lets the compiler drop the bounds check on sum[d]
-		for d, a := range row {
+		liveRow := row[:live]
+		sum = sum[:len(liveRow)] // lets the compiler drop the bounds check on sum[d]
+		for d, a := range liveRow {
 			// Intended signal: the ring for (t, d) drops its own
 			// wavelength carrying |w| * a.
 			sig := mag * a
@@ -304,14 +319,30 @@ func (p *PLCU) accumulate(dst []float64, qw []float64, qa [][]float64) []float64
 			sum[d] += sig
 		}
 	}
-	for d := 0; d < nd; d++ {
+	noisy := !p.cfg.DisableNoise
+	for d := range pos {
 		i := (pos[d] - neg[d]) * p.unitCurrent
-		if !p.cfg.DisableNoise {
+		if noisy {
 			i += p.rng.NormFloat64() * p.sigma
 		}
 		dst[d] = i
 	}
+	for d := live; d < nd && noisy; d++ {
+		p.rng.NormFloat64()
+	}
 	return dst
+}
+
+// zeroRow reports whether every activation of a tap row is zero.
+//
+// hot: per-tap skip test; must not allocate.
+func zeroRow(row []float64) bool {
+	for _, a := range row {
+		if a != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Dot computes the Nd dot products in the value domain (no ADC): the

@@ -4,9 +4,10 @@ import "albireo/internal/tensor"
 
 // convScratch is a PLCG-owned scratch arena for the chip's layer
 // loops: the Nd-wide accumulator and step output, the per-slot weight
-// vector pointers, and the per-slot activation matrices, all allocated
-// once at construction and reused for every tile of every layer. The
-// activation rows share one backing array for locality.
+// vector pointers, the per-slot activation row views, and the staging
+// rows behind the views that cannot point into the input directly, all
+// allocated once at construction and reused for every tile of every
+// layer. The staging rows share one backing array for locality.
 //
 // The arena belongs to exactly one PLCG because the kernel lanes
 // partition kernels by owning group - one lane per PLCG at a time - so
@@ -20,8 +21,14 @@ type convScratch struct {
 	// weights[u] points at the compiled weight-program slot (or staged
 	// weight vector) driving healthy unit slot u this cycle.
 	weights [][]float64
-	// avals[u][t][d] stages the quantized activations for slot u.
+	// avals[u][t] is slot u's tap-t activation row for this cycle: a
+	// read-only view into the pre-quantized input, the chip's zero row,
+	// or stage[u][t]. Nothing writes through it.
 	avals [][][]float64
+	// stage[u][t] holds the rows that must be copied: strided
+	// receptive-field taps, tail tiles of the block layout, and FC's
+	// one-column rows.
+	stage [][][]float64
 }
 
 func newConvScratch(cfg Config) convScratch {
@@ -30,6 +37,7 @@ func newConvScratch(cfg Config) convScratch {
 		part:    make([]float64, cfg.Nd),
 		weights: make([][]float64, cfg.Nu),
 		avals:   make([][][]float64, cfg.Nu),
+		stage:   make([][][]float64, cfg.Nu),
 	}
 	rowData := make([]float64, cfg.Nu*cfg.Nm*cfg.Nd)
 	for u := 0; u < cfg.Nu; u++ {
@@ -38,41 +46,39 @@ func newConvScratch(cfg Config) convScratch {
 			off := (u*cfg.Nm + t) * cfg.Nd
 			rows[t] = rowData[off : off+cfg.Nd : off+cfg.Nd]
 		}
-		sc.avals[u] = rows
+		sc.stage[u] = rows
+		sc.avals[u] = make([][]float64, cfg.Nm)
 	}
 	return sc
 }
 
-// fillWindow gathers the receptive field of one kernel channel into a
-// slot's activation rows: row t column d reads the (pre-quantized)
-// activation at tap t of chunk ch for output column ox0+d. Rows past
-// the chunk's tap count are zeroed explicitly - their compiled weight
-// codes can be non-zero under StuckMZM faults or the voltage-domain
-// DAC grid, so stale scratch there would leak into the output.
+// window points slot u's activation rows at the receptive field of
+// one kernel channel: row t column d is the activation at tap t of
+// chunk ch for output column ox0+d, read from channel z of the
+// zero-padded pre-quantized volume qp (see paddedDims), so no bounds
+// or padding checks are needed. A stride-1 row is a view into qp; a
+// strided row is gathered into the slot's stage row. Rows past the
+// chunk's tap count view the zero row - their compiled weight codes
+// can be non-zero under StuckMZM faults or the voltage-domain DAC
+// grid, so they must carry zero activations.
 //
-//hot: per-tile activation gather; must not allocate.
-func fillWindow(dst [][]float64, a *tensor.Volume, z, oy, ox0, stride, pad int, ch *tapChunk, nd int) {
-	ay0 := oy*stride - pad
-	for t, row := range dst {
+// hot: per-tile activation gather; must not allocate.
+func (sc *convScratch) window(u int, qp *tensor.Volume, z, oy, ox0, stride int, ch *tapChunk, zero []float64) {
+	rows, nd := sc.avals[u], len(zero)
+	for t := range rows {
 		if t >= len(ch.ky) {
-			for d := range row {
-				row[d] = 0
-			}
+			rows[t] = zero
 			continue
 		}
-		ay := ay0 + ch.ky[t]
-		x0 := ox0*stride - pad + ch.kx[t]
-		if ay >= 0 && ay < a.Y && x0 >= 0 && x0+(nd-1)*stride < a.X {
-			// Interior row: no padding to synthesize, read the volume
-			// row directly.
-			src := a.Data[(z*a.Y+ay)*a.X+x0:]
-			for d := 0; d < nd; d++ {
-				row[d] = src[d*stride]
-			}
+		off := (z*qp.Y+oy*stride+ch.ky[t])*qp.X + ox0*stride + ch.kx[t]
+		if stride == 1 {
+			rows[t] = qp.Data[off : off+nd : off+nd]
 			continue
 		}
-		for d := 0; d < nd; d++ {
-			row[d] = a.AtPadded(z, ay, x0+d*stride)
+		row := sc.stage[u][t]
+		for d := range row {
+			row[d] = qp.Data[off+d*stride]
 		}
+		rows[t] = row
 	}
 }

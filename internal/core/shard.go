@@ -343,9 +343,11 @@ type blockLayer struct {
 // kernel streams every output pixel of kernel m through its owning
 // PLCG: each tap carries one input channel, each PD column one pixel,
 // and blocks of Nm channels round-robin over the group's healthy
-// units.
+// units. A full tile's rows view the input directly; a tail tile's
+// rows are staged with zeros past the last pixel, and only its live
+// columns are computed.
 //
-//hot: steady-state layer loop; per-tile work must not allocate.
+// hot: steady-state layer loop; per-tile work must not allocate.
 func (l *blockLayer) kernel(m int) {
 	c, pr, qa, npix := l.c, l.pr, l.qa, l.npix
 	gi := c.activeGroup(m)
@@ -354,7 +356,7 @@ func (l *blockLayer) kernel(m int) {
 	sc := &g.conv
 	nm, nd := c.cfg.Nm, c.cfg.Nd
 	for p0 := 0; p0 < npix; p0 += nd {
-		acc := sc.acc
+		acc := sc.acc[:min(nd, npix-p0)]
 		for d := range acc {
 			acc[d] = 0
 		}
@@ -364,26 +366,23 @@ func (l *blockLayer) kernel(m int) {
 				b := b0 + u
 				sc.weights[u] = pr.slot(m, b)
 				rows := sc.avals[u]
-				for t := 0; t < nm; t++ {
-					row := rows[t]
+				for t := range rows {
 					z := b*nm + t
-					if z >= qa.Z {
-						for d := range row {
-							row[d] = 0
-						}
-						continue
-					}
-					base := z * npix
-					for d := 0; d < nd; d++ {
-						if p0+d < npix {
-							row[d] = qa.Data[base+p0+d]
-						} else {
-							row[d] = 0
-						}
+					off := z*npix + p0
+					switch {
+					case z >= qa.Z:
+						rows[t] = c.zero
+					case len(acc) == nd:
+						rows[t] = qa.Data[off : off+nd : off+nd]
+					default:
+						row := sc.stage[u][t]
+						n := copy(row, qa.Data[off:(z+1)*npix])
+						clear(row[n:])
+						rows[t] = row
 					}
 				}
 			}
-			part := g.stepPrequantized(sc.part, sc.weights[:nu], sc.avals[:nu])
+			part := g.stepPrequantized(sc.part, sc.weights[:nu], sc.avals[:nu], len(acc))
 			if c.ins != nil {
 				c.ins.step(gi, nu)
 			}
@@ -391,7 +390,7 @@ func (l *blockLayer) kernel(m int) {
 				acc[d] += part[d]
 			}
 		}
-		for d := 0; d < nd && p0+d < npix; d++ {
+		for d := range acc {
 			v := acc[d] * l.outScale
 			o := &l.dst[m*npix+p0+d]
 			switch {
@@ -413,7 +412,7 @@ type fcLayer blockLayer
 
 // kernel accumulates output neuron m through its owning PLCG.
 //
-//hot: steady-state layer loop; per-tile work must not allocate.
+// hot: steady-state layer loop; per-tile work must not allocate.
 func (l *fcLayer) kernel(m int) {
 	c, pr, qa := l.c, l.pr, l.qa
 	n := qa.Z * qa.Y * qa.X
@@ -429,17 +428,19 @@ func (l *fcLayer) kernel(m int) {
 			b := b0 + u
 			sc.weights[u] = pr.slot(m, b)
 			rows := sc.avals[u]
-			for t := 0; t < nm; t++ {
-				row := rows[t]
-				for d := range row {
-					row[d] = 0
+			for t := range rows {
+				e := b*nm + t
+				if e >= n {
+					rows[t] = c.zero
+					continue
 				}
-				if e := b*nm + t; e < n {
-					row[0] = qa.Data[e]
-				}
+				row := sc.stage[u][t]
+				clear(row)
+				row[0] = qa.Data[e]
+				rows[t] = row
 			}
 		}
-		part := g.stepPrequantized(sc.part, sc.weights[:nu], sc.avals[:nu])
+		part := g.stepPrequantized(sc.part, sc.weights[:nu], sc.avals[:nu], 1)
 		if c.ins != nil {
 			c.ins.step(gi, nu)
 		}

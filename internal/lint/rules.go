@@ -525,13 +525,15 @@ func enclosingFuncBody(stack []ast.Node) *ast.BlockStmt {
 // hotMarked reports whether a doc comment contains a //hot: line. A
 // function so marked declares itself per-cycle code under the
 // zero-allocation contract; the hotpath-alloc-proof module rule
-// (hotalloc.go) uses the marks as call-graph roots.
+// (hotalloc.go) uses the marks as call-graph roots. gofmt rewrites
+// "//hot: text" to "// hot: text" (it is not a directive), so both
+// spellings mark a root.
 func hotMarked(doc *ast.CommentGroup) bool {
 	if doc == nil {
 		return false
 	}
 	for _, c := range doc.List {
-		if strings.HasPrefix(c.Text, "//hot:") {
+		if strings.HasPrefix(c.Text, "//hot:") || strings.HasPrefix(c.Text, "// hot:") {
 			return true
 		}
 	}

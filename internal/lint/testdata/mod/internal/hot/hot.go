@@ -37,7 +37,7 @@ func (DirtySummer) Sum(xs []float64) float64 {
 	return t
 }
 
-//hot: per-cycle fixture root
+// hot: per-cycle fixture root
 func Step(s Summer, xs []float64, f func(float64) float64) float64 {
 	v := s.Sum(xs)
 	v = f(v)
@@ -82,4 +82,9 @@ func itoa(v int) string {
 		return names[v]
 	}
 	return "many"
+}
+
+// hot: per-cycle fixture root in the spaced form gofmt writes
+func Spaced(n int) []float64 {
+	return make([]float64, n)
 }
