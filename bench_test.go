@@ -231,6 +231,33 @@ func BenchmarkFunctionalGEMM(b *testing.B) {
 	}
 }
 
+// BenchmarkFunctionalDepthwise measures one stride-2, pad-1
+// depthwise layer: every tap row is gathered into the row plan's
+// staging arena, inside each channel's kernel.
+func BenchmarkFunctionalDepthwise(b *testing.B) {
+	chip := core.NewChip(core.DefaultConfig())
+	a := tensor.RandomVolume(8, 16, 16, 3)
+	w := tensor.RandomKernels(8, 1, 3, 3, 4)
+	cfg := tensor.ConvConfig{Stride: 2, Pad: 1, Depthwise: true}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = chip.Conv(a, w, cfg, true)
+	}
+}
+
+// BenchmarkFunctionalPointwise measures one pointwise layer on a 7x7
+// plane: 49 pixels is not a multiple of Nd, so the last tile's rows
+// are staged.
+func BenchmarkFunctionalPointwise(b *testing.B) {
+	chip := core.NewChip(core.DefaultConfig())
+	a := tensor.RandomVolume(24, 7, 7, 5)
+	w := tensor.RandomKernels(16, 24, 1, 1, 6)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = chip.Pointwise(a, w, true)
+	}
+}
+
 // BenchmarkFunctionalAttention measures one attention block
 // (QK^T -> digital softmax -> AV) on the analog chip: two chained
 // GEMMs with different cached weight programs plus the row softmax.

@@ -8,9 +8,9 @@
 #              alloc proof accepts too
 #   race test  the full suite under the race detector (the Conv
 #              lane bit-identity tests run here)
-#   lanes      the core goldens, lane and shard tests at -cpu 1,2,4:
-#              the one-lane loop, and more lanes than the race step's
-#              default GOMAXPROCS
+#   lanes      the core goldens, lane, shard and row-plan tests at
+#              -cpu 1,2,4: the one-lane loop, and more lanes than the
+#              race step's default GOMAXPROCS
 #   benchmark  the whole-network benchmark's own package tests (a
 #              reduced run of every workload plus the BENCHMARK.json
 #              catalogue check); benchmark/ is a nested module, so the
@@ -68,8 +68,8 @@ fi
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> kernel lanes at -cpu 1,2,4 (goldens, lane and shard tests)"
-go test -count=1 -cpu 1,2,4 -run 'Golden|Lane|Shard' ./internal/core
+echo "==> kernel lanes at -cpu 1,2,4 (goldens, lane, shard and row-plan tests)"
+go test -count=1 -cpu 1,2,4 -run 'Golden|Lane|Shard|RowViews|RowPlan' ./internal/core
 
 echo "==> go -C benchmark test ./..."
 go -C benchmark test ./...

@@ -32,9 +32,10 @@ type Chip struct {
 	// backing array grows to the largest layer seen and is then
 	// reused.
 	qaVol tensor.Volume
-	// zero is the shared read-only all-zero activation row (length
-	// Nd) that idle taps view.
-	zero []float64
+	// plan is the current layer's activation rows, built once before
+	// the kernels fan out (see plan.go). Its zero row is shared with
+	// every PLCU, which skips it by identity.
+	plan rowPlan
 	// progs caches compiled weight programs keyed by kernel-tensor
 	// identity and mapping kind.
 	progs map[progKey]*weightProgram
@@ -63,18 +64,22 @@ func NewChip(cfg Config) *Chip {
 	}
 	groups := make([]*PLCG, cfg.Ng)
 	active := make([]int, cfg.Ng)
+	zero := make([]float64, cfg.Nd)
 	for gi := range groups {
 		gcfg := cfg
 		gcfg.Seed = cfg.Seed*7919 + int64(gi)
 		groups[gi] = NewPLCG(gcfg)
 		active[gi] = gi
+		for _, u := range groups[gi].units {
+			u.zero = zero
+		}
 	}
 	return &Chip{
 		cfg:    cfg,
 		groups: groups,
 		active: active,
 		aq:     quant.NewActivation(cfg.DACBits, 1),
-		zero:   make([]float64, cfg.Nd),
+		plan:   rowPlan{nm: cfg.Nm, nd: cfg.Nd, zero: zero},
 	}
 }
 
@@ -130,29 +135,43 @@ func (c *Chip) prequantizeInput(a *tensor.Volume) (*tensor.Volume, float64) {
 // column offset pad, zero elsewhere - the values tensor.AtPadded reads
 // - so receptive-field windows read it without bounds checks.
 func (c *Chip) prequantizePadded(a *tensor.Volume, pad, ph, pw int) (*tensor.Volume, float64) {
+	scale := c.padInput(a, ph, pw)
+	for z := 0; z < a.Z && scale != 0; z++ {
+		c.quantizePlane(a, z, pad, scale)
+	}
+	return &c.qaVol, scale
+}
+
+// padInput validates the activations, sizes the chip's scratch volume
+// for ph x pw planes, and returns the normalization scale.
+func (c *Chip) padInput(a *tensor.Volume, ph, pw int) float64 {
 	for _, v := range a.Data {
 		if v < 0 {
 			panic("core: activations must be non-negative (optical power encoding)") //lint:ignore exit-hygiene non-negative activations are the optical power encoding invariant
 		}
 	}
-	scale := a.MaxAbs()
 	growVolume(&c.qaVol, a.Z, ph, pw)
-	if scale == 0 {
-		return &c.qaVol, 0
-	}
+	return a.MaxAbs()
+}
+
+// quantizePlane fills channel z's plane of the scratch volume (see
+// prequantizePadded). Planes are disjoint, so depthwise kernels
+// quantize their own channel on their lane.
+//
+// hot: per-channel quantization; must not allocate.
+func (c *Chip) quantizePlane(a *tensor.Volume, z, pad int, scale float64) {
+	ph, pw := c.qaVol.Y, c.qaVol.X
+	plane := c.qaVol.Data[z*ph*pw : (z+1)*ph*pw]
 	if ph != a.Y || pw != a.X {
-		clear(c.qaVol.Data)
+		clear(plane)
 	}
-	for z := 0; z < a.Z; z++ {
-		for y := 0; y < a.Y; y++ {
-			src := a.Data[(z*a.Y+y)*a.X:][:a.X]
-			dst := c.qaVol.Data[(z*ph+pad+y)*pw+pad:][:a.X]
-			for x, v := range src {
-				dst[x] = c.aq.Quantize(v / scale)
-			}
+	for y := 0; y < a.Y; y++ {
+		src := a.Data[(z*a.Y+y)*a.X:][:a.X]
+		dst := plane[(pad+y)*pw+pad:][:a.X]
+		for x, v := range src {
+			dst[x] = c.aq.Quantize(v / scale)
 		}
 	}
-	return &c.qaVol, scale
 }
 
 // paddedDims returns the plane extent of a receptive-field layer's
@@ -200,12 +219,14 @@ func convStride(cfg tensor.ConvConfig) int {
 
 // receptiveField runs the shard's kernels of a dense (progConv) or
 // depthwise (progDepthwise) layer into the caller's pre-zeroed out
-// volume: the activations are pre-quantized once into the padded
-// layout, the weight program comes from the cache, and the kernels fan
-// out over the lanes.
+// volume: the weight program comes from the cache, the activations
+// are pre-quantized once into the padded layout and a dense layer's
+// row plan is filled once, and the kernels fan out over the lanes.
+// Each depthwise channel's plane and rows serve exactly one kernel, so
+// the depthwise body quantizes and fills its own channel on its lane.
 func (c *Chip) receptiveField(kind programKind, a *tensor.Volume, w *tensor.Kernels, stride, pad int, relu bool, shard ShardSpec, out *tensor.Volume) {
 	ph, pw := paddedDims(a, w, pad, stride, out, c.cfg.Nd)
-	qa, aScale := c.prequantizePadded(a, pad, ph, pw)
+	aScale := c.padInput(a, ph, pw)
 	pr := c.programShard(kind, w, shard)
 	name, body := "conv", kernelBody(&c.conv)
 	if kind == progDepthwise {
@@ -214,31 +235,44 @@ func (c *Chip) receptiveField(kind programKind, a *tensor.Volume, w *tensor.Kern
 	sp := c.ins.beginLayer(name, w.M, w.Z, w.Y, w.X)
 	defer sp.End()
 	if s := aScale * pr.wScale; s != 0 {
-		c.conv = convLayer{c: c, qa: qa, pr: pr, out: out, stride: stride, relu: relu, outScale: s}
+		c.plan.receptive(&c.qaVol, pr.chunks, out, stride)
+		c.conv = convLayer{c: c, a: a, pad: pad, aScale: aScale, pr: pr, out: out, relu: relu, outScale: s}
+		if kind == progConv {
+			for z := 0; z < a.Z; z++ {
+				c.quantizePlane(a, z, pad, aScale)
+				for oy := 0; oy < out.Y; oy++ {
+					for tx := 0; tx < c.plan.tilesX; tx++ {
+						c.plan.fillTile(z, oy, tx)
+					}
+				}
+			}
+		}
 		c.forEachKernel(sp, w.M, shard, body)
 	}
 }
 
 // convLayer is the per-kernel body of a receptive-field layer: the
-// padded pre-quantized input, the compiled weights, the output volume,
-// and the stride every kernel shares. The chip owns one and refills it
-// per layer.
+// input and its padding and scale (which depthwise kernels quantize),
+// the compiled weights and the output volume every kernel shares; the
+// rows come from the chip's plan. The chip owns one and refills it per
+// layer.
 type convLayer struct {
 	c        *Chip
-	qa       *tensor.Volume
+	a        *tensor.Volume
+	pad      int
+	aScale   float64
 	pr       *weightProgram
 	out      *tensor.Volume
-	stride   int
 	relu     bool
 	outScale float64
 }
 
 // kernel streams every output tile of dense-conv kernel m through its
-// owning PLCG: weights come from the compiled program, activations are
-// windows of the padded input, and partial sums accumulate across
-// channel groups and tap chunks. Only a tile's live columns - those
-// inside the output row - are computed. Only the lane that owns m's
-// group position runs it, so the group scratch needs no locking.
+// owning PLCG: weights come from the compiled program, activation rows
+// from the plan, and partial sums accumulate across channel groups and
+// tap chunks. Only a tile's live columns - those inside the output row
+// - are computed. Only the lane that owns m's group position runs it,
+// so the group scratch needs no locking.
 //
 // hot: steady-state layer loop; per-tile work must not allocate.
 func (l *convLayer) kernel(m int) {
@@ -247,10 +281,12 @@ func (l *convLayer) kernel(m int) {
 	g := c.groups[gi]
 	nug := g.Capacity()
 	sc := &g.conv
+	plan := &c.plan
 	nd := c.cfg.Nd
 	nchunks := len(pr.chunks)
 	for oy := 0; oy < l.out.Y; oy++ {
 		for ox0 := 0; ox0 < l.out.X; ox0 += nd {
+			tile := oy*plan.tilesX + ox0/nd
 			acc := sc.acc[:min(nd, l.out.X-ox0)]
 			for d := range acc {
 				acc[d] = 0
@@ -259,8 +295,9 @@ func (l *convLayer) kernel(m int) {
 				nu := min(nug, pr.zDim-z0)
 				for ci := 0; ci < nchunks; ci++ {
 					for u := 0; u < nu; u++ {
-						sc.weights[u] = pr.slot(m, (z0+u)*nchunks+ci)
-						sc.window(u, l.qa, z0+u, oy, ox0, l.stride, &pr.chunks[ci], c.zero)
+						s := (z0+u)*nchunks + ci
+						sc.weights[u] = pr.slot(m, s)
+						sc.avals[u] = plan.set(tile, s)
 					}
 					part := g.stepPrequantized(sc.part, sc.weights[:nu], sc.avals[:nu], len(acc))
 					if c.ins != nil {
@@ -296,8 +333,9 @@ func (l *convLayer) writeTile(acc []float64, m, oy, ox0 int) {
 // kernels").
 type depthwiseLayer convLayer
 
-// kernel streams every output tile of channel z through the first
-// healthy unit of its owning PLCG.
+// kernel quantizes channel z, then streams every output tile of it
+// through the first healthy unit of its owning PLCG, filling the
+// tile's rows of the plan first.
 //
 // hot: steady-state layer loop; per-tile work must not allocate.
 func (l *depthwiseLayer) kernel(z int) {
@@ -305,16 +343,21 @@ func (l *depthwiseLayer) kernel(z int) {
 	gi := c.activeGroup(z)
 	g := c.groups[gi]
 	sc := &g.conv
+	plan := &c.plan
+	c.quantizePlane(l.a, z, l.pad, l.aScale)
 	nd := c.cfg.Nd
+	nchunks := len(pr.chunks)
 	for oy := 0; oy < l.out.Y; oy++ {
 		for ox0 := 0; ox0 < l.out.X; ox0 += nd {
+			tile := oy*plan.tilesX + ox0/nd
+			plan.fillTile(z, oy, ox0/nd)
 			acc := sc.acc[:min(nd, l.out.X-ox0)]
 			for d := range acc {
 				acc[d] = 0
 			}
 			for ci := range pr.chunks {
 				sc.weights[0] = pr.slot(z, ci)
-				sc.window(0, l.qa, z, oy, ox0, l.stride, &pr.chunks[ci], c.zero)
+				sc.avals[0] = plan.set(tile, z*nchunks+ci)
 				part := g.stepPrequantized(sc.part, sc.weights[:1], sc.avals[:1], len(acc))
 				if c.ins != nil {
 					c.ins.step(gi, 1)

@@ -255,60 +255,85 @@ func TestPLCGStepTailChannels(t *testing.T) {
 }
 
 // TestKernelsDoNotWriteRowViews checks that no mapping's kernel body
-// writes through its activation row views, which alias the chip's
-// pre-quantized input and its shared zero row: after each layer runs
-// on the lane path, the pre-quantized volume still matches a fresh
-// pre-quantization of the layer's input bit for bit and the zero row
-// is still zero. The cases cover stride-1 views with tail tiles,
-// strided staging, tap-chunk tails, depthwise, pointwise full and tail
-// tiles with idle taps, FC, and the signed GEMM's second pass.
+// writes through its activation rows, which alias the chip's
+// pre-quantized input, the row plan's staging arena and the shared
+// zero row: after each layer runs on the lane path, the pre-quantized
+// volume and the staging arena match, bit for bit, a twin chip that
+// built the same plan without running a kernel (filling every
+// depthwise channel, as the depthwise kernels do), and the zero row is
+// still zero. The cases cover stride-1 views with tail tiles, strided
+// staging, tap-chunk tails, depthwise at stride 1 and 2, pointwise
+// full and tail tiles with idle taps, FC, and the signed GEMM's second
+// pass.
 func TestKernelsDoNotWriteRowViews(t *testing.T) {
-	padded := func(a *tensor.Volume, w *tensor.Kernels, stride, pad int) []float64 {
-		c := NewChip(DefaultConfig())
-		out := tensor.NewVolume(w.M, tensor.ConvOutputDim(a.Y, w.Y, pad, stride), tensor.ConvOutputDim(a.X, w.X, pad, stride))
-		ph, pw := paddedDims(a, w, pad, stride, out, c.cfg.Nd)
-		qa, _ := c.prequantizePadded(a, pad, ph, pw)
-		return qa.Data
+	receptive := func(a *tensor.Volume, w *tensor.Kernels, stride, pad int) func(*Chip) {
+		return func(c *Chip) {
+			out := tensor.NewVolume(w.M, tensor.ConvOutputDim(a.Y, w.Y, pad, stride), tensor.ConvOutputDim(a.X, w.X, pad, stride))
+			ph, pw := paddedDims(a, w, pad, stride, out, c.cfg.Nd)
+			qa, _ := c.prequantizePadded(a, pad, ph, pw)
+			c.plan.receptive(qa, c.tapChunks(w.Y, w.X), out, stride)
+			for z := 0; z < qa.Z; z++ {
+				for oy := 0; oy < out.Y; oy++ {
+					for tx := 0; tx < c.plan.tilesX; tx++ {
+						c.plan.fillTile(z, oy, tx)
+					}
+				}
+			}
+		}
 	}
-	flat := func(a *tensor.Volume) []float64 {
-		qa, _ := NewChip(DefaultConfig()).prequantizeInput(a)
-		return qa.Data
+	block := func(a *tensor.Volume, fc bool) func(*Chip) {
+		return func(c *Chip) {
+			qa, _ := c.prequantizeInput(a)
+			channels, npix := qa.Z, qa.Y*qa.X
+			if fc {
+				channels, npix = len(qa.Data), 1
+			}
+			c.plan.block(qa.Data, channels, npix, (channels+c.cfg.Nm-1)/c.cfg.Nm)
+		}
 	}
-	conv := func(az, k, stride, pad int, seed int64) (string, func(*Chip), []float64) {
-		a := tensor.RandomVolume(az, 9, 9, seed)
-		w := tensor.RandomKernels(7, az, k, k, seed+1)
-		cc := tensor.ConvConfig{Stride: stride, Pad: pad}
-		return fmt.Sprintf("conv%dx%d-s%dp%d", k, k, stride, pad), func(c *Chip) { c.Conv(a, w, cc, true) }, padded(a, w, stride, pad)
-	}
-	dwA, dwW := tensor.RandomVolume(5, 9, 9, 711), tensor.RandomKernels(5, 1, 3, 3, 712)
-	pwA, pwW := tensor.RandomVolume(6, 7, 7, 721), tensor.RandomKernels(13, 6, 1, 1, 722)
-	fcA, fcW := tensor.RandomVolume(4, 5, 5, 731), tensor.RandomKernels(6, 4, 5, 5, 732)
-	mA, mB := tensor.RandomMatrix(11, 14, 741), tensor.RandomMatrix(14, 13, 742)
-	neg := NewChip(DefaultConfig())
-	neg.stageSigned(mA)
 	type mapping struct {
 		name string
 		run  func(*Chip)
-		want []float64
+		plan func(*Chip)
 	}
 	var cases []mapping
 	for _, g := range []struct{ k, stride, pad int }{{3, 1, 1}, {3, 2, 1}, {5, 1, 2}} {
-		name, run, want := conv(6, g.k, g.stride, g.pad, int64(700+g.k+g.stride))
-		cases = append(cases, mapping{name, run, want})
+		seed := int64(700 + g.k + g.stride)
+		a := tensor.RandomVolume(6, 9, 9, seed)
+		w := tensor.RandomKernels(7, 6, g.k, g.k, seed+1)
+		cc := tensor.ConvConfig{Stride: g.stride, Pad: g.pad}
+		cases = append(cases, mapping{fmt.Sprintf("conv%dx%d-s%dp%d", g.k, g.k, g.stride, g.pad),
+			func(c *Chip) { c.Conv(a, w, cc, true) }, receptive(a, w, g.stride, g.pad)})
 	}
+	dwA, dwW := tensor.RandomVolume(5, 9, 9, 711), tensor.RandomKernels(5, 1, 3, 3, 712)
+	for _, stride := range []int{1, 2} {
+		cc := tensor.ConvConfig{Stride: stride, Pad: 1, Depthwise: true}
+		cases = append(cases, mapping{fmt.Sprintf("depthwise-s%d", stride),
+			func(c *Chip) { c.Conv(dwA, dwW, cc, true) }, receptive(dwA, dwW, stride, 1)})
+	}
+	pwA, pwW := tensor.RandomVolume(6, 7, 7, 721), tensor.RandomKernels(13, 6, 1, 1, 722)
+	fcA, fcW := tensor.RandomVolume(4, 5, 5, 731), tensor.RandomKernels(6, 4, 5, 5, 732)
+	mA, mB := tensor.RandomMatrix(11, 14, 741), tensor.RandomMatrix(14, 13, 742)
 	cases = append(cases,
-		mapping{"depthwise", func(c *Chip) { c.Conv(dwA, dwW, tensor.ConvConfig{Pad: 1, Depthwise: true}, true) }, padded(dwA, dwW, 1, 1)},
-		mapping{"pointwise", func(c *Chip) { c.Pointwise(pwA, pwW, true) }, flat(pwA)},
-		mapping{"fc", func(c *Chip) { c.FullyConnected(fcA, fcW, true) }, flat(fcA)},
-		mapping{"gemm-signed", func(c *Chip) { c.GEMM(mA, mB, false) }, flat(&neg.negVol)},
+		mapping{"pointwise", func(c *Chip) { c.Pointwise(pwA, pwW, true) }, block(pwA, false)},
+		mapping{"fc", func(c *Chip) { c.FullyConnected(fcA, fcW, true) }, block(fcA, true)},
+		mapping{"gemm-signed", func(c *Chip) { c.GEMM(mA, mB, false) }, func(c *Chip) {
+			c.stageSigned(mA)
+			block(&c.negVol, false)(c)
+		}},
 	)
 	for _, tc := range cases {
+		want := NewChip(DefaultConfig())
+		tc.plan(want)
 		c := NewChip(DefaultConfig())
 		manyLanes(func() int { tc.run(c); return 0 })
-		if !sameBits(c.qaVol.Data, tc.want) {
+		if !sameBits(c.qaVol.Data, want.qaVol.Data) {
 			t.Errorf("%s: the pre-quantized input changed while the kernels ran", tc.name)
 		}
-		for _, v := range c.zero {
+		if !sameBits(c.plan.stage, want.plan.stage) {
+			t.Errorf("%s: the plan's staging arena changed while the kernels ran", tc.name)
+		}
+		for _, v := range c.plan.zero {
 			if v != 0 {
 				t.Errorf("%s: the shared zero row was written", tc.name)
 				break

@@ -267,15 +267,19 @@ func TestAccumulateMatchesReference(t *testing.T) {
 // runTwins runs both sides for n cycles and returns a description of
 // the first differing output, or "". Even cycles feed codes straight to
 // the datapath with a live width cycling through 1..Nd, and compare
-// only the live columns; odd cycles enter through CurrentsInto at full
-// width, so StuckMZM faults reach the reference through the same
-// effective weights, and every narrow cycle is followed by a full one
-// that proves the dead columns kept the noise stream aligned. Faults
+// only the live columns; there, most all-zero rows (either sign) reach
+// the PLCU as its zero row, as the chip's row plan passes them, so the
+// identity skip runs, while the reference reads the row itself. Odd
+// cycles enter through CurrentsInto at full width, so StuckMZM faults
+// reach the reference through the same effective weights, and every
+// narrow cycle is followed by a full one that proves the dead columns
+// kept the noise stream aligned. Faults
 // change mid-run to exercise the gain-table rebuild.
 func runTwins(tw datapathTwins, rng *rand.Rand, n int) string {
 	cfg := tw.p.cfg
 	qw := make([]float64, cfg.Nm)
 	qa := make([][]float64, cfg.Nm)
+	planned := make([][]float64, cfg.Nm)
 	for t := range qa {
 		qa[t] = make([]float64, cfg.Nd)
 	}
@@ -294,12 +298,16 @@ func runTwins(tw datapathTwins, rng *rand.Rand, n int) string {
 		for t := range qw {
 			qw[t] = randomCode(rng)
 			randomRow(rng, qa[t])
+			planned[t] = qa[t]
+			if allZero(qa[t]) && rng.Intn(4) != 0 {
+				planned[t] = tw.p.zero
+			}
 		}
 		tw.ref.cycles++
 		live := cfg.Nd
 		if c%2 == 0 {
 			live = 1 + c/2%cfg.Nd
-			tw.p.currentsPrequantized(got, qw, qa, live)
+			tw.p.currentsPrequantized(got, qw, planned, live)
 			tw.ref.accumulate(want, qw, qa)
 		} else {
 			tw.p.CurrentsInto(got, qw, qa)
@@ -382,6 +390,71 @@ func TestCrosstalkTableSharedAcrossChip(t *testing.T) {
 	for _, u := range NewChip(idealConfig()).Groups()[0].Units() {
 		if u.coef != nil {
 			t.Error("crosstalk-disabled unit carries a table")
+		}
+	}
+}
+
+func allZero(row []float64) bool {
+	for _, a := range row {
+		if a != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAccumulateZeroRowIdentity pins the two edges of the identity
+// skip: an all-zero row that is not the unit's zero row is not skipped
+// and still gives the reference's bits, and a NaN weight code on the
+// zero row is not skipped either, so it still poisons the sums.
+func TestAccumulateZeroRowIdentity(t *testing.T) {
+	t.Parallel()
+	cfg := DefaultConfig()
+	qw := make([]float64, cfg.Nm)
+	for i := range qw {
+		qw[i] = float64(i%4)/4 - 0.3
+	}
+	rows := func(zeroRow func() []float64) [][]float64 {
+		qa := make([][]float64, cfg.Nm)
+		for tap := range qa {
+			if tap%3 == 1 {
+				qa[tap] = zeroRow()
+				continue
+			}
+			qa[tap] = make([]float64, cfg.Nd)
+			for d := range qa[tap] {
+				qa[tap][d] = float64(tap+d+1) / 16
+			}
+		}
+		return qa
+	}
+	negZero := func() []float64 {
+		r := make([]float64, cfg.Nd)
+		for d := range r {
+			r[d] = math.Copysign(0, -1)
+		}
+		return r
+	}
+
+	tw := datapathTwins{p: NewPLCU(cfg), ref: newRefPLCU(cfg)}
+	got, want := make([]float64, cfg.Nd), make([]float64, cfg.Nd)
+	for i, unshared := range []func() []float64{func() []float64 { return make([]float64, cfg.Nd) }, negZero} {
+		qa := rows(unshared)
+		tw.ref.cycles++
+		tw.p.currentsPrequantized(got, qw, qa, cfg.Nd)
+		tw.ref.accumulate(want, qw, qa)
+		if !sameBits(got, want) {
+			t.Errorf("unshared all-zero rows %d: got %v, want %v", i, got, want)
+		}
+	}
+
+	p := NewPLCU(cfg)
+	nan := append([]float64(nil), qw...)
+	nan[1] = math.NaN()
+	p.currentsPrequantized(got, nan, rows(func() []float64 { return p.zero }), cfg.Nd)
+	for d, v := range got {
+		if !math.IsNaN(v) {
+			t.Errorf("column %d: a NaN weight code on the zero row gave %g, want NaN", d, v)
 		}
 	}
 }

@@ -146,6 +146,7 @@ func (c *Chip) GEMM(a, b *tensor.Matrix, relu bool) *tensor.Matrix {
 // the digital aggregation unit. A non-whole shard restricts the pass
 // to its owned output columns (GEMMShard).
 func (c *Chip) gemmPass(qa *tensor.Volume, pr *weightProgram, sp *obs.Span, dst []float64, npix int, outScale float64, subtract bool, shard ShardSpec) {
-	c.block = blockLayer{c: c, qa: qa, pr: pr, dst: dst, npix: npix, outScale: outScale, subtract: subtract}
+	c.plan.block(qa.Data, qa.Z, npix, pr.slotsPer)
+	c.block = blockLayer{c: c, pr: pr, dst: dst, npix: npix, outScale: outScale, subtract: subtract}
 	c.forEachKernel(sp, pr.m, shard, &c.block)
 }

@@ -63,6 +63,9 @@ type PLCU struct {
 	// pos and neg are accumulate's per-column positive and negative
 	// waveguide sums.
 	pos, neg []float64
+	// zero is the all-zero activation row accumulate skips by identity:
+	// the unit's own, or the chip's shared row for a chip's units.
+	zero []float64
 }
 
 // xtalkKey is the geometry a crosstalk table depends on.
@@ -145,6 +148,7 @@ func NewPLCU(cfg Config) *PLCU {
 		qaBuf:       qaBuf,
 		pos:         make([]float64, cfg.Nd),
 		neg:         make([]float64, cfg.Nd),
+		zero:        make([]float64, cfg.Nd),
 	}
 }
 
@@ -260,18 +264,20 @@ func (p *PLCU) currentsPrequantized(dst []float64, qw []float64, qa [][]float64,
 // Only columns d < live are computed and written to dst; the caller
 // discards the rest. A dead column still draws its noise sample, so
 // the unit's noise stream advances exactly as at full width, and its
-// activations still leak into the live columns. A tap whose Nd
-// activations are all zero is skipped: activations, magnitudes,
+// activations still leak into the live columns. A tap whose row is
+// the unit's zero row (by identity: the chip's row plan substitutes it
+// for every all-zero row) is skipped: activations, magnitudes,
 // crosstalk coefficients and ring gains are non-negative and finite
-// (InjectFault rejects NaN parameters), so every term it would add is
-// ±0 and leaves the sums, which start at +0, unchanged. A NaN weight
-// code is not skipped, so it still poisons the sums.
+// (InjectFault rejects NaN parameters), so every term an all-zero row
+// would add is ±0 and leaves the sums, which start at +0, unchanged.
+// A NaN weight code is not skipped, so it still poisons the sums.
 //
 // hot: innermost per-column loop; must not allocate.
 func (p *PLCU) accumulate(dst []float64, qw []float64, qa [][]float64, live int) []float64 {
 	nm, nd := p.cfg.Nm, p.cfg.Nd
 	coef, gains := p.coef, p.gains
 	pos, neg := p.pos[:live], p.neg[:live]
+	zero := &p.zero[0]
 	for d := range pos {
 		pos[d] = 0
 		neg[d] = 0
@@ -283,7 +289,7 @@ func (p *PLCU) accumulate(dst []float64, qw []float64, qa [][]float64, live int)
 		}
 		mag := math.Abs(w)
 		row := qa[t][:nd]
-		if zeroRow(row) && !math.IsNaN(mag) {
+		if &row[0] == zero && !math.IsNaN(mag) {
 			continue
 		}
 		sum := neg
@@ -331,18 +337,6 @@ func (p *PLCU) accumulate(dst []float64, qw []float64, qa [][]float64, live int)
 		p.rng.NormFloat64()
 	}
 	return dst
-}
-
-// zeroRow reports whether every activation of a tap row is zero.
-//
-// hot: per-tap skip test; must not allocate.
-func zeroRow(row []float64) bool {
-	for _, a := range row {
-		if a != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Dot computes the Nd dot products in the value domain (no ADC): the

@@ -243,7 +243,8 @@ func (c *Chip) pointwiseShard(a *tensor.Volume, w *tensor.Kernels, relu bool, sh
 	sp := c.ins.beginLayer("pointwise", w.M, w.Z, w.Y, w.X)
 	defer sp.End()
 	if s := aScale * pr.wScale; s != 0 {
-		c.block = blockLayer{c: c, qa: qa, pr: pr, dst: out.Data, npix: a.Y * a.X, outScale: s, relu: relu}
+		c.plan.block(qa.Data, qa.Z, a.Y*a.X, pr.slotsPer)
+		c.block = blockLayer{c: c, pr: pr, dst: out.Data, npix: a.Y * a.X, outScale: s, relu: relu}
 		c.forEachKernel(sp, w.M, shard, &c.block)
 	}
 }
@@ -266,8 +267,9 @@ func (c *Chip) FullyConnectedShard(a *tensor.Volume, w *tensor.Kernels, relu boo
 	sp := c.ins.beginLayer("fc", w.M, w.Z, w.Y, w.X)
 	defer sp.End()
 	if s := aScale * pr.wScale; s != 0 {
-		c.block = blockLayer{c: c, qa: qa, pr: pr, dst: out, outScale: s, relu: relu}
-		c.forEachKernel(sp, w.M, shard, (*fcLayer)(&c.block))
+		c.plan.block(qa.Data, len(qa.Data), 1, pr.slotsPer)
+		c.block = blockLayer{c: c, pr: pr, dst: out, npix: 1, outScale: s, relu: relu}
+		c.forEachKernel(sp, w.M, shard, &c.block)
 	}
 }
 
@@ -327,12 +329,12 @@ func (c *Chip) GEMMShard(a, b *tensor.Matrix, relu bool, shard ShardSpec, out *t
 }
 
 // blockLayer is the per-kernel body of the Section III-C block layout
-// shared by Pointwise and the GEMM passes: kernel m's npix outputs
-// land at dst[m*npix:]. A GEMM negative pass subtracts instead of
-// assigning (the digital aggregation unit's A = A+ - A- combine).
+// shared by Pointwise, FC and the GEMM passes: kernel m's npix outputs
+// land at dst[m*npix:]. FC has one pixel, so neuron m's sum lands at
+// dst[m]. A GEMM negative pass subtracts instead of assigning (the
+// digital aggregation unit's A = A+ - A- combine).
 type blockLayer struct {
 	c              *Chip
-	qa             *tensor.Volume
 	pr             *weightProgram
 	dst            []float64
 	npix           int
@@ -343,18 +345,17 @@ type blockLayer struct {
 // kernel streams every output pixel of kernel m through its owning
 // PLCG: each tap carries one input channel, each PD column one pixel,
 // and blocks of Nm channels round-robin over the group's healthy
-// units. A full tile's rows view the input directly; a tail tile's
-// rows are staged with zeros past the last pixel, and only its live
-// columns are computed.
+// units, reading the plan's rows. Only a tail tile's live columns are
+// computed.
 //
 // hot: steady-state layer loop; per-tile work must not allocate.
 func (l *blockLayer) kernel(m int) {
-	c, pr, qa, npix := l.c, l.pr, l.qa, l.npix
+	c, pr, npix := l.c, l.pr, l.npix
 	gi := c.activeGroup(m)
 	g := c.groups[gi]
 	nug := g.Capacity()
 	sc := &g.conv
-	nm, nd := c.cfg.Nm, c.cfg.Nd
+	nd := c.cfg.Nd
 	for p0 := 0; p0 < npix; p0 += nd {
 		acc := sc.acc[:min(nd, npix-p0)]
 		for d := range acc {
@@ -363,24 +364,8 @@ func (l *blockLayer) kernel(m int) {
 		for b0 := 0; b0 < pr.slotsPer; b0 += nug {
 			nu := min(nug, pr.slotsPer-b0)
 			for u := 0; u < nu; u++ {
-				b := b0 + u
-				sc.weights[u] = pr.slot(m, b)
-				rows := sc.avals[u]
-				for t := range rows {
-					z := b*nm + t
-					off := z*npix + p0
-					switch {
-					case z >= qa.Z:
-						rows[t] = c.zero
-					case len(acc) == nd:
-						rows[t] = qa.Data[off : off+nd : off+nd]
-					default:
-						row := sc.stage[u][t]
-						n := copy(row, qa.Data[off:(z+1)*npix])
-						clear(row[n:])
-						rows[t] = row
-					}
-				}
+				sc.weights[u] = pr.slot(m, b0+u)
+				sc.avals[u] = c.plan.set(p0/nd, b0+u)
 			}
 			part := g.stepPrequantized(sc.part, sc.weights[:nu], sc.avals[:nu], len(acc))
 			if c.ins != nil {
@@ -403,52 +388,4 @@ func (l *blockLayer) kernel(m int) {
 			}
 		}
 	}
-}
-
-// fcLayer is blockLayer's FC body: neuron m's kernel covers the whole
-// input volume, one element per tap, so only PD column 0 carries
-// useful work; its scaled sum lands at dst[m].
-type fcLayer blockLayer
-
-// kernel accumulates output neuron m through its owning PLCG.
-//
-// hot: steady-state layer loop; per-tile work must not allocate.
-func (l *fcLayer) kernel(m int) {
-	c, pr, qa := l.c, l.pr, l.qa
-	n := qa.Z * qa.Y * qa.X
-	nm := c.cfg.Nm
-	gi := c.activeGroup(m)
-	g := c.groups[gi]
-	nug := g.Capacity()
-	sc := &g.conv
-	var acc float64
-	for b0 := 0; b0 < pr.slotsPer; b0 += nug {
-		nu := min(nug, pr.slotsPer-b0)
-		for u := 0; u < nu; u++ {
-			b := b0 + u
-			sc.weights[u] = pr.slot(m, b)
-			rows := sc.avals[u]
-			for t := range rows {
-				e := b*nm + t
-				if e >= n {
-					rows[t] = c.zero
-					continue
-				}
-				row := sc.stage[u][t]
-				clear(row)
-				row[0] = qa.Data[e]
-				rows[t] = row
-			}
-		}
-		part := g.stepPrequantized(sc.part, sc.weights[:nu], sc.avals[:nu], 1)
-		if c.ins != nil {
-			c.ins.step(gi, nu)
-		}
-		acc += part[0]
-	}
-	v := acc * l.outScale
-	if l.relu && v < 0 {
-		v = 0
-	}
-	l.dst[m] = v
 }
