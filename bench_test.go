@@ -258,6 +258,30 @@ func BenchmarkFunctionalPointwise(b *testing.B) {
 	}
 }
 
+// BenchmarkFunctionalConvLiveTaps measures the dense layers whose live
+// taps leave waveguides empty, which run on the pointwise layout: a
+// 1x1 stride-2 projection and a 3x3 pad-1 conv on a 1x1 input (only
+// the centre tap is live), alternating, so each op is one warm layer.
+func BenchmarkFunctionalConvLiveTaps(b *testing.B) {
+	chip := core.NewChip(core.DefaultConfig())
+	layers := []struct {
+		a   *tensor.Volume
+		w   *tensor.Kernels
+		cfg tensor.ConvConfig
+	}{
+		{tensor.RandomVolume(16, 8, 8, 7), tensor.RandomKernels(32, 16, 1, 1, 8), tensor.ConvConfig{Stride: 2}},
+		{tensor.RandomVolume(64, 1, 1, 9), tensor.RandomKernels(64, 64, 3, 3, 10), tensor.ConvConfig{Pad: 1}},
+	}
+	for _, l := range layers {
+		_ = chip.Conv(l.a, l.w, l.cfg, true)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l := &layers[i%len(layers)]
+		_ = chip.Conv(l.a, l.w, l.cfg, true)
+	}
+}
+
 // BenchmarkFunctionalAttention measures one attention block
 // (QK^T -> digital softmax -> AV) on the analog chip: two chained
 // GEMMs with different cached weight programs plus the row softmax.

@@ -96,8 +96,8 @@ func TestConvSteadyStateAllocs(t *testing.T) {
 }
 
 func TestConvSteadyStateAllocsAcrossMappings(t *testing.T) {
-	// Depthwise, pointwise, and FC share the arenas and the program
-	// cache; their steady state must match Conv's.
+	// Depthwise, pointwise, the live-tap route and FC share the arenas
+	// and the program cache; their steady state must match Conv's.
 	chip := NewChip(DefaultConfig())
 	dwA := tensor.RandomVolume(5, 8, 8, 21)
 	dwW := tensor.RandomKernels(5, 1, 3, 3, 22)
@@ -119,6 +119,24 @@ func TestConvSteadyStateAllocsAcrossMappings(t *testing.T) {
 		chip.Pointwise(pwA, pwW, true)
 	}); avg > 2 {
 		t.Errorf("steady-state pointwise allocates %.1f times per layer, want <=2", avg)
+	}
+	// The live-tap block route: its gather volume, kernel-bank view
+	// and program are cached like the others.
+	for _, lt := range []struct {
+		a  *tensor.Volume
+		w  *tensor.Kernels
+		cc tensor.ConvConfig
+	}{
+		{tensor.RandomVolume(16, 6, 6, 61), tensor.RandomKernels(8, 16, 1, 1, 62), tensor.ConvConfig{Stride: 2}},
+		{tensor.RandomVolume(16, 1, 1, 63), tensor.RandomKernels(8, 16, 3, 3, 64), tensor.ConvConfig{Pad: 1}},
+		{tensor.RandomVolume(16, 2, 2, 65), tensor.RandomKernels(8, 16, 3, 3, 66), tensor.ConvConfig{Stride: 2, Pad: 1}},
+	} {
+		chip.Conv(lt.a, lt.w, lt.cc, true)
+		if avg := testing.AllocsPerRun(5, func() {
+			chip.Conv(lt.a, lt.w, lt.cc, true)
+		}); avg > 2 {
+			t.Errorf("steady-state live-tap conv %+v allocates %.1f times per layer, want <=2", lt.cc, avg)
+		}
 	}
 	if avg := testing.AllocsPerRun(5, func() {
 		chip.FullyConnected(fcA, fcW, true)

@@ -45,11 +45,13 @@ type Chip struct {
 	// posVol/negVol stage a GEMM activation matrix's positive and
 	// negative parts (transposed into volume layout) for the signed
 	// two-pass decomposition; gemmAcc is the pre-transpose output
-	// scratch and bviews caches kernel-bank views of GEMM weight
-	// matrices (see gemm.go). All grow once and are reused.
-	posVol, negVol tensor.Volume
-	gemmAcc        []float64
-	bviews         map[*tensor.Matrix]*gemmView
+	// scratch; gather is the live-tap im2col of a dense conv on the
+	// block layout (see livetaps.go). All grow once and are reused.
+	posVol, negVol, gather tensor.Volume
+	gemmAcc                []float64
+	// views caches kernel-bank views of GEMM weight matrices and of
+	// live-tap conv kernels (see gemm.go).
+	views map[viewKey]*tensor.Kernels
 	// lanes is the kernel dispatcher's job; conv and block are the
 	// per-mapping bodies it runs, refilled per layer (see lanes.go).
 	lanes laneJob
@@ -191,8 +193,10 @@ func paddedDims(a *tensor.Volume, w *tensor.Kernels, pad, stride int, out *tenso
 // domain. Kernels are distributed round-robin over the PLCGs; output
 // columns are produced Nd at a time; channels are aggregated Nu at a
 // time; kernels larger than Nm take multiple tap chunks per channel
-// group. If relu is true the activation is applied during aggregation
-// write-back, as the hardware does.
+// group. A dense layer whose live taps leave waveguides empty runs on
+// the pointwise layout instead (see livetaps.go). If relu is true the
+// activation is applied during aggregation write-back, as the hardware
+// does.
 func (c *Chip) Conv(a *tensor.Volume, w *tensor.Kernels, cfg tensor.ConvConfig, relu bool) *tensor.Volume {
 	if cfg.Depthwise {
 		return c.depthwiseConv(a, w, cfg, relu)
@@ -205,7 +209,7 @@ func (c *Chip) Conv(a *tensor.Volume, w *tensor.Kernels, cfg tensor.ConvConfig, 
 	}
 	stride := convStride(cfg)
 	out := tensor.NewVolume(w.M, tensor.ConvOutputDim(a.Y, w.Y, cfg.Pad, stride), tensor.ConvOutputDim(a.X, w.X, cfg.Pad, stride))
-	c.receptiveField(progConv, a, w, stride, cfg.Pad, relu, ShardSpec{}, out)
+	c.denseConv(a, w, cfg, relu, ShardSpec{}, out)
 	return out
 }
 

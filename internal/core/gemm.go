@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"albireo/internal/obs"
 	"albireo/internal/tensor"
 )
@@ -35,62 +33,70 @@ import (
 // a non-negative GEMM is bit-identical to the same product formulated
 // as a Pointwise layer - the Conv-equivalence the golden matrix pins.
 
-// maxCachedViews bounds the chip's kernel-bank view cache for GEMM
-// weight matrices. Like the program cache it is cleared wholesale once
-// full rather than tracking liveness.
+// maxCachedViews bounds the chip's kernel-bank view cache. Like the
+// program cache it is cleared wholesale once full rather than tracking
+// liveness.
 const maxCachedViews = 64
 
-// gemmView is the chip-owned kernel-bank view of one GEMM weight
-// matrix: a stable *tensor.Kernels identity so the weight-program
-// cache keys stay valid across calls with the same B.
-type gemmView struct {
-	k *tensor.Kernels
+// viewKey identifies a cached kernel-bank view: the transpose of a
+// GEMM weight matrix b (kernel n's channel z carries B[z][n]), or a
+// dense conv kernel bank w restricted to its live taps (kernel m's
+// channel z*L+l carries live tap l of channel z; see livetaps.go).
+// The view's stable *tensor.Kernels identity keeps the weight-program
+// cache keys valid across calls with the same source.
+type viewKey struct {
+	b    *tensor.Matrix
+	w    *tensor.Kernels
+	taps liveTaps
 }
 
-// bviewFor returns the chip's kernel-bank view of B (transposed:
-// kernel n's channel z carries B[z][n]), reusing the cached view's
-// backing tensor so programFor sees a stable pointer. A mutated B is
-// detected by exact bit compare and re-transposed in place, which in
-// turn invalidates the compiled program via its own bit-compare.
-func (c *Chip) bviewFor(b *tensor.Matrix) *tensor.Kernels {
-	if v, ok := c.bviews[b]; ok && v.k.M == b.C && v.k.Z == b.R {
-		if !viewFresh(v.k, b) {
-			transposeInto(v.k, b)
+// viewFor returns the chip's m-kernel, z-channel view for key, reusing
+// the cached view's backing tensor so programShard sees a stable
+// pointer. The view is refilled from its source on every call, which
+// costs what a freshness check would: a mutated source then reaches
+// the compiled program through the program cache's own bit compare.
+func (c *Chip) viewFor(key viewKey, m, z int) *tensor.Kernels {
+	v, ok := c.views[key]
+	if !ok || v.M != m || v.Z != z {
+		v = tensor.NewKernels(m, z, 1, 1)
+		if c.views == nil {
+			c.views = make(map[viewKey]*tensor.Kernels)
 		}
-		return v.k
+		if len(c.views) >= maxCachedViews {
+			clear(c.views)
+		}
+		c.views[key] = v
 	}
-	k := tensor.NewKernels(b.C, b.R, 1, 1)
-	transposeInto(k, b)
-	if c.bviews == nil {
-		c.bviews = make(map[*tensor.Matrix]*gemmView)
-	}
-	if len(c.bviews) >= maxCachedViews {
-		clear(c.bviews)
-	}
-	c.bviews[b] = &gemmView{k: k}
-	return k
+	key.load(v)
+	return v
 }
 
-// viewFresh reports whether the cached kernel view still matches B bit
-// for bit (NaN-safe, like the program cache's sameBits).
-func viewFresh(k *tensor.Kernels, b *tensor.Matrix) bool {
-	for z := 0; z < b.R; z++ {
-		row := b.Data[z*b.C : (z+1)*b.C]
-		for n, w := range row {
-			if math.Float64bits(k.Data[n*b.R+z]) != math.Float64bits(w) {
-				return false
+// bviewFor returns the chip's kernel-bank view of B.
+func (c *Chip) bviewFor(b *tensor.Matrix) *tensor.Kernels {
+	return c.viewFor(viewKey{b: b}, b.C, b.R)
+}
+
+// load writes the view of key's source into v.
+func (key viewKey) load(v *tensor.Kernels) {
+	if b := key.b; b != nil {
+		for z := 0; z < b.R; z++ {
+			for n, x := range b.Data[z*b.C : (z+1)*b.C] {
+				v.Data[n*b.R+z] = x
 			}
 		}
+		return
 	}
-	return true
-}
-
-// transposeInto writes B^T into the kernel bank's backing array.
-func transposeInto(k *tensor.Kernels, b *tensor.Matrix) {
-	for z := 0; z < b.R; z++ {
-		row := b.Data[z*b.C : (z+1)*b.C]
-		for n, w := range row {
-			k.Data[n*b.R+z] = w
+	w, i := key.w, 0
+	for m := 0; m < w.M; m++ {
+		for z := 0; z < w.Z; z++ {
+			for ky := 0; ky < w.Y; ky++ {
+				for kx := 0; kx < w.X; kx++ {
+					if key.taps.live(ky, kx) {
+						v.Data[i] = w.At(m, z, ky, kx)
+						i++
+					}
+				}
+			}
 		}
 	}
 }

@@ -121,6 +121,12 @@ func goldenMatrix() []goldenCase {
 			mustQuarantine(chip, 0, 1)
 			return chip.Conv(a, w, tensor.ConvConfig{Stride: 1, Pad: 1}, true).Data
 		}},
+		// Dense layers whose live taps leave waveguides empty run on
+		// the pointwise layout (livetaps.go): a strided 1x1
+		// projection, and a 3x3 pad-1 conv whose 1x1 input leaves only
+		// the centre tap live.
+		{name: "conv/1x1-stride2", want: 0xec2e618b84b21500, run: dense(cfg, 16, 8, 8, 12, 1, 1, 2, 0, false, 71, nil)},
+		{name: "conv/padding-only-taps", want: 0x17cb0ff8c11a4f1f, run: dense(cfg, 24, 1, 1, 10, 3, 3, 1, 1, true, 81, nil)},
 		{name: "depthwise", want: 0x6dae79418bb96e29, run: func() []float64 {
 			chip := NewChip(cfg)
 			a := tensor.RandomVolume(5, 8, 8, 21)

@@ -180,26 +180,15 @@ type Activity struct {
 
 // ExpectedConvActivity computes the Activity of a dense convolution
 // of m ky-by-kx kernels over a z-by-ay-by-ax input at the given
-// stride and pad, mirroring the Algorithm 2 loop nest exactly: for
-// every kernel, output row, and column tile, each channel group
-// contributes one step per tap chunk with min(Nu, remaining) active
-// PLCUs.
+// stride and pad, mirroring the layer loop of the mapping the
+// live-tap rule picks exactly: for every kernel and pass, one step per
+// Nu slots with min(Nu, remaining) active PLCUs.
 func (c Config) ExpectedConvActivity(z, ay, ax, m, ky, kx, stride, pad int) Activity {
-	if stride <= 0 {
-		stride = 1
-	}
-	by := int64(tensor.ConvOutputDim(ay, ky, pad, stride))
-	bx := int64(tensor.ConvOutputDim(ax, kx, pad, stride))
-	tiles := ceilDiv(bx, int64(c.Nd))
-	chunks := ceilDiv(int64(ky)*int64(kx), int64(c.Nm))
-	zSteps := ceilDiv(int64(z), int64(c.Nu))
-
-	perKernel := by * tiles * chunks // steps per channel group sweep position
-	steps := int64(m) * perKernel * zSteps
-	// Summing min(Nu, z-z0) over the channel-group loop yields exactly
-	// z active PLCU-steps per (kernel, tile, chunk).
-	activeUnits := int64(m) * perKernel * int64(z)
-
+	passes, slots := c.convLoop(z, ay, ax, ky, kx, stride, pad)
+	steps := int64(m) * passes * ceilDiv(slots, int64(c.Nu))
+	// Summing min(Nu, slots-s0) over the slot loop yields exactly
+	// slots active PLCU-steps per (kernel, pass).
+	activeUnits := int64(m) * passes * slots
 	return Activity{
 		Steps:          steps,
 		MZMPrograms:    activeUnits * int64(c.Nm),
@@ -207,6 +196,22 @@ func (c Config) ExpectedConvActivity(z, ay, ax, m, ky, kx, stride, pad int) Acti
 		PDReads:        activeUnits * int64(c.Nd),
 		ADCConversions: steps * int64(c.Nd),
 	}
+}
+
+// convLoop is the per-kernel loop nest of a dense conv: each kernel
+// makes passes passes, each aggregating slots PLCU slots. The
+// receptive-field layout passes once per (output row, column tile,
+// tap chunk) over z channel slots; the pointwise layout once per
+// Nd-pixel tile over ceil(z*L/Nm) blocks of live (channel, tap) pairs.
+func (c Config) convLoop(z, ay, ax, ky, kx, stride, pad int) (passes, slots int64) {
+	stride = max(stride, 1)
+	by := int64(tensor.ConvOutputDim(ay, ky, pad, stride))
+	bx := int64(tensor.ConvOutputDim(ax, kx, pad, stride))
+	nd, nm := int64(c.Nd), int64(c.Nm)
+	if taps, block := c.denseLayout(ay, ax, ky, kx, stride, pad); block {
+		return ceilDiv(by*bx, nd), ceilDiv(int64(z)*int64(taps.count()), nm)
+	}
+	return by * ceilDiv(bx, nd) * ceilDiv(int64(ky)*int64(kx), nm), int64(z)
 }
 
 // ObservedActivity extracts the chip-wide Activity totals from a

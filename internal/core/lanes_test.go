@@ -93,6 +93,11 @@ func laneLayers() []laneLayer {
 		dense(6, 10, 10, 13, 3, 1, 1, 501),
 		dense(5, 9, 9, 10, 3, 2, 0, 511),
 		dense(3, 12, 12, 11, 5, 1, 2, 517),
+		// The live-tap block route: a strided 1x1, a 3x3 reading only
+		// padding off its centre tap, and four live taps.
+		dense(12, 9, 9, 13, 1, 2, 0, 571),
+		dense(20, 1, 1, 13, 3, 1, 1, 573),
+		dense(16, 2, 2, 13, 3, 2, 1, 575),
 		{name: "depthwise", run: func(c *Chip, _ ShardSpec) []float64 {
 			return c.Conv(dwA, dwW, tensor.ConvConfig{Pad: 1, Depthwise: true}, true).Data
 		}},
@@ -254,12 +259,14 @@ func TestLaneSteadyStateAllocs(t *testing.T) {
 	pw := tensor.RandomKernels(13, 6, 1, 1, 3)
 	mA, mB := tensor.RandomMatrix(16, 64, 4), tensor.RandomMatrix(64, 32, 5)
 	cc := tensor.ConvConfig{Stride: 1, Pad: 1}
+	lt := tensor.RandomKernels(13, 6, 1, 1, 6)
 	layers := []struct {
 		name string
 		want uint64
 		run  func()
 	}{
 		{"conv", 2, func() { chip.Conv(a, w, cc, true) }},
+		{"live-taps", 2, func() { chip.Conv(a, lt, tensor.ConvConfig{Stride: 2}, true) }},
 		{"pointwise", 2, func() { chip.Pointwise(a, pw, true) }},
 		{"gemm", 2, func() { chip.GEMM(mA, mB, false) }},
 	}

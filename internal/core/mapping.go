@@ -18,9 +18,10 @@ type LayerMapping struct {
 	// assignment the layer needs.
 	KernelPasses int64
 	// ColumnTiles is OutY * ceil(OutX/Nd): receptive-field tiles per
-	// kernel.
+	// kernel (ceil(OutY*OutX/Nd) on the pointwise layout).
 	ColumnTiles int64
-	// ChannelGroups is ceil(Wz/Nu): depth-first aggregation cycles.
+	// ChannelGroups is ceil(Wz/Nu): depth-first aggregation cycles
+	// (ceil(Wz*L/(Nu*Nm)) for a conv with L < Nm live taps).
 	ChannelGroups int64
 	// TapChunks is ceil(KY*KX/Nm): passes for oversized kernels.
 	TapChunks int64
@@ -45,6 +46,13 @@ func (c Config) MapLayer(l nn.Layer) LayerMapping {
 			groups = int64(l.Groups)
 		}
 		m.KernelPasses = ceilDiv(int64(l.OutZ), ng)
+		if taps, block := c.denseLayout(l.InY, l.InX, l.KY, l.KX, l.Stride, l.Pad); block {
+			// Live taps leave waveguides empty: the pointwise layout
+			// over the Z*L live (channel, tap) planes (livetaps.go).
+			m.ColumnTiles = ceilDiv(int64(l.OutY())*int64(l.OutX()), nd)
+			m.ChannelGroups = ceilDiv(int64(l.InZ)/groups*int64(taps.count()), nu*nm)
+			break
+		}
 		m.ColumnTiles = int64(l.OutY()) * ceilDiv(int64(l.OutX()), nd)
 		m.ChannelGroups = ceilDiv(int64(l.InZ)/groups, nu)
 		m.TapChunks = ceilDiv(int64(l.KY)*int64(l.KX), nm)

@@ -87,6 +87,49 @@ func TestMapLayerPointwise(t *testing.T) {
 	}
 }
 
+// TestMapLayerLiveTaps pins the model to the route the simulator
+// runs: a conv with L < Nm live taps is priced as pointwise over its
+// Z*L (channel, tap) planes, and its cycles match the simulator's
+// steps per Ng kernels.
+func TestMapLayerLiveTaps(t *testing.T) {
+	t.Parallel()
+	c := DefaultConfig()
+	cases := []struct {
+		name string
+		conv nn.Layer
+		// pw is the pointwise layer the conv must price as.
+		pw nn.Layer
+	}{
+		{"1x1-stride2",
+			nn.Layer{Kind: nn.Conv, InZ: 128, InY: 28, InX: 28, OutZ: 256, KY: 1, KX: 1, Stride: 2},
+			nn.Layer{Kind: nn.Pointwise, InZ: 128, InY: 14, InX: 14, OutZ: 256, KY: 1, KX: 1}},
+		{"padding-only",
+			nn.Layer{Kind: nn.Conv, InZ: 128, InY: 1, InX: 1, OutZ: 128, KY: 3, KX: 3, Stride: 1, Pad: 1},
+			nn.Layer{Kind: nn.Pointwise, InZ: 128, InY: 1, InX: 1, OutZ: 128, KY: 1, KX: 1}},
+		{"four-live-taps",
+			nn.Layer{Kind: nn.Conv, InZ: 64, InY: 2, InX: 2, OutZ: 128, KY: 3, KX: 3, Stride: 2, Pad: 1},
+			nn.Layer{Kind: nn.Pointwise, InZ: 64 * 4, InY: 1, InX: 1, OutZ: 128, KY: 1, KX: 1}},
+	}
+	for _, tc := range cases {
+		got, want := c.MapLayer(tc.conv), c.MapLayer(tc.pw)
+		if got.Cycles != want.Cycles || got.ColumnTiles != want.ColumnTiles ||
+			got.ChannelGroups != want.ChannelGroups || got.TapChunks != 1 {
+			t.Errorf("%s: mapped %+v, want the pointwise %+v", tc.name, got, want)
+		}
+		l := tc.conv
+		act := c.ExpectedConvActivity(l.InZ, l.InY, l.InX, c.Ng, l.KY, l.KX, l.Stride, l.Pad)
+		if perPass := got.Cycles / got.KernelPasses; act.Steps != int64(c.Ng)*perPass {
+			t.Errorf("%s: %d steps for Ng kernels, model prices %d cycles per kernel pass", tc.name, act.Steps, perPass)
+		}
+	}
+	// A conv whose live taps fill the waveguides keeps the
+	// receptive-field price.
+	l := nn.Layer{Kind: nn.Conv, InZ: 64, InY: 2, InX: 2, OutZ: 64, KY: 3, KX: 3, Stride: 1, Pad: 1}
+	if m := c.MapLayer(l); m.ChannelGroups != 22 || m.ColumnTiles != 2 {
+		t.Errorf("3x3 on 2x2 (L = 9): mapped %+v, want 22 channel groups over 2 tiles", m)
+	}
+}
+
 func TestMapLayerFC(t *testing.T) {
 	t.Parallel()
 	wide := DefaultConfig()

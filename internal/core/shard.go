@@ -196,22 +196,16 @@ func apportion(of int, weights []int64) []int {
 // bit-identical residue-class split of this chip must use.
 func (c *Chip) ActiveGroups() int { return len(c.active) }
 
-// shardedPointwise mirrors inference.Analog's conv routing predicate:
-// dense 1x1 stride-1 unpadded convolutions take the pointwise mapping.
-func shardedPointwise(w *tensor.Kernels, cfg tensor.ConvConfig, stride int) bool {
-	return w.Y == 1 && w.X == 1 && stride == 1 && cfg.Pad == 0
-}
-
 // ConvShard executes the shard's kernel slice of a dense convolution,
 // writing only the owned output planes of the caller-allocated,
 // pre-zeroed out volume. Shards of one layer write disjoint planes, so
 // clone chips may fill the same volume concurrently (the fleet's merge
 // is a barrier, not a copy). Weight programs are compiled per shard
 // through the weight-program cache - an owned slice compiles only its
-// own kernels' slots. Routing matches the unsharded serving path: 1x1
-// stride-1 unpadded layers take the pointwise mapping. Depthwise and
-// grouped convolutions do not shard (their channel semantics are not
-// a kernel round-robin) and panic.
+// own kernels' slots. The live-tap rule picks the mapping exactly as
+// for Conv (see denseConv). Depthwise and grouped convolutions do not
+// shard (their channel semantics are not a kernel round-robin) and
+// panic.
 func (c *Chip) ConvShard(a *tensor.Volume, w *tensor.Kernels, cfg tensor.ConvConfig, relu bool, shard ShardSpec, out *tensor.Volume) {
 	if cfg.Depthwise || (cfg.Groups != 0 && cfg.Groups != 1) {
 		panic("core: ConvShard shards dense convolutions only") //lint:ignore exit-hygiene shard eligibility invariant; fleet checks before fan-out
@@ -228,15 +222,11 @@ func (c *Chip) ConvShard(a *tensor.Volume, w *tensor.Kernels, cfg tensor.ConvCon
 	if out.Z != w.M || out.Y != by || out.X != bx {
 		panic(fmt.Sprintf("core: shard output %dx%dx%d != layer output %dx%dx%d", out.Z, out.Y, out.X, w.M, by, bx)) //lint:ignore exit-hygiene merge buffer shape invariant; caller bug
 	}
-	if shardedPointwise(w, cfg, stride) {
-		c.pointwiseShard(a, w, relu, shard, out)
-		return
-	}
-	c.receptiveField(progConv, a, w, stride, cfg.Pad, relu, shard, out)
+	c.denseConv(a, w, cfg, relu, shard, out)
 }
 
 // pointwiseShard is the owned-slice pointwise mapping behind
-// ConvShard's routing and Pointwise.
+// Pointwise and the block route of denseConv.
 func (c *Chip) pointwiseShard(a *tensor.Volume, w *tensor.Kernels, relu bool, shard ShardSpec, out *tensor.Volume) {
 	qa, aScale := c.prequantizeInput(a)
 	pr := c.programShard(progBlock, w, shard)

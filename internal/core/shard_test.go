@@ -174,7 +174,8 @@ func sameVolumeBits(t *testing.T, got, want *tensor.Volume, what string) {
 // TestConvShardUnionBitIdentical is the tentpole invariant: the union
 // of per-chip shard outputs must match the single-chip result bit for
 // bit across healthy, faulted, and quarantined clone pools, for every
-// shardable mapping (3x3 conv, pointwise-routed 1x1 conv, FC, GEMM).
+// shardable mapping (3x3 conv, pointwise-routed 1x1 conv, the
+// live-tap block route, FC, GEMM).
 func TestConvShardUnionBitIdentical(t *testing.T) {
 	t.Parallel()
 	for name, prep := range shardPreps {
@@ -211,6 +212,23 @@ func TestConvShardUnionBitIdentical(t *testing.T) {
 				}
 				sameVolumeBits(t, got, want, "pointwise1x1")
 			})
+			for _, tc := range liveTapShapes() {
+				tc := tc
+				t.Run(tc.name, func(t *testing.T) {
+					t.Parallel()
+					a := tensor.RandomVolume(tc.z, tc.ay, tc.ax, 931)
+					w := tensor.RandomKernels(tc.m, tc.z, tc.k, tc.k, 932)
+					cc := tensor.ConvConfig{Stride: tc.stride, Pad: tc.pad}
+					ref, chips := cloneChips(t, 2, prep)
+					want := ref.Conv(a, w, cc, true)
+					of := chips[0].ActiveGroups()
+					got := tensor.NewVolume(want.Z, want.Y, want.X)
+					for i, s := range evenShards(of, len(chips)) {
+						chips[i].ConvShard(a, w, cc, true, s, got)
+					}
+					sameVolumeBits(t, got, want, tc.name)
+				})
+			}
 			t.Run("fc", func(t *testing.T) {
 				t.Parallel()
 				a := tensor.RandomVolume(5, 4, 4, 905)

@@ -73,17 +73,11 @@ func NewAnalog(cfg core.Config) Analog {
 	return Analog{Chip: core.NewChip(cfg)}
 }
 
-// Conv implements Backend: 1x1 dense kernels route through the
-// pointwise mapping, everything else through the receptive-field
-// mapping.
+// Conv implements Backend. The chip picks the mapping: a dense layer
+// whose live taps leave waveguides empty (every 1x1 kernel among them)
+// runs on the pointwise layout, everything else on the receptive-field
+// layout.
 func (b Analog) Conv(a *tensor.Volume, w *tensor.Kernels, cfg tensor.ConvConfig, relu bool) *tensor.Volume {
-	stride := cfg.Stride
-	if stride == 0 {
-		stride = 1
-	}
-	if !cfg.Depthwise && cfg.Groups <= 1 && w.Y == 1 && w.X == 1 && stride == 1 && cfg.Pad == 0 {
-		return b.Chip.Pointwise(a, w, relu)
-	}
 	return b.Chip.Conv(a, w, cfg, relu)
 }
 
