@@ -11,6 +11,9 @@
 #   lanes      the core goldens, lane, shard and row-plan tests at
 #              -cpu 1,2,4: the one-lane loop, and more lanes than the
 #              race step's default GOMAXPROCS
+#   fuzz       FuzzReplayRequest for 10 s: replay answers any journal
+#              admit payload and shard window with a result or an
+#              error, never a panic
 #   benchmark  the whole-network benchmark's own package tests (a
 #              reduced run of every workload plus the BENCHMARK.json
 #              catalogue check); benchmark/ is a nested module, so the
@@ -70,6 +73,9 @@ go test -race ./...
 
 echo "==> kernel lanes at -cpu 1,2,4 (goldens, lane, shard and row-plan tests)"
 go test -count=1 -cpu 1,2,4 -run 'Golden|Lane|Shard|RowViews|RowPlan' ./internal/core
+
+echo "==> replay fuzz (FuzzReplayRequest, 10 s)"
+go test -run '^$' -fuzz FuzzReplayRequest -fuzztime 10s ./internal/fleet
 
 echo "==> go -C benchmark test ./..."
 go -C benchmark test ./...

@@ -81,7 +81,8 @@ func (s ShardSpec) Validate() error {
 		}
 		return nil
 	}
-	if s.Pos < 0 || s.Count < 0 || s.Pos+s.Count > s.Of {
+	// Count > Of-Pos, not Pos+Count > Of: the sum can overflow.
+	if s.Pos < 0 || s.Count < 0 || s.Count > s.Of-s.Pos {
 		return fmt.Errorf("core: shard %v window out of range", s)
 	}
 	return nil

@@ -47,6 +47,7 @@ func TestShardSpecOwnership(t *testing.T) {
 		{Pos: 8, Count: 2, Of: 9},
 		{Pos: 0, Count: -1, Of: 9},
 		{Pos: 1, Count: 0, Of: 0},
+		{Pos: math.MaxInt / 2, Count: math.MaxInt/2 + 2, Of: 9},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Fatalf("spec %v validated", bad)

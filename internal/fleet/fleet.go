@@ -174,18 +174,9 @@ type Unit struct {
 
 // request is one admitted layer op waiting for a worker.
 type request struct {
-	fc   bool
-	a    *tensor.Volume
-	w    *tensor.Kernels
-	cfg  tensor.ConvConfig
-	relu bool
-	// GEMM-family fields: tag is the journal op (OpGEMM, OpLSTM, or
-	// OpAttention - zero for volume ops) and ma/mb are the matrix
-	// operands.
-	tag    journal.Op
-	ma, mb *tensor.Matrix
-	ctx    context.Context
-	done   chan result // buffered 1: delivery never blocks a worker
+	op   journal.Request
+	ctx  context.Context
+	done chan result // buffered 1: delivery never blocks a worker
 
 	// jseq is the request's journal sequence number: its KindAdmit
 	// record's position in the chain, or -1 when journaling is off (or
@@ -201,14 +192,6 @@ type request struct {
 	shard core.ShardSpec
 	sp    *shardParent
 
-	// pinned marks a cross-layer pipeline stage request: aff is the
-	// worker it is bound to (the stage's home), and it never shard
-	// fans-out (a pinned request must run whole on its worker so
-	// consecutive layers stream through different chips). Unpinned
-	// requests have aff normalized to -1 at admission.
-	pinned bool
-	aff    int
-
 	// st is the latency decomposition; final flips (with release
 	// semantics, after the last stamp) when st stops changing, so
 	// Future.Stages can read it race-free from any goroutine.
@@ -218,9 +201,7 @@ type request struct {
 
 // result is the outcome delivered back to the submitter.
 type result struct {
-	vol *tensor.Volume
-	vec []float64
-	mat *tensor.Matrix
+	output
 	err error
 }
 
@@ -232,11 +213,10 @@ type result struct {
 // against one B skip recompilation exactly like a conv batch skips MZM
 // reprogramming.
 type batchKey struct {
-	fc   bool
+	op   journal.Op
 	w    *tensor.Kernels
 	cfg  tensor.ConvConfig
 	relu bool
-	tag  journal.Op
 	mb   *tensor.Matrix
 	// shard and aff separate kernel-group sub-requests from whole
 	// requests: subs coalesce only with subs owning the same window and
@@ -244,6 +224,12 @@ type batchKey struct {
 	// whole requests, which route by deficit round-robin).
 	shard core.ShardSpec
 	aff   int
+}
+
+// keyOf is the batch key of an op run as the given window on the
+// given worker (the zero window and aff -1 for whole requests).
+func keyOf(op *journal.Request, shard core.ShardSpec, aff int) batchKey {
+	return batchKey{op: op.Op, w: op.W, cfg: op.Cfg, relu: op.ReLU, mb: op.MB, shard: shard, aff: aff}
 }
 
 // pendingBatch accumulates compatible requests until it fills or its
@@ -324,6 +310,7 @@ func New(opt Options, units ...Unit) (*Scheduler, error) {
 			id:      i,
 			backend: u.Backend,
 			chip:    u.Chip,
+			sb:      shardBackend(u),
 			// Capacity bounds worst-case occupancy: every admitted
 			// request in its own batch plus one outstanding probe, so a
 			// dispatch under the scheduler lock never blocks.
@@ -335,11 +322,6 @@ func New(opt Options, units ...Unit) (*Scheduler, error) {
 		}
 		if u.Chip != nil {
 			w.eng = health.New(u.Chip, s.opt.Health)
-			w.shardCapable = true
-		}
-		if sb, ok := u.Backend.(ShardBackend); ok {
-			w.sb = sb
-			w.shardCapable = true
 		}
 		s.workers = append(s.workers, w)
 	}
@@ -456,12 +438,12 @@ func (s *Scheduler) FullyConnected(ctx context.Context, a *tensor.Volume, w *ten
 // ConvAsync submits a convolution without waiting. Submission order is
 // batch order: calls from one goroutine coalesce deterministically.
 func (s *Scheduler) ConvAsync(ctx context.Context, a *tensor.Volume, w *tensor.Kernels, cfg tensor.ConvConfig, relu bool) *Future {
-	return s.submit(ctx, &request{a: a, w: w, cfg: cfg, relu: relu, ctx: ctx})
+	return s.submit(ctx, &request{op: journal.Request{Op: journal.OpConv, ReLU: relu, Cfg: cfg, A: a, W: w}, ctx: ctx})
 }
 
 // FullyConnectedAsync submits a classifier layer without waiting.
 func (s *Scheduler) FullyConnectedAsync(ctx context.Context, a *tensor.Volume, w *tensor.Kernels, relu bool) *Future {
-	return s.submit(ctx, &request{fc: true, a: a, w: w, relu: relu, ctx: ctx})
+	return s.submit(ctx, &request{op: journal.Request{Op: journal.OpFC, ReLU: relu, A: a, W: w}, ctx: ctx})
 }
 
 // GEMM submits a dense matrix product and waits for its result.
@@ -481,7 +463,7 @@ func (s *Scheduler) GEMMAsyncOp(ctx context.Context, op journal.Op, a, b *tensor
 	if !op.GEMMFamily() {
 		return &Future{err: fmt.Errorf("fleet: op %v is not a GEMM-family op", op)}
 	}
-	return s.submit(ctx, &request{tag: op, ma: a, mb: b, relu: relu, ctx: ctx})
+	return s.submit(ctx, &request{op: journal.Request{Op: op, ReLU: relu, MA: a, MB: b}, ctx: ctx})
 }
 
 // submit runs admission control and batching for one request.
@@ -490,22 +472,13 @@ func (s *Scheduler) submit(ctx context.Context, req *request) *Future {
 		return &Future{err: err}
 	}
 	req.jseq = -1
-	if !req.pinned {
-		req.aff = -1
-	}
 	// The journal payload (which scales with tensor size) is encoded
 	// outside the scheduler lock; only the bounded-channel enqueue
 	// happens under it, so admission order and journal order agree
 	// without serializing admissions on the encoder.
 	var jpayload []byte
 	if j := s.opt.Journal; j != nil && !j.Degraded() {
-		jr := &journal.Request{Op: opKind(req), ReLU: req.relu}
-		if req.tag.GEMMFamily() {
-			jr.MA, jr.MB = req.ma, req.mb
-		} else {
-			jr.Cfg, jr.A, jr.W = req.cfg, req.a, req.w
-		}
-		jpayload = journal.EncodeRequest(jr)
+		jpayload = journal.EncodeRequest(&req.op)
 	}
 	req.done = make(chan result, 1)
 	s.mu.Lock()
@@ -517,7 +490,7 @@ func (s *Scheduler) submit(ctx context.Context, req *request) *Future {
 		s.shed.Inc()
 		if j := s.opt.Journal; j != nil {
 			j.Record(journal.KindShed, journal.EncodeShed(journal.Shed{
-				Op: opKind(req), Queued: s.queued.Load(),
+				Op: req.op.Op, Queued: s.queued.Load(),
 			}))
 		}
 		if s.trace != nil {
@@ -537,7 +510,7 @@ func (s *Scheduler) submit(ctx context.Context, req *request) *Future {
 	// sub-requests across the in-service pool instead of dispatching
 	// whole. The parent keeps its single admission slot; the subs ride
 	// the normal pending/dispatch machinery below.
-	if s.opt.Shard && !req.pinned {
+	if s.opt.Shard {
 		if fut, ok := s.tryShardLocked(req); ok {
 			s.mu.Unlock()
 			return fut
@@ -548,7 +521,7 @@ func (s *Scheduler) submit(ctx context.Context, req *request) *Future {
 	// is its own batch - route it directly and skip the coalescing
 	// map, the pendingBatch, and the one-element batch slice.
 	if s.opt.MaxLinger == 0 && len(s.pending) == 0 {
-		if best := s.routeAffLocked(req.aff); best != nil {
+		if best := s.pickWorkerLocked(false); best != nil {
 			best.assigned++
 			s.batchSize.Observe(1)
 			best.batches.Inc()
@@ -567,7 +540,15 @@ func (s *Scheduler) submit(ctx context.Context, req *request) *Future {
 			return &Future{req: req}
 		}
 	}
-	key := batchKey{fc: req.fc, w: req.w, cfg: req.cfg, relu: req.relu, tag: req.tag, mb: req.mb, aff: req.aff}
+	s.enqueueLocked(keyOf(&req.op, core.ShardSpec{}, -1), req)
+	s.flushLocked(false)
+	s.mu.Unlock()
+	return &Future{req: req}
+}
+
+// enqueueLocked appends req to the pending batch for key, opening one
+// when none is waiting.
+func (s *Scheduler) enqueueLocked(key batchKey, req *request) {
 	pb := s.byKey[key]
 	if pb == nil {
 		pb = &pendingBatch{key: key}
@@ -575,9 +556,6 @@ func (s *Scheduler) submit(ctx context.Context, req *request) *Future {
 		s.pending = append(s.pending, pb)
 	}
 	pb.reqs = append(pb.reqs, req)
-	s.flushLocked(false)
-	s.mu.Unlock()
-	return &Future{req: req}
 }
 
 // flushLocked dispatches every pending batch that is due - full, past
@@ -631,56 +609,27 @@ func (s *Scheduler) dispatchLocked(pb *pendingBatch) bool {
 }
 
 // routeLocked picks the worker for one pending batch: affinity for
-// shard sub-batches and pinned pipeline stages, deficit round-robin
-// for whole requests. When the pinned worker has left service, shard
-// subs fall back to the least-loaded shard-capable worker; pipeline
-// stages to the general routing policy.
+// shard sub-batches, deficit round-robin for whole requests. When the
+// pinned worker has left service, shard subs fall back to the
+// least-loaded shard-capable worker.
 func (s *Scheduler) routeLocked(pb *pendingBatch) *worker {
 	if pb.key.aff < 0 {
-		return s.pickWorkerLocked()
+		return s.pickWorkerLocked(false)
 	}
 	if w := s.workers[pb.key.aff]; w.inService && w.weight > 0 {
 		return w
 	}
-	if pb.key.shard.Of > 0 {
-		return s.pickShardWorkerLocked()
-	}
-	return s.pickWorkerLocked()
-}
-
-// routeAffLocked routes one unbatched request: its pinned worker when
-// in service, the routing policy otherwise (and always for aff -1).
-func (s *Scheduler) routeAffLocked(aff int) *worker {
-	if aff >= 0 {
-		if w := s.workers[aff]; w.inService && w.weight > 0 {
-			return w
-		}
-	}
-	return s.pickWorkerLocked()
+	return s.pickWorkerLocked(true)
 }
 
 // pickWorkerLocked returns the in-service worker with the smallest
-// weighted backlog, or nil when none is eligible.
-func (s *Scheduler) pickWorkerLocked() *worker {
+// weighted backlog, or nil when none is eligible. shard restricts the
+// pick to shard-capable workers: the fallback route for a sub-request
+// whose placement worker drained after fan-out.
+func (s *Scheduler) pickWorkerLocked(shard bool) *worker {
 	var best *worker
 	for _, w := range s.workers {
-		if !w.inService || w.weight <= 0 {
-			continue
-		}
-		if best == nil || w.assigned*best.weight < best.assigned*w.weight {
-			best = w
-		}
-	}
-	return best
-}
-
-// pickShardWorkerLocked is pickWorkerLocked restricted to
-// shard-capable workers: the fallback route for a sub-request whose
-// placement worker drained after fan-out.
-func (s *Scheduler) pickShardWorkerLocked() *worker {
-	var best *worker
-	for _, w := range s.workers {
-		if !w.inService || w.weight <= 0 || !w.shardCapable {
+		if !w.inService || w.weight <= 0 || shard && w.sb == nil {
 			continue
 		}
 		if best == nil || w.assigned*best.weight < best.assigned*w.weight {
@@ -775,18 +724,7 @@ func (s *Scheduler) releaseSlot() {
 
 // opName labels a request for trace events.
 func opName(req *request) string {
-	return opKind(req).String()
-}
-
-// opKind maps a request to its journal op kind.
-func opKind(req *request) journal.Op {
-	if req.tag.GEMMFamily() {
-		return req.tag
-	}
-	if req.fc {
-		return journal.OpFC
-	}
-	return journal.OpConv
+	return req.op.Op.String()
 }
 
 // Future is a pending submission. Exactly one of Volume or Logits

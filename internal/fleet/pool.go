@@ -10,7 +10,6 @@ import (
 	"albireo/internal/inference"
 	"albireo/internal/journal"
 	"albireo/internal/obs"
-	"albireo/internal/tensor"
 )
 
 // PoolSpec is the construction-relevant description of a serving pool:
@@ -153,8 +152,12 @@ func ProbeUnit(u Unit, opt health.Options) {
 
 // JournalExecutor adapts a rebuilt pool to journal.Replay: deliver
 // records execute directly on the recorded worker's backend (routing
-// already happened in the recorded run; the journal pins it) and
-// probe-driven transitions re-run a BIST cycle on the worker's chip.
+// already happened in the recorded run; the journal pins it), shard
+// records on the worker's shard backend exactly as the live sharded
+// path does, and probe-driven transitions re-run a BIST cycle on the
+// worker's chip. A journal is outside input, so every op is checked
+// (checkOp) before it reaches a backend: a malformed one fails replay
+// with an error.
 type JournalExecutor struct {
 	// Units is the rebuilt pool (BuildUnits output, after StartupScan).
 	Units []Unit
@@ -163,109 +166,78 @@ type JournalExecutor struct {
 	Health health.Options
 	// merges holds the in-progress merge buffers of sharded requests,
 	// keyed by admit sequence (lazily initialized).
-	merges map[uint64]*shardMerge
+	merges map[uint64]output
 }
 
-// shardMerge is the replay-side merge buffer of one sharded request:
-// the full-size output that per-worker shard executions fill in
-// disjoint slices, exactly as the live scheduler's merge stage does.
-type shardMerge struct {
-	op  journal.Op
-	vol *tensor.Volume
-	vec []float64
-	mat *tensor.Matrix
+// unit returns the recorded worker's rebuilt unit.
+func (p *JournalExecutor) unit(worker int) (Unit, error) {
+	if worker < 0 || worker >= len(p.Units) {
+		return Unit{}, fmt.Errorf("fleet: worker %d outside rebuilt pool of %d", worker, len(p.Units))
+	}
+	return p.Units[worker], nil
 }
 
 // Execute implements journal.Executor.
 func (p *JournalExecutor) Execute(worker int, req *journal.Request) ([32]byte, error) {
-	if worker < 0 || worker >= len(p.Units) {
-		return [32]byte{}, fmt.Errorf("fleet: worker %d outside rebuilt pool of %d", worker, len(p.Units))
+	u, err := p.unit(worker)
+	if err == nil {
+		err = checkOp(req)
 	}
-	b := p.Units[worker].Backend
-	switch req.Op {
-	case journal.OpConv:
-		return journal.HashVolume(b.Conv(req.A, req.W, req.Cfg, req.ReLU)), nil
-	case journal.OpFC:
-		return journal.HashVector(b.FullyConnected(req.A, req.W, req.ReLU)), nil
-	case journal.OpGEMM, journal.OpLSTM, journal.OpAttention:
-		return journal.HashMatrix(b.GEMM(req.MA, req.MB, req.ReLU)), nil
-	default:
-		return [32]byte{}, fmt.Errorf("fleet: unknown journaled op %d", req.Op)
+	if err != nil {
+		return [32]byte{}, err
 	}
+	return runWhole(u.Backend, req).hash(), nil
 }
 
 // ExecuteShard implements journal.Executor: it re-executes one
-// kernel-group window on the recorded worker's chip, filling the owned
-// slice of the request's merge buffer. Like the live sharded path it
-// drives the chip directly - sub-requests bypass the guard and observe
-// wrappers - so the replayed noise streams line up with the recording.
+// kernel-group window on the recorded worker's shard backend, filling
+// the owned slice of the request's merge buffer.
 func (p *JournalExecutor) ExecuteShard(worker int, admit uint64, req *journal.Request, pos, count, of int) error {
-	if worker < 0 || worker >= len(p.Units) {
-		return fmt.Errorf("fleet: worker %d outside rebuilt pool of %d", worker, len(p.Units))
+	u, err := p.unit(worker)
+	sb, spec := shardBackend(u), core.ShardSpec{Pos: pos, Count: count, Of: of}
+	switch {
+	case err != nil:
+		return err
+	case sb == nil:
+		return fmt.Errorf("fleet: worker %d cannot execute shard windows", worker)
+	case !shardable(req):
+		return fmt.Errorf("fleet: %v op with config %+v does not shard", req.Op, req.Cfg)
 	}
-	chip := p.Units[worker].Chip
-	if chip == nil {
-		return fmt.Errorf("fleet: worker %d has no chip; shard records need chip-backed pools", worker)
+	if err := spec.Validate(); err != nil {
+		return err
 	}
-	if p.merges == nil {
-		p.merges = make(map[uint64]*shardMerge)
-	}
-	ms, ok := p.merges[admit]
+	out, ok := p.merges[admit]
 	if !ok {
-		ms = &shardMerge{op: req.Op}
-		switch req.Op {
-		case journal.OpConv:
-			stride := req.Cfg.Stride
-			if stride == 0 {
-				stride = 1
-			}
-			by := tensor.ConvOutputDim(req.A.Y, req.W.Y, req.Cfg.Pad, stride)
-			bx := tensor.ConvOutputDim(req.A.X, req.W.X, req.Cfg.Pad, stride)
-			ms.vol = tensor.NewVolume(req.W.M, by, bx)
-		case journal.OpFC:
-			ms.vec = make([]float64, req.W.M)
-		case journal.OpGEMM, journal.OpLSTM, journal.OpAttention:
-			ms.mat = tensor.NewMatrix(req.MA.R, req.MB.C)
-		default:
-			return fmt.Errorf("fleet: unknown journaled op %d", req.Op)
+		if err := checkOp(req); err != nil {
+			return err
 		}
-		p.merges[admit] = ms
+		if p.merges == nil {
+			p.merges = make(map[uint64]output)
+		}
+		out = newOutput(req)
+		p.merges[admit] = out
 	}
-	spec := core.ShardSpec{Pos: pos, Count: count, Of: of}
-	switch req.Op {
-	case journal.OpConv:
-		chip.ConvShard(req.A, req.W, req.Cfg, req.ReLU, spec, ms.vol)
-	case journal.OpFC:
-		chip.FullyConnectedShard(req.A, req.W, req.ReLU, spec, ms.vec)
-	case journal.OpGEMM, journal.OpLSTM, journal.OpAttention:
-		chip.GEMMShard(req.MA, req.MB, req.ReLU, spec, ms.mat)
-	}
+	runWindow(sb, req, spec, out)
 	return nil
 }
 
 // FinishShard implements journal.Executor: it hashes and releases a
 // sharded request's merge buffer.
 func (p *JournalExecutor) FinishShard(admit uint64) ([32]byte, error) {
-	ms, ok := p.merges[admit]
+	out, ok := p.merges[admit]
 	if !ok {
 		return [32]byte{}, fmt.Errorf("fleet: merged deliver for admit %d without shard records", admit)
 	}
 	delete(p.merges, admit)
-	switch {
-	case ms.vol != nil:
-		return journal.HashVolume(ms.vol), nil
-	case ms.vec != nil:
-		return journal.HashVector(ms.vec), nil
-	default:
-		return journal.HashMatrix(ms.mat), nil
-	}
+	return out.hash(), nil
 }
 
 // Probe implements journal.Executor.
 func (p *JournalExecutor) Probe(worker int) error {
-	if worker < 0 || worker >= len(p.Units) {
-		return fmt.Errorf("fleet: worker %d outside rebuilt pool of %d", worker, len(p.Units))
+	u, err := p.unit(worker)
+	if err != nil {
+		return err
 	}
-	ProbeUnit(p.Units[worker], p.Health)
+	ProbeUnit(u, p.Health)
 	return nil
 }

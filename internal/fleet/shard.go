@@ -32,10 +32,7 @@ type ShardBackend interface {
 type shardParent struct {
 	req  *request
 	subs []*request
-
-	vol *tensor.Volume
-	vec []float64
-	mat *tensor.Matrix
+	out  output
 
 	mu        sync.Mutex
 	remaining int   // subs not yet executed (wall-side barrier)
@@ -46,18 +43,6 @@ type shardParent struct {
 	vMinStart  int64
 	vMaxEnd    int64
 	failed     bool // parent already delivered an error (Close)
-}
-
-// result assembles the merged output.
-func (sp *shardParent) result() result {
-	switch {
-	case sp.vol != nil:
-		return result{vol: sp.vol}
-	case sp.vec != nil:
-		return result{vec: sp.vec}
-	default:
-		return result{mat: sp.mat}
-	}
 }
 
 // subDone records one executed sub and reports whether it was the
@@ -75,18 +60,14 @@ func (sp *shardParent) subDone(start int64) (last bool, minStart int64) {
 
 // shardEligibleLocked returns the fan-out placement set - the
 // in-service, positively weighted, shard-capable workers - when the
-// request can shard, or nil. Depthwise and grouped convolutions keep
-// the whole-request path: their kernel-to-channel coupling does not
-// split at the output-kernel boundary.
+// request can shard (see shardable), or nil.
 func (s *Scheduler) shardEligibleLocked(req *request) []*worker {
-	if !req.tag.GEMMFamily() && !req.fc {
-		if req.cfg.Depthwise || (req.cfg.Groups != 0 && req.cfg.Groups != 1) {
-			return nil
-		}
+	if !shardable(&req.op) {
+		return nil
 	}
 	var parts []*worker
 	for _, w := range s.workers {
-		if w.inService && w.weight > 0 && w.shardCapable {
+		if w.inService && w.weight > 0 && w.sb != nil {
 			parts = append(parts, w)
 		}
 	}
@@ -135,8 +116,7 @@ func (s *Scheduler) tryShardLocked(req *request) (*Future, bool) {
 	if len(placed) < 2 {
 		return nil, false
 	}
-	sp := &shardParent{req: req, minStart: math.MaxInt64, vMinStart: math.MaxInt64}
-	sp.allocMerge(req)
+	sp := &shardParent{req: req, out: newOutput(&req.op), minStart: math.MaxInt64, vMinStart: math.MaxInt64}
 	// The parent carries sp too (ShardStages, Close-time failure); it
 	// is never enqueued or ledger-booked itself, so the sub-only paths
 	// that test req.sp never see it.
@@ -147,8 +127,7 @@ func (s *Scheduler) tryShardLocked(req *request) (*Future, bool) {
 	for i, w := range placed {
 		win := wins[i]
 		sub := &request{
-			fc: req.fc, a: req.a, w: req.w, cfg: req.cfg, relu: req.relu,
-			tag: req.tag, ma: req.ma, mb: req.mb,
+			op: req.op,
 			// Background context: a sub never skips execution on the
 			// caller's cancellation (see runOne) and never waits.
 			ctx:   context.Background(),
@@ -158,15 +137,7 @@ func (s *Scheduler) tryShardLocked(req *request) (*Future, bool) {
 		}
 		sub.st.Arrive = req.st.Arrive
 		sp.subs = append(sp.subs, sub)
-		key := batchKey{fc: req.fc, w: req.w, cfg: req.cfg, relu: req.relu,
-			tag: req.tag, mb: req.mb, shard: win, aff: w.id}
-		pb := s.byKey[key]
-		if pb == nil {
-			pb = &pendingBatch{key: key}
-			s.byKey[key] = pb
-			s.pending = append(s.pending, pb)
-		}
-		pb.reqs = append(pb.reqs, sub)
+		s.enqueueLocked(keyOf(&req.op, win, w.id), sub)
 	}
 	sp.remaining = len(sp.subs)
 	sp.vremaining = len(sp.subs)
@@ -179,24 +150,6 @@ func (s *Scheduler) tryShardLocked(req *request) (*Future, bool) {
 	}
 	s.flushLocked(false)
 	return &Future{req: req}, true
-}
-
-// allocMerge pre-allocates the full-size merged output.
-func (sp *shardParent) allocMerge(req *request) {
-	switch {
-	case req.tag.GEMMFamily():
-		sp.mat = tensor.NewMatrix(req.ma.R, req.mb.C)
-	case req.fc:
-		sp.vec = make([]float64, req.w.M)
-	default:
-		stride := req.cfg.Stride
-		if stride == 0 {
-			stride = 1
-		}
-		by := tensor.ConvOutputDim(req.a.Y, req.w.Y, req.cfg.Pad, stride)
-		bx := tensor.ConvOutputDim(req.a.X, req.w.X, req.cfg.Pad, stride)
-		sp.vol = tensor.NewVolume(req.w.M, by, bx)
-	}
 }
 
 // runShard executes one kernel-group sub-request on its worker and,
@@ -221,7 +174,7 @@ func (s *Scheduler) runShard(w *worker, req *request) int {
 	if !s.opt.VirtualTime {
 		req.st.ExecStart = start
 	}
-	w.execShard(req, sp)
+	runWindow(w.sb, &req.op, req.shard, sp.out)
 	w.requests.Inc()
 	s.shardSubs.Inc()
 	if !s.opt.VirtualTime {
@@ -230,65 +183,10 @@ func (s *Scheduler) runShard(w *worker, req *request) int {
 		req.st.Deliver = end
 		req.final.Store(true)
 	}
-	last, minStart := sp.subDone(start)
-	if !last {
-		return 1
-	}
-	s.completed.Inc()
-	res := sp.result()
-	// The merged deliver pins the union's output bits under worker -1:
-	// no single worker produced them, and replay recomputes the hash
-	// from its own merge buffer.
-	if j := s.opt.Journal; j != nil && pjseq >= 0 {
-		j.Record(journal.KindDeliver, journal.EncodeDeliver(journal.Deliver{
-			Admit:  uint64(pjseq),
-			Worker: -1,
-			Hash:   resultHash(sp.req, res),
-		}))
-	}
-	if !s.opt.VirtualTime {
-		end := s.ticks.Load()
-		p := sp.req
-		p.st.ExecStart = minStart
-		p.st.ExecEnd = end
-		p.st.Deliver = end
-		p.final.Store(true)
-		s.recordStages(p.st)
-		if s.trace != nil && s.opt.Journal != nil {
-			s.span.Event(obs.RequestCompleted, opName(p),
-				obs.Int("worker", -1),
-				obs.Int("journal_seq", p.jseq))
-		}
-	}
-	s.deliver(sp.req, res)
-	if !s.opt.VirtualTime {
-		s.releaseSlot()
+	if last, minStart := sp.subDone(start); last {
+		s.complete(sp.req, -1, minStart, sp.out)
 	}
 	return 1
-}
-
-// execShard runs one shard window, preferring the chip (the replayed
-// path) over a ShardBackend.
-func (w *worker) execShard(req *request, sp *shardParent) {
-	if w.chip != nil {
-		switch {
-		case req.tag.GEMMFamily():
-			w.chip.GEMMShard(req.ma, req.mb, req.relu, req.shard, sp.mat)
-		case req.fc:
-			w.chip.FullyConnectedShard(req.a, req.w, req.relu, req.shard, sp.vec)
-		default:
-			w.chip.ConvShard(req.a, req.w, req.cfg, req.relu, req.shard, sp.vol)
-		}
-		return
-	}
-	switch {
-	case req.tag.GEMMFamily():
-		w.sb.GEMMShard(req.ma, req.mb, req.relu, req.shard, sp.mat)
-	case req.fc:
-		w.sb.FullyConnectedShard(req.a, req.w, req.relu, req.shard, sp.vec)
-	default:
-		w.sb.ConvShard(req.a, req.w, req.cfg, req.relu, req.shard, sp.vol)
-	}
 }
 
 // failShard fails a sharded request's parent exactly once: delivery

@@ -9,6 +9,7 @@ import (
 	"albireo/internal/fleet"
 	"albireo/internal/health"
 	"albireo/internal/journal"
+	"albireo/internal/load"
 	"albireo/internal/obs"
 	"albireo/internal/tensor"
 )
@@ -322,52 +323,88 @@ func TestFleetShardedVirtualTimeLatency(t *testing.T) {
 
 // TestFleetShardedJournalReplay closes the loop on the shard journal
 // protocol: a sharded run's journal replays bit-for-bit against a
-// rebuilt clone pool (KindShard records re-execute each window at its
+// rebuilt pool (KindShard records re-execute each window at its
 // recorded per-worker position; the Worker -1 deliver verifies the
 // merged hash), and a perturbed rebuild is caught as a divergence at
-// the merge.
+// the merge. The trace covers every op kind - depthwise and grouped
+// convs take the whole path even with Shard on - and the replay holds
+// on a clone pool and on a pool mixing a chip with a chipless
+// ShardBackend unit.
 func TestFleetShardedJournalReplay(t *testing.T) {
 	t.Parallel()
-	dir, a, _ := startJournal(t, journal.Header{Pool: 2, Seed: 65})
-	units := cloneUnits(2, 65, nil)
-	opt := shardOpt()
-	opt.Journal = a
-	s, err := fleet.New(opt, units...)
-	if err != nil {
-		t.Fatalf("New: %v", err)
+	record := func(units []fleet.Unit) *journal.Snapshot {
+		t.Helper()
+		dir, a, _ := startJournal(t, journal.Header{Pool: 2, Seed: 65})
+		opt := shardOpt()
+		opt.Journal = a
+		s, err := fleet.New(opt, units...)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		s.Instrument(obs.NewRegistry(), nil)
+		if err := s.Start(); err != nil {
+			t.Fatalf("Start: %v", err)
+		}
+		ctx := context.Background()
+		in := tensor.RandomVolume(6, 10, 10, 961)
+		w1 := tensor.RandomKernels(13, 6, 3, 3, 962)
+		wfc := tensor.RandomKernels(10, 13, 10, 10, 963)
+		ma := tensor.RandomMatrix(7, 11, 964)
+		mb := tensor.RandomMatrix(11, 9, 965)
+		v1, err := s.Conv(ctx, in, w1, tensor.ConvConfig{Stride: 1, Pad: 1}, true)
+		if err != nil {
+			t.Fatalf("conv: %v", err)
+		}
+		if _, err := s.FullyConnected(ctx, v1, wfc, false); err != nil {
+			t.Fatalf("fc: %v", err)
+		}
+		if _, err := s.GEMM(ctx, ma, mb, false); err != nil {
+			t.Fatalf("gemm: %v", err)
+		}
+		wdw := tensor.RandomKernels(6, 1, 3, 3, 966)
+		if _, err := s.Conv(ctx, in, wdw, tensor.ConvConfig{Stride: 1, Pad: 1, Depthwise: true}, true); err != nil {
+			t.Fatalf("depthwise: %v", err)
+		}
+		wg := tensor.RandomKernels(4, 3, 3, 3, 967)
+		if _, err := s.Conv(ctx, in, wg, tensor.ConvConfig{Stride: 1, Pad: 1, Groups: 2}, false); err != nil {
+			t.Fatalf("grouped: %v", err)
+		}
+		for _, op := range []journal.Op{journal.OpLSTM, journal.OpAttention} {
+			if _, err := s.GEMMAsyncOp(ctx, op, ma, mb, true).Matrix(); err != nil {
+				t.Fatalf("%v: %v", op, err)
+			}
+		}
+		if err := s.Close(ctx); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		a.Drain()
+		if err := a.Close(); err != nil {
+			t.Fatalf("journal Close: %v", err)
+		}
+		snap, err := journal.Read(dir)
+		if err != nil {
+			t.Fatalf("Read: %v", err)
+		}
+		return snap
 	}
-	s.Instrument(obs.NewRegistry(), nil)
-	if err := s.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	ctx := context.Background()
-	in := tensor.RandomVolume(6, 10, 10, 961)
-	w1 := tensor.RandomKernels(13, 6, 3, 3, 962)
-	wfc := tensor.RandomKernels(10, 13, 10, 10, 963)
-	ma := tensor.RandomMatrix(7, 11, 964)
-	mb := tensor.RandomMatrix(11, 9, 965)
-	v1, err := s.Conv(ctx, in, w1, tensor.ConvConfig{Stride: 1, Pad: 1}, true)
-	if err != nil {
-		t.Fatalf("conv: %v", err)
-	}
-	if _, err := s.FullyConnected(ctx, v1, wfc, false); err != nil {
-		t.Fatalf("fc: %v", err)
-	}
-	if _, err := s.GEMM(ctx, ma, mb, false); err != nil {
-		t.Fatalf("gemm: %v", err)
-	}
-	if err := s.Close(ctx); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	a.Drain()
-	if err := a.Close(); err != nil {
-		t.Fatalf("journal Close: %v", err)
+	// replay checks every request verifies: 7 admits, the 5 shardable
+	// ones fanned out over both workers.
+	replay := func(snap *journal.Snapshot, rebuilt []fleet.Unit) {
+		t.Helper()
+		fleet.StartupScan(rebuilt, health.Options{})
+		res, err := journal.Replay(snap, &fleet.JournalExecutor{Units: rebuilt})
+		if err != nil {
+			t.Fatalf("Replay: %v", err)
+		}
+		if res.Admits != 7 || res.Delivers != 7 || res.Verified != 7 {
+			t.Fatalf("replay result = %+v, want 7 admits/delivers/verified", res)
+		}
+		if res.ShardSubs != 10 {
+			t.Fatalf("replayed shard subs = %d, want 10 (5 ops x 2 workers)", res.ShardSubs)
+		}
 	}
 
-	snap, err := journal.Read(dir)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
+	snap := record(cloneUnits(2, 65, nil))
 	var merged int
 	for _, rec := range snap.Records {
 		if rec.Kind != journal.KindDeliver {
@@ -381,22 +418,10 @@ func TestFleetShardedJournalReplay(t *testing.T) {
 			merged++
 		}
 	}
-	if merged != 3 {
-		t.Fatalf("merged delivers = %d, want 3", merged)
+	if merged != 5 {
+		t.Fatalf("merged delivers = %d, want 5", merged)
 	}
-
-	rebuilt := cloneUnits(2, 65, nil)
-	fleet.StartupScan(rebuilt, health.Options{})
-	res, err := journal.Replay(snap, &fleet.JournalExecutor{Units: rebuilt})
-	if err != nil {
-		t.Fatalf("Replay: %v", err)
-	}
-	if res.Admits != 3 || res.Delivers != 3 || res.Verified != 3 {
-		t.Fatalf("replay result = %+v, want 3 admits/delivers/verified", res)
-	}
-	if res.ShardSubs != 6 {
-		t.Fatalf("replayed shard subs = %d, want 6 (3 ops x 2 workers)", res.ShardSubs)
-	}
+	replay(snap, cloneUnits(2, 65, nil))
 
 	// Perturb worker 1 after the startup scan - inside its window:
 	// worker 1 owns residues [5,9), so its kernels run on groups 5-8,
@@ -407,7 +432,7 @@ func TestFleetShardedJournalReplay(t *testing.T) {
 	if err := perturbed[1].Chip.InjectFault(6, 1, f); err != nil {
 		t.Fatalf("InjectFault: %v", err)
 	}
-	_, err = journal.Replay(snap, &fleet.JournalExecutor{Units: perturbed})
+	_, err := journal.Replay(snap, &fleet.JournalExecutor{Units: perturbed})
 	d, ok := journal.AsDivergence(err)
 	if !ok {
 		t.Fatalf("perturbed replay: err = %v, want *Divergence", err)
@@ -415,6 +440,13 @@ func TestFleetShardedJournalReplay(t *testing.T) {
 	if d.Worker != -1 {
 		t.Fatalf("divergence at worker %d, want -1 (the merged deliver)", d.Worker)
 	}
+
+	// A chipless ShardBackend unit executes its windows live, so replay
+	// must execute them too.
+	mixed := func() []fleet.Unit {
+		return []fleet.Unit{analogUnit(65), {Backend: load.NullBackend{}}}
+	}
+	replay(record(mixed()), mixed())
 }
 
 // BenchmarkShardedConv measures a single 36-kernel convolution

@@ -29,14 +29,9 @@ type worker struct {
 	eng     *health.Engine
 	queue   chan workItem
 
-	// sb is the backend's shard interface when it implements one;
-	// shardCapable marks the worker eligible for kernel-group
-	// sub-requests (chip-backed, or sb non-nil). Chip-backed workers
-	// execute shards on the chip directly - bypassing the guard and
-	// observe wrappers - so replay can reproduce the same noise stream
-	// by driving the rebuilt chip the same way.
-	sb           ShardBackend
-	shardCapable bool
+	// sb executes the worker's kernel-group sub-requests (see
+	// shardBackend); nil keeps the worker out of shard fan-outs.
+	sb ShardBackend
 
 	inService    bool
 	weight       int64 // healthy PLCU count (1 for chipless workers)
@@ -83,17 +78,6 @@ func (w *worker) healthyUnits() int64 {
 	}
 	cfg := w.chip.Config()
 	return int64(cfg.Ng*cfg.Nu - len(w.chip.Quarantined()))
-}
-
-// run executes one request on the worker's backend.
-func (w *worker) run(req *request) result {
-	if req.tag.GEMMFamily() {
-		return result{mat: w.backend.GEMM(req.ma, req.mb, req.relu)}
-	}
-	if req.fc {
-		return result{vec: w.backend.FullyConnected(req.a, req.w, req.relu)}
-	}
-	return result{vol: w.backend.Conv(req.a, req.w, req.cfg, req.relu)}
 }
 
 // serveWorker is the worker goroutine: it drains the queue until Close
@@ -170,50 +154,46 @@ func (s *Scheduler) runOne(w *worker, req *request) int {
 		}
 		return 0
 	}
-	if !s.opt.VirtualTime {
-		req.st.ExecStart = s.ticks.Load()
-	}
-	res := w.run(req)
+	start := s.ticks.Load()
+	out := runWhole(w.backend, &req.op)
 	w.requests.Inc()
+	s.complete(req, int64(w.id), start, out)
+	return 1
+}
+
+// complete journals and delivers a finished request's output. worker
+// is the pool index that produced it, or -1 for a sharded request's
+// merge (replay recomputes that hash from its own merge buffer), and
+// start is its wall-mode execution start. The deliver record pins
+// which worker produced which output bits: hashing the output is the
+// only journal work on the execution path, and it happens only when
+// the request was journaled.
+func (s *Scheduler) complete(req *request, worker, start int64, out output) {
 	s.completed.Inc()
-	// The deliver record pins which worker produced which output bits:
-	// hashing the output is the only journal work on the execution
-	// path, and it happens only when this request was journaled.
 	if j := s.opt.Journal; j != nil && req.jseq >= 0 {
 		j.Record(journal.KindDeliver, journal.EncodeDeliver(journal.Deliver{
 			Admit:  uint64(req.jseq),
-			Worker: int64(w.id),
-			Hash:   resultHash(req, res),
+			Worker: worker,
+			Hash:   out.hash(),
 		}))
 	}
 	if !s.opt.VirtualTime {
 		end := s.ticks.Load()
+		req.st.ExecStart = start
 		req.st.ExecEnd = end
 		req.st.Deliver = end
 		req.final.Store(true)
 		s.recordStages(req.st)
 		if s.trace != nil && s.opt.Journal != nil {
 			s.span.Event(obs.RequestCompleted, opName(req),
-				obs.Int("worker", int64(w.id)),
+				obs.Int("worker", worker),
 				obs.Int("journal_seq", req.jseq))
 		}
 	}
-	s.deliver(req, res)
+	s.deliver(req, result{output: out})
 	if !s.opt.VirtualTime {
 		s.releaseSlot()
 	}
-	return 1
-}
-
-// resultHash digests a delivered result's canonical output encoding.
-func resultHash(req *request, res result) [32]byte {
-	if req.tag.GEMMFamily() {
-		return journal.HashMatrix(res.mat)
-	}
-	if req.fc {
-		return journal.HashVector(res.vec)
-	}
-	return journal.HashVolume(res.vol)
 }
 
 // runProbe re-scans a drained worker's chip and applies the verdict.

@@ -579,6 +579,40 @@ func TestReplayVerifiesAndDiverges(t *testing.T) {
 	}
 }
 
+// TestReplayDecodesEveryRecord: shed, cancel, and fallback records
+// carry nothing to re-execute, but replay still decodes each one, so a
+// malformed payload - or a cancel naming an admit the chain never
+// recorded - fails the replay instead of being counted.
+func TestReplayDecodesEveryRecord(t *testing.T) {
+	admit := EncodeRequest(&Request{Op: OpFC, A: tensor.RandomVolume(1, 1, 1, 1), W: tensor.RandomKernels(1, 1, 1, 1, 2)})
+	snap := func(recs ...Record) *Snapshot {
+		out := []Record{{Seq: 1, Kind: KindAdmit, Payload: admit}}
+		for i, r := range recs {
+			r.Seq = uint64(i + 2)
+			out = append(out, r)
+		}
+		return &Snapshot{Records: out}
+	}
+	res, err := Replay(snap(
+		Record{Kind: KindShed, Payload: EncodeShed(Shed{Op: OpConv, Queued: 3})},
+		Record{Kind: KindCancel, Payload: EncodeCancel(Cancel{Admit: 1})},
+		Record{Kind: KindFallback, Payload: EncodeFallback(Fallback{Worker: 1, Op: OpFC})},
+	), &replayExec{})
+	if err != nil || res.Sheds != 1 || res.Cancels != 1 || res.Fallbacks != 1 {
+		t.Fatalf("well-formed records: %+v, %v", res, err)
+	}
+	for name, rec := range map[string]Record{
+		"short shed":         {Kind: KindShed, Payload: []byte{1}},
+		"empty cancel":       {Kind: KindCancel},
+		"short fallback":     {Kind: KindFallback, Payload: []byte{9, 9}},
+		"cancel of no admit": {Kind: KindCancel, Payload: EncodeCancel(Cancel{Admit: 7})},
+	} {
+		if _, err := Replay(snap(rec), &replayExec{}); err == nil {
+			t.Errorf("%s: replay accepted it", name)
+		}
+	}
+}
+
 func TestShardRecordRoundTrip(t *testing.T) {
 	in := ShardRec{Admit: 42, Worker: 3, Pos: 4, Count: 2, Of: 9}
 	out, err := DecodeShard(EncodeShard(in))

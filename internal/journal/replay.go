@@ -67,7 +67,8 @@ type ReplayResult struct {
 // recorded execution order, and with it the chip's program-cache,
 // cycle, and drift state - and every output hash is compared
 // bit-for-bit. The first mismatch aborts with *Divergence; malformed
-// records abort with a decode error.
+// records - including a deliver, shard, or cancel naming an admit the
+// chain never recorded - abort with a decode error.
 func Replay(snap *Snapshot, ex Executor) (ReplayResult, error) {
 	var res ReplayResult
 	admits := make(map[uint64]*Request)
@@ -112,10 +113,23 @@ func Replay(snap *Snapshot, ex Executor) (ReplayResult, error) {
 			}
 			res.Verified++
 		case KindShed:
+			if _, err := DecodeShed(rec.Payload); err != nil {
+				return res, fmt.Errorf("seq %d: %w", rec.Seq, err)
+			}
 			res.Sheds++
 		case KindCancel:
+			c, err := DecodeCancel(rec.Payload)
+			if err != nil {
+				return res, fmt.Errorf("seq %d: %w", rec.Seq, err)
+			}
+			if _, ok := admits[c.Admit]; !ok {
+				return res, fmt.Errorf("seq %d: cancel references unknown admit %d", rec.Seq, c.Admit)
+			}
 			res.Cancels++
 		case KindFallback:
+			if _, err := DecodeFallback(rec.Payload); err != nil {
+				return res, fmt.Errorf("seq %d: %w", rec.Seq, err)
+			}
 			res.Fallbacks++
 		case KindDrain, KindRestore:
 			t, err := DecodeTransition(rec.Payload)
