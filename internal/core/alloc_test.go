@@ -65,9 +65,13 @@ func TestStepPrequantizedAllocFree(t *testing.T) {
 	cfg := DefaultConfig()
 	g := NewPLCG(cfg)
 	weights := make([][]float64, cfg.Nu)
-	avals := make([][][]float64, cfg.Nu)
+	avals := make([][]float64, cfg.Nu)
 	for u := 0; u < cfg.Nu; u++ {
-		weights[u], avals[u] = hotInputs(cfg)
+		var rows [][]float64
+		weights[u], rows = hotInputs(cfg)
+		for _, row := range rows {
+			avals[u] = append(avals[u], row...)
+		}
 	}
 	dst := make([]float64, cfg.Nd)
 	g.stepPrequantized(dst, weights, avals, cfg.Nd)

@@ -32,9 +32,8 @@ type Chip struct {
 	// backing array grows to the largest layer seen and is then
 	// reused.
 	qaVol tensor.Volume
-	// plan is the current layer's activation rows, built once before
-	// the kernels fan out (see plan.go). Its zero row is shared with
-	// every PLCU, which skips it by identity.
+	// plan is the current layer's folded activation rows, built once
+	// before the kernels fan out (see plan.go).
 	plan rowPlan
 	// progs caches compiled weight programs keyed by kernel-tensor
 	// identity and mapping kind.
@@ -50,8 +49,10 @@ type Chip struct {
 	posVol, negVol, gather tensor.Volume
 	gemmAcc                []float64
 	// views caches kernel-bank views of GEMM weight matrices and of
-	// live-tap conv kernels (see gemm.go).
-	views map[viewKey]*tensor.Kernels
+	// live-tap conv kernels (see gemm.go); tapOffs is the live-tap
+	// offset scratch their refill reuses.
+	views   map[viewKey]*tensor.Kernels
+	tapOffs []int
 	// lanes is the kernel dispatcher's job; conv and block are the
 	// per-mapping bodies it runs, refilled per layer (see lanes.go).
 	lanes laneJob
@@ -66,22 +67,18 @@ func NewChip(cfg Config) *Chip {
 	}
 	groups := make([]*PLCG, cfg.Ng)
 	active := make([]int, cfg.Ng)
-	zero := make([]float64, cfg.Nd)
 	for gi := range groups {
 		gcfg := cfg
 		gcfg.Seed = cfg.Seed*7919 + int64(gi)
 		groups[gi] = NewPLCG(gcfg)
 		active[gi] = gi
-		for _, u := range groups[gi].units {
-			u.zero = zero
-		}
 	}
 	return &Chip{
 		cfg:    cfg,
 		groups: groups,
 		active: active,
 		aq:     quant.NewActivation(cfg.DACBits, 1),
-		plan:   rowPlan{nm: cfg.Nm, nd: cfg.Nd, zero: zero},
+		plan:   newRowPlan(cfg),
 	}
 }
 
@@ -225,9 +222,10 @@ func convStride(cfg tensor.ConvConfig) int {
 // depthwise (progDepthwise) layer into the caller's pre-zeroed out
 // volume: the weight program comes from the cache, the activations
 // are pre-quantized once into the padded layout and a dense layer's
-// row plan is filled once, and the kernels fan out over the lanes.
-// Each depthwise channel's plane and rows serve exactly one kernel, so
-// the depthwise body quantizes and fills its own channel on its lane.
+// row plan is filled once, channels spread over the lanes, and then
+// the kernels fan out over the lanes. Each depthwise channel's plane
+// and rows serve exactly one kernel, so the depthwise body quantizes
+// and fills its own channel on its lane.
 func (c *Chip) receptiveField(kind programKind, a *tensor.Volume, w *tensor.Kernels, stride, pad int, relu bool, shard ShardSpec, out *tensor.Volume) {
 	ph, pw := paddedDims(a, w, pad, stride, out, c.cfg.Nd)
 	aScale := c.padInput(a, ph, pw)
@@ -242,14 +240,7 @@ func (c *Chip) receptiveField(kind programKind, a *tensor.Volume, w *tensor.Kern
 		c.plan.receptive(&c.qaVol, pr.chunks, out, stride)
 		c.conv = convLayer{c: c, a: a, pad: pad, aScale: aScale, pr: pr, out: out, relu: relu, outScale: s}
 		if kind == progConv {
-			for z := 0; z < a.Z; z++ {
-				c.quantizePlane(a, z, pad, aScale)
-				for oy := 0; oy < out.Y; oy++ {
-					for tx := 0; tx < c.plan.tilesX; tx++ {
-						c.plan.fillTile(z, oy, tx)
-					}
-				}
-			}
+			c.fillPlan(a.Z, (*receptiveFill)(&c.conv))
 		}
 		c.forEachKernel(sp, w.M, shard, body)
 	}

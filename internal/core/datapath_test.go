@@ -265,21 +265,18 @@ func TestAccumulateMatchesReference(t *testing.T) {
 }
 
 // runTwins runs both sides for n cycles and returns a description of
-// the first differing output, or "". Even cycles feed codes straight to
-// the datapath with a live width cycling through 1..Nd, and compare
-// only the live columns; there, most all-zero rows (either sign) reach
-// the PLCU as its zero row, as the chip's row plan passes them, so the
-// identity skip runs, while the reference reads the row itself. Odd
-// cycles enter through CurrentsInto at full width, so StuckMZM faults
-// reach the reference through the same effective weights, and every
-// narrow cycle is followed by a full one that proves the dead columns
-// kept the noise stream aligned. Faults
-// change mid-run to exercise the gain-table rebuild.
+// the first differing output, or "". Even cycles feed codes and raw
+// rows straight to accumulate with the unit's crosstalk table and a
+// live width cycling through 1..Nd, and compare only the live columns.
+// Odd cycles enter through CurrentsInto at full width, so StuckMZM
+// faults reach the reference through the same effective weights, and
+// every narrow cycle is followed by a full one that proves the dead
+// columns kept the noise stream aligned. Faults change mid-run to
+// exercise the gain-table rebuild.
 func runTwins(tw datapathTwins, rng *rand.Rand, n int) string {
 	cfg := tw.p.cfg
 	qw := make([]float64, cfg.Nm)
 	qa := make([][]float64, cfg.Nm)
-	planned := make([][]float64, cfg.Nm)
 	for t := range qa {
 		qa[t] = make([]float64, cfg.Nd)
 	}
@@ -298,16 +295,13 @@ func runTwins(tw datapathTwins, rng *rand.Rand, n int) string {
 		for t := range qw {
 			qw[t] = randomCode(rng)
 			randomRow(rng, qa[t])
-			planned[t] = qa[t]
-			if allZero(qa[t]) && rng.Intn(4) != 0 {
-				planned[t] = tw.p.zero
-			}
 		}
 		tw.ref.cycles++
 		live := cfg.Nd
 		if c%2 == 0 {
 			live = 1 + c/2%cfg.Nd
-			tw.p.currentsPrequantized(got, qw, planned, live)
+			tw.p.cycles++
+			tw.p.accumulate(got, qw, flatRows(qa), live, tw.p.coef)
 			tw.ref.accumulate(want, qw, qa)
 		} else {
 			tw.p.CurrentsInto(got, qw, qa)
@@ -332,6 +326,16 @@ func runTwins(tw datapathTwins, rng *rand.Rand, n int) string {
 		}
 	}
 	return ""
+}
+
+// flatRows lays rows out back to back, the flat set layout accumulate
+// reads.
+func flatRows(rows [][]float64) []float64 {
+	var flat []float64
+	for _, row := range rows {
+		flat = append(flat, row...)
+	}
+	return flat
 }
 
 // TestCrosstalkTableMatchesMatrix checks the flat table against the
@@ -394,67 +398,249 @@ func TestCrosstalkTableSharedAcrossChip(t *testing.T) {
 	}
 }
 
-func allZero(row []float64) bool {
-	for _, a := range row {
-		if a != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// TestAccumulateZeroRowIdentity pins the two edges of the identity
-// skip: an all-zero row that is not the unit's zero row is not skipped
-// and still gives the reference's bits, and a NaN weight code on the
-// zero row is not skipped either, so it still poisons the sums.
+// TestAccumulateZeroRowIdentity pins what an all-zero row does on the
+// flat path the chip drives: a tap whose row is all zero (either sign)
+// changes no output bit against the same cycle with that tap's weight
+// code zeroed, which accumulate skips, and a NaN weight code on an
+// all-zero row still poisons the sums.
 func TestAccumulateZeroRowIdentity(t *testing.T) {
 	t.Parallel()
 	cfg := DefaultConfig()
-	qw := make([]float64, cfg.Nm)
+	nm, nd := cfg.Nm, cfg.Nd
+	qw := make([]float64, nm)
 	for i := range qw {
 		qw[i] = float64(i%4)/4 - 0.3
 	}
-	rows := func(zeroRow func() []float64) [][]float64 {
-		qa := make([][]float64, cfg.Nm)
-		for tap := range qa {
+	set := func(zero float64) []float64 {
+		qa := make([]float64, nm*nd)
+		for i := range qa {
+			tap, d := i/nd, i%nd
 			if tap%3 == 1 {
-				qa[tap] = zeroRow()
-				continue
-			}
-			qa[tap] = make([]float64, cfg.Nd)
-			for d := range qa[tap] {
-				qa[tap][d] = float64(tap+d+1) / 16
+				qa[i] = zero
+			} else {
+				qa[i] = float64(tap+d+1) / 16
 			}
 		}
 		return qa
 	}
-	negZero := func() []float64 {
-		r := make([]float64, cfg.Nd)
-		for d := range r {
-			r[d] = math.Copysign(0, -1)
-		}
-		return r
+	skipped := append([]float64(nil), qw...)
+	for tap := 1; tap < nm; tap += 3 {
+		skipped[tap] = 0
 	}
 
-	tw := datapathTwins{p: NewPLCU(cfg), ref: newRefPLCU(cfg)}
-	got, want := make([]float64, cfg.Nd), make([]float64, cfg.Nd)
-	for i, unshared := range []func() []float64{func() []float64 { return make([]float64, cfg.Nd) }, negZero} {
-		qa := rows(unshared)
-		tw.ref.cycles++
-		tw.p.currentsPrequantized(got, qw, qa, cfg.Nd)
-		tw.ref.accumulate(want, qw, qa)
-		if !sameBits(got, want) {
-			t.Errorf("unshared all-zero rows %d: got %v, want %v", i, got, want)
+	for _, zero := range []float64{0, math.Copysign(0, -1)} {
+		for _, faulted := range []bool{false, true} {
+			a, b := NewPLCU(cfg), NewPLCU(cfg)
+			if faulted {
+				for _, p := range []*PLCU{a, b} {
+					p.InjectFault(Fault{Kind: DetunedRing, Tap: 1, Column: 2, Value: 0.5})
+					p.InjectFault(Fault{Kind: DetunedRing, Tap: 4, Column: 0, Value: 1, Drift: 1.0 / 64})
+				}
+			}
+			got, want := make([]float64, nd), make([]float64, nd)
+			for cycle := 0; cycle < 8; cycle++ {
+				live := 1 + cycle%nd
+				a.currentsPrequantized(got, qw, set(zero), live)
+				b.currentsPrequantized(want, skipped, set(zero), live)
+				if !sameBits(got[:live], want[:live]) {
+					t.Fatalf("zero %v faulted=%v cycle %d: all-zero rows moved the output: got %v, want %v",
+						zero, faulted, cycle, got[:live], want[:live])
+				}
+			}
 		}
 	}
 
 	p := NewPLCU(cfg)
 	nan := append([]float64(nil), qw...)
 	nan[1] = math.NaN()
-	p.currentsPrequantized(got, nan, rows(func() []float64 { return p.zero }), cfg.Nd)
+	got := make([]float64, nd)
+	p.currentsPrequantized(got, nan, set(0), nd)
 	for d, v := range got {
 		if !math.IsNaN(v) {
-			t.Errorf("column %d: a NaN weight code on the zero row gave %g, want NaN", d, v)
+			t.Errorf("column %d: a NaN weight code on an all-zero row gave %g, want NaN", d, v)
 		}
 	}
+}
+
+// TestAccumulateFastPathMatchesGeneralLoop pins accumulate's branch-free
+// loop (no crosstalk table, no faulted ring) to its general loop: the
+// same cycles on a twin whose ring-gain table is all ones, which takes
+// the general loop and multiplies every signal by an exact 1, must give
+// the same bits, noise, NaN codes and every live width included.
+func TestAccumulateFastPathMatchesGeneralLoop(t *testing.T) {
+	t.Parallel()
+	cfg := DefaultConfig()
+	nm, nd := cfg.Nm, cfg.Nd
+	fast, general := NewPLCU(cfg), NewPLCU(cfg)
+	general.gains = make([]float64, nm*nd)
+	for i := range general.gains {
+		general.gains[i] = 1
+	}
+	rng := rand.New(rand.NewSource(19))
+	qw, qa := make([]float64, nm), make([]float64, nm*nd)
+	got, want := make([]float64, nd), make([]float64, nd)
+	for cycle := 0; cycle < 400; cycle++ {
+		for tap := range qw {
+			qw[tap] = randomCode(rng)
+			randomRow(rng, qa[tap*nd:(tap+1)*nd])
+		}
+		live := 1 + rng.Intn(nd)
+		fast.accumulate(got, qw, qa, live, nil)
+		general.accumulate(want, qw, qa, live, nil)
+		if !sameBits(got[:live], want[:live]) {
+			t.Fatalf("cycle %d live %d: fast loop %v, general loop %v", cycle, live, got[:live], want[:live])
+		}
+	}
+}
+
+// TestFoldedStepMatchesReference is the oracle of the crosstalk fold:
+// PLCG.stepPrequantized on flat sets folded by foldRow against one
+// verbatim refPLCU per unit on the raw rows, summed across units and
+// digitized by the group's own ADC, over TestAccumulateMatchesReference's
+// matrix (every fault scenario, drifting rings included, injected into
+// every unit). The fold only moves rounding, so the pre-ADC analog sums
+// must agree within 8 ulp of the column's magnitude - Σ|w|·x·I_unit
+// over every driven unit and tap, plus each unit's noise sample when
+// noise is on, since the sums round at the size of what they hold -
+// and the ADC codes must be identical.
+func TestFoldedStepMatchesReference(t *testing.T) {
+	t.Parallel()
+	const cycles = 400
+	rng := rand.New(rand.NewSource(18))
+	kernels := []struct{ h, w int }{{3, 3}, {2, 2}, {1, 3}}
+	worst := 0.0
+	for _, nd := range []int{1, 2, 5, 7} {
+		for _, k := range kernels {
+			for _, xtalk := range []bool{true, false} {
+				for _, noisy := range []bool{true, false} {
+					for _, sc := range faultScenarios {
+						cfg := DefaultConfig()
+						cfg.Nd, cfg.KernelH, cfg.KernelW, cfg.Nm = nd, k.h, k.w, k.h*k.w
+						cfg.K2 = 0.01 + 0.08*rng.Float64()
+						cfg.DisableCrosstalk = !xtalk
+						cfg.DisableNoise = !noisy
+						cfg.Seed = rng.Int63()
+						tw := newFoldTwins(cfg)
+						for u := range tw.g.units {
+							for _, f := range sc.make(rng, cfg) {
+								tw.inject(u, f)
+							}
+						}
+						ulps, bad := tw.run(rng, cycles)
+						if bad != "" {
+							t.Fatalf("Nd=%d kernel %dx%d xtalk=%v noise=%v %s: %s",
+								nd, k.h, k.w, xtalk, noisy, sc.name, bad)
+						}
+						worst = math.Max(worst, ulps)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("worst pre-ADC difference: %.2f ulp of the column magnitude", worst)
+}
+
+// foldTwins drives a PLCG on folded sets beside, for each of its
+// units, a verbatim reference on the raw rows and a noiseless copy of
+// that reference, whose difference is the unit's noise sample.
+type foldTwins struct {
+	g           *PLCG
+	ref, quiet  []*refPLCU
+	plan        rowPlan
+	unitCurrent float64
+}
+
+func newFoldTwins(cfg Config) foldTwins {
+	tw := foldTwins{g: NewPLCG(cfg)}
+	for _, u := range tw.g.units {
+		tw.ref = append(tw.ref, newRefPLCU(u.cfg))
+		qcfg := u.cfg
+		qcfg.DisableNoise = true
+		tw.quiet = append(tw.quiet, newRefPLCU(qcfg))
+	}
+	tw.plan = newRowPlan(cfg)
+	tw.unitCurrent = tw.g.units[0].UnitCurrent()
+	return tw
+}
+
+func (tw foldTwins) inject(u int, f Fault) {
+	tw.g.units[u].InjectFault(f)
+	tw.ref[u].faults = append(tw.ref[u].faults, f)
+	tw.quiet[u].faults = append(tw.quiet[u].faults, f)
+}
+
+// run drives n cycles over random slot counts (tail channel groups),
+// live widths, weight codes (fault-effective, so StuckMZM applies) and
+// raw rows, and returns the worst pre-ADC difference in ulps of the
+// column magnitude and a description of the first violation, or "".
+func (tw foldTwins) run(rng *rand.Rand, n int) (float64, string) {
+	cfg := tw.g.cfg
+	nm, nd := cfg.Nm, cfg.Nd
+	qw := make([][]float64, cfg.Nu)
+	raw := make([][][]float64, cfg.Nu)
+	sets := make([][]float64, cfg.Nu)
+	for i := range raw {
+		qw[i] = make([]float64, nm)
+		sets[i] = make([]float64, nm*nd)
+		raw[i] = make([][]float64, nm)
+		for t := range raw[i] {
+			raw[i][t] = make([]float64, nd)
+		}
+	}
+	got, want := make([]float64, nd), make([]float64, nd)
+	cur, quiet := make([]float64, nd), make([]float64, nd)
+	sum, mag := make([]float64, nd), make([]float64, nd)
+	worst := 0.0
+	for c := 0; c < n; c++ {
+		nu, live := 1+rng.Intn(cfg.Nu), 1+rng.Intn(nd)
+		for i := 0; i < nu; i++ {
+			unit := tw.g.units[tw.g.avail[i]]
+			for t := 0; t < nm; t++ {
+				qw[i][t] = unit.effectiveWeight(t, randomCode(rng))
+				randomRow(rng, raw[i][t])
+				foldRow(sets[i][t*nd:(t+1)*nd], raw[i][t], 1, tw.plan.tapCoef(t))
+			}
+		}
+		tw.g.stepPrequantized(got, qw[:nu], sets[:nu], live)
+		analog := tw.g.sumBuf[:live]
+
+		clear(sum)
+		clear(mag)
+		for i := 0; i < nu; i++ {
+			u := tw.g.avail[i]
+			tw.ref[u].cycles++
+			tw.quiet[u].cycles++
+			tw.ref[u].accumulate(cur, qw[i], raw[i])
+			tw.quiet[u].accumulate(quiet, qw[i], raw[i])
+			for d := 0; d < live; d++ {
+				sum[d] += cur[d]
+				mag[d] += math.Abs(cur[d] - quiet[d])
+				for t, w := range qw[i] {
+					if w != 0 { // accumulate skips zero codes
+						mag[d] += math.Abs(w) * math.Abs(sets[i][t*nd+d]) * tw.unitCurrent
+					}
+				}
+			}
+		}
+		tw.g.aggregate(want[:live], sum[:live], nu)
+		for d := 0; d < live; d++ {
+			if math.IsNaN(sum[d]) || math.IsNaN(analog[d]) {
+				if !math.IsNaN(sum[d]) || !math.IsNaN(analog[d]) || !math.IsNaN(got[d]) || !math.IsNaN(want[d]) {
+					return worst, fmt.Sprintf("cycle %d column %d: NaN mismatch: analog %g, reference %g", c, d, analog[d], sum[d])
+				}
+				continue
+			}
+			ulp := math.Nextafter(mag[d], math.Inf(1)) - mag[d]
+			diff := math.Abs(analog[d]-sum[d]) / ulp
+			worst = math.Max(worst, diff)
+			if !(diff <= 8) {
+				return worst, fmt.Sprintf("cycle %d column %d: analog sum %g, reference %g: %.1f ulp of %g",
+					c, d, analog[d], sum[d], diff, mag[d])
+			}
+			if math.Float64bits(got[d]) != math.Float64bits(want[d]) {
+				return worst, fmt.Sprintf("cycle %d column %d: ADC code %g, reference %g", c, d, got[d], want[d])
+			}
+		}
+	}
+	return worst, ""
 }

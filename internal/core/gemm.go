@@ -67,7 +67,7 @@ func (c *Chip) viewFor(key viewKey, m, z int) *tensor.Kernels {
 		}
 		c.views[key] = v
 	}
-	key.load(v)
+	c.tapOffs = key.load(v, c.tapOffs)
 	return v
 }
 
@@ -76,29 +76,28 @@ func (c *Chip) bviewFor(b *tensor.Matrix) *tensor.Kernels {
 	return c.viewFor(viewKey{b: b}, b.C, b.R)
 }
 
-// load writes the view of key's source into v.
-func (key viewKey) load(v *tensor.Kernels) {
+// load writes the view of key's source into v. A live-tap view
+// computes its tap offsets once into offs, the chip's reused scratch,
+// which it returns, and copies only those taps of every channel.
+func (key viewKey) load(v *tensor.Kernels, offs []int) []int {
 	if b := key.b; b != nil {
 		for z := 0; z < b.R; z++ {
 			for n, x := range b.Data[z*b.C : (z+1)*b.C] {
 				v.Data[n*b.R+z] = x
 			}
 		}
-		return
+		return offs
 	}
-	w, i := key.w, 0
-	for m := 0; m < w.M; m++ {
-		for z := 0; z < w.Z; z++ {
-			for ky := 0; ky < w.Y; ky++ {
-				for kx := 0; kx < w.X; kx++ {
-					if key.taps.live(ky, kx) {
-						v.Data[i] = w.At(m, z, ky, kx)
-						i++
-					}
-				}
-			}
+	w := key.w
+	offs = key.taps.offsets(offs[:0], w.X)
+	n, l := w.Y*w.X, len(offs)
+	for ch := 0; ch < w.M*w.Z; ch++ {
+		src, dst := w.Data[ch*n:(ch+1)*n], v.Data[ch*l:(ch+1)*l]
+		for i, o := range offs {
+			dst[i] = src[o]
 		}
 	}
+	return offs
 }
 
 // growVolume resizes a chip-owned scratch volume in place, growing the
@@ -153,6 +152,7 @@ func (c *Chip) GEMM(a, b *tensor.Matrix, relu bool) *tensor.Matrix {
 // to its owned output columns (GEMMShard).
 func (c *Chip) gemmPass(qa *tensor.Volume, pr *weightProgram, sp *obs.Span, dst []float64, npix int, outScale float64, subtract bool, shard ShardSpec) {
 	c.plan.block(qa.Data, qa.Z, npix, pr.slotsPer)
+	c.fillPlan(pr.slotsPer, (*blockFill)(&c.plan))
 	c.block = blockLayer{c: c, pr: pr, dst: dst, npix: npix, outScale: outScale, subtract: subtract}
 	c.forEachKernel(sp, pr.m, shard, &c.block)
 }

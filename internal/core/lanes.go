@@ -84,13 +84,11 @@ func (j *laneJob) run() {
 }
 
 // forEachKernel runs body.kernel(m) for every kernel m < n the shard
-// owns. With instruments attached, a sequential pre-pass in kernel
-// order first does the remap accounting and emits the tile events,
-// so the trace is the same whatever the lane count; the bodies
-// themselves use activeGroup and emit no events. With one lane (one
-// usable core, one active group, or one kernel) the loop is plain
-// and sequential; otherwise idle helpers are offered the job with
-// non-blocking sends and the caller runs a lane itself.
+// owns, one lane per active-group position (see fanOut). With
+// instruments attached, a sequential pre-pass in kernel order first
+// does the remap accounting and emits the tile events, so the trace is
+// the same whatever the lane count; the bodies themselves use
+// activeGroup and emit no events.
 //
 // hot: layer dispatch; runs once per layer and must not allocate.
 func (c *Chip) forEachKernel(sp *obs.Span, n int, shard ShardSpec, body kernelBody) {
@@ -101,7 +99,31 @@ func (c *Chip) forEachKernel(sp *obs.Span, n int, shard ShardSpec, body kernelBo
 			}
 		}
 	}
-	width := len(c.active)
+	c.fanOut(len(c.active), n, shard, body)
+	// The bodies reference the layer's tensors; drop them so a chip
+	// does not keep its last output alive.
+	c.conv, c.block = convLayer{}, blockLayer{}
+}
+
+// fillPlan runs a row-plan fill body (receptiveFill or blockFill) for
+// every index < n before a layer's kernels fan out. Each index fills
+// its own sets, so the fills spread over every lane and give the same
+// bits in any order.
+//
+// hot: layer dispatch; runs once per layer and must not allocate.
+func (c *Chip) fillPlan(n int, body kernelBody) {
+	c.fanOut(n, n, ShardSpec{}, body)
+}
+
+// fanOut runs body.kernel(m) for every m < n the shard owns, with lane
+// positions 0..width-1: one lane runs all of a position's indices
+// m = pos, pos+width, ... in ascending order. With one lane (one
+// usable core, one position, or one index) the loop is plain and
+// sequential; otherwise idle helpers are offered the job with
+// non-blocking sends and the caller runs a lane itself.
+//
+// hot: layer dispatch; must not allocate.
+func (c *Chip) fanOut(width, n int, shard ShardSpec, body kernelBody) {
 	lanes := min(runtime.GOMAXPROCS(0), laneHelpers+1, width, n)
 	if lanes <= 1 {
 		for m := 0; m < n; m++ {
@@ -109,27 +131,24 @@ func (c *Chip) forEachKernel(sp *obs.Span, n int, shard ShardSpec, body kernelBo
 				body.kernel(m)
 			}
 		}
-	} else {
-		j := &c.lanes
-		j.width, j.n, j.shard, j.body = width, n, shard, body
-		j.next.Store(0)
-		for i := 1; i < lanes; i++ {
-			j.wg.Add(1)
-			select {
-			case laneOffers <- j:
-				continue
-			default:
-			}
-			// Every helper is busy (with another chip's layer): the
-			// lanes already running take the remaining positions.
-			j.wg.Done()
-			break
-		}
-		j.run()
-		j.wg.Wait()
-		j.body = nil
+		return
 	}
-	// The bodies reference the layer's tensors; drop them so a chip
-	// does not keep its last output alive.
-	c.conv, c.block = convLayer{}, blockLayer{}
+	j := &c.lanes
+	j.width, j.n, j.shard, j.body = width, n, shard, body
+	j.next.Store(0)
+	for i := 1; i < lanes; i++ {
+		j.wg.Add(1)
+		select {
+		case laneOffers <- j:
+			continue
+		default:
+		}
+		// Every helper is busy (with another chip's layer): the
+		// lanes already running take the remaining positions.
+		j.wg.Done()
+		break
+	}
+	j.run()
+	j.wg.Wait()
+	j.body = nil
 }

@@ -28,6 +28,18 @@ func (t liveTaps) count() int { return bits.OnesCount64(t.y) * bits.OnesCount64(
 // live reports whether tap (ky, kx) is live.
 func (t liveTaps) live(ky, kx int) bool { return t.y>>ky&1 == 1 && t.x>>kx&1 == 1 }
 
+// offsets appends to dst the offsets ky*width+kx of the live taps of a
+// kernel width columns wide, in row-major order.
+func (t liveTaps) offsets(dst []int, width int) []int {
+	for ys := t.y; ys != 0; ys &= ys - 1 {
+		ky := bits.TrailingZeros64(ys)
+		for xs := t.x; xs != 0; xs &= xs - 1 {
+			dst = append(dst, ky*width+bits.TrailingZeros64(xs))
+		}
+	}
+	return dst
+}
+
 // axisLive returns the live taps of one kernel axis of k taps sliding
 // over n inputs at the given stride and pad. Tap t of output o reads
 // input o*stride+t-pad; the first output to clear the leading pad is

@@ -10,8 +10,9 @@ import (
 
 // refGather keeps the per-kernel row gathers the row plan replaced,
 // verbatim: the receptive-field window, the block layout's full-tile
-// view and tail-tile copy, and FC's one-element row. Every planned row
-// must match them bit for bit.
+// view and tail-tile copy, and FC's one-element row. Every planned set
+// must equal them folded (foldRow with the chip's crosstalk table) bit
+// for bit.
 type refGather struct {
 	avals [][][]float64
 	stage [][][]float64
@@ -93,22 +94,21 @@ func (sc *refGather) fc(u int, qa *tensor.Volume, b, nm int, zero []float64) {
 	}
 }
 
-// checkSet compares one planned row set with its reference rows: every
-// bit equal, and a row is the shared zero row iff its reference is all
-// zero.
-func checkSet(t *testing.T, c *Chip, what string, got, want [][]float64) {
+// checkSet compares one planned flat set with its reference raw rows
+// folded tap by tap, every bit equal.
+func checkSet(t *testing.T, c *Chip, what string, got []float64, raw [][]float64) {
 	t.Helper()
-	for r := range want {
-		if len(got[r]) != len(want[r]) {
-			t.Fatalf("%s row %d: %d columns, want %d", what, r, len(got[r]), len(want[r]))
-		}
-		for d, v := range want[r] {
-			if math.Float64bits(got[r][d]) != math.Float64bits(v) {
-				t.Fatalf("%s row %d column %d: %g, want %g", what, r, d, got[r][d], v)
+	nd := c.cfg.Nd
+	if len(got) != len(raw)*nd {
+		t.Fatalf("%s: %d activations, want %d rows of %d", what, len(got), len(raw), nd)
+	}
+	want := make([]float64, nd)
+	for r, row := range raw {
+		foldRow(want, row, 1, c.plan.tapCoef(r))
+		for d, v := range want {
+			if g := got[r*nd+d]; math.Float64bits(g) != math.Float64bits(v) {
+				t.Fatalf("%s row %d column %d: %g, want %g", what, r, d, g, v)
 			}
-		}
-		if shared := &got[r][0] == &c.plan.zero[0]; shared != allZero(want[r]) {
-			t.Fatalf("%s row %d: shared zero row %v, reference all zero %v", what, r, shared, allZero(want[r]))
 		}
 	}
 }
@@ -127,14 +127,23 @@ func planInput(z, y, x int, seed int64) *tensor.Volume {
 }
 
 // TestRowPlanMatchesGathers runs every mapping on the lane path and
-// checks the row plan it leaves behind against the verbatim per-kernel
-// gathers, over the chip's pre-quantized input: dense conv at stride 1
-// and 2, pad 0 and 1, 3x3 and 5x5 (two tap chunks); depthwise at
-// stride 1 and 2; pointwise with full and tail tiles; FC; and both
-// GEMM passes.
+// checks the flat sets it leaves behind against the verbatim
+// per-kernel gathers followed by the fold, over the chip's
+// pre-quantized input: dense conv at stride 1 and 2, pad 0 and 1, 3x3
+// and 5x5 (two tap chunks); depthwise at stride 1 and 2; pointwise
+// with full and tail tiles; FC; and both GEMM passes. The crosstalk-
+// free chip's sets must be the raw gathers themselves.
 func TestRowPlanMatchesGathers(t *testing.T) {
-	cfg := DefaultConfig()
+	for _, xtalk := range []bool{true, false} {
+		cfg := DefaultConfig()
+		cfg.DisableCrosstalk = !xtalk
+		t.Run(fmt.Sprintf("crosstalk=%v", xtalk), func(t *testing.T) { checkRowPlan(t, cfg) })
+	}
+}
+
+func checkRowPlan(t *testing.T, cfg Config) {
 	nm, nd := cfg.Nm, cfg.Nd
+	zero := make([]float64, nd)
 	receptive := func(name string, a *tensor.Volume, w *tensor.Kernels, cc tensor.ConvConfig) {
 		c := NewChip(cfg)
 		out := manyLanes(func() *tensor.Volume { return c.Conv(a, w, cc, true) })
@@ -145,7 +154,7 @@ func TestRowPlanMatchesGathers(t *testing.T) {
 			for tx := 0; tx*nd < out.X; tx++ {
 				for z := 0; z < a.Z; z++ {
 					for ci := range chunks {
-						ref.window(0, &c.qaVol, z, oy, tx*nd, stride, &chunks[ci], c.plan.zero)
+						ref.window(0, &c.qaVol, z, oy, tx*nd, stride, &chunks[ci], zero)
 						what := fmt.Sprintf("%s oy=%d tx=%d z=%d chunk=%d", name, oy, tx, z, ci)
 						checkSet(t, c, what, c.plan.set(oy*c.plan.tilesX+tx, z*len(chunks)+ci), ref.avals[0])
 					}
@@ -172,7 +181,7 @@ func TestRowPlanMatchesGathers(t *testing.T) {
 		ref := newRefGather(cfg)
 		for p0 := 0; p0 < npix; p0 += nd {
 			for b := 0; b < slotsPer; b++ {
-				ref.block(0, &c.qaVol, npix, p0, b, min(nd, npix-p0), nm, nd, c.plan.zero)
+				ref.block(0, &c.qaVol, npix, p0, b, min(nd, npix-p0), nm, nd, zero)
 				checkSet(t, c, fmt.Sprintf("%s p0=%d block=%d", name, p0, b), c.plan.set(p0/nd, b), ref.avals[0])
 			}
 		}
@@ -185,12 +194,15 @@ func TestRowPlanMatchesGathers(t *testing.T) {
 		blockLayout(fmt.Sprintf("pointwise-%dpx", hw*hw), c, hw*hw, (20+nm-1)/nm)
 	}
 
+	// FC runs after a pointwise layer on the same chip, whose 4-pixel
+	// tail tiles leave raw activations behind in the plan's scratch row.
 	fcA := planInput(4, 5, 5, 831)
 	c := NewChip(cfg)
+	c.Pointwise(planInput(20, 7, 7, 833), tensor.RandomKernels(3, 20, 1, 1, 834), true)
 	manyLanes(func() []float64 { return c.FullyConnected(fcA, tensor.RandomKernels(6, 4, 5, 5, 832), true) })
 	ref := newRefGather(cfg)
 	for b := 0; b < (100+nm-1)/nm; b++ {
-		ref.fc(0, &c.qaVol, b, nm, c.plan.zero)
+		ref.fc(0, &c.qaVol, b, nm, zero)
 		checkSet(t, c, fmt.Sprintf("fc block=%d", b), c.plan.set(0, b), ref.avals[0])
 	}
 

@@ -91,18 +91,18 @@ func (g *PLCG) restoreAll() {
 }
 
 // stepPrequantized performs one cycle on compiled weight-program
-// slots and pre-quantized activation rows: healthy PLCU slot i drives
-// qw[i] against qa[i] (shapes as in PLCU.Currents), the per-column
-// currents are summed across units in the analog domain, digitized by
-// the shared ADC, and written to dst in the value domain (units of
-// full-scale products). Fewer than Capacity slots are allowed for tail
-// channel groups; missing units idle, and quarantined units are never
-// driven. Only the first live columns are summed, digitized and
-// returned; every unit still draws all Nd noise samples, so the live
-// columns are bit-identical to a full-width cycle.
+// slots and folded activation sets: healthy PLCU slot i drives qw[i]
+// against the flat set qa[i] (see PLCU.currentsPrequantized), the
+// per-column currents are summed across units in the analog domain,
+// digitized by the shared ADC, and written to dst in the value domain
+// (units of full-scale products). Fewer than Capacity slots are
+// allowed for tail channel groups; missing units idle, and quarantined
+// units are never driven. Only the first live columns are summed,
+// digitized and returned; every unit still draws all Nd noise samples,
+// so the live columns are bit-identical to a full-width cycle.
 //
 // hot: weight-stationary group inner loop; must not allocate.
-func (g *PLCG) stepPrequantized(dst []float64, qw [][]float64, qa [][][]float64, live int) []float64 {
+func (g *PLCG) stepPrequantized(dst []float64, qw, qa [][]float64, live int) []float64 {
 	if len(qw) > len(g.avail) || len(qw) != len(qa) {
 		panic(fmt.Sprintf("core: step wants <=%d matched channel slots, got %d/%d", //lint:ignore exit-hygiene slot-count shape invariant; caller bug
 			len(g.avail), len(qw), len(qa)))

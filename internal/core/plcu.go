@@ -55,17 +55,12 @@ type PLCU struct {
 	// cycles, which progressive (drifting) faults key off.
 	cycles int64
 	// qwBuf and qaBuf are the unit's scratch arena: the quantized
-	// weight vector and activation matrix CurrentsInto reuses across
-	// cycles instead of allocating per call. qaBuf rows share one
-	// backing array.
-	qwBuf []float64
-	qaBuf [][]float64
+	// weight vector and the flat [tap*Nd+column] activation set
+	// CurrentsInto reuses across cycles instead of allocating per call.
+	qwBuf, qaBuf []float64
 	// pos and neg are accumulate's per-column positive and negative
 	// waveguide sums.
 	pos, neg []float64
-	// zero is the all-zero activation row accumulate skips by identity:
-	// the unit's own, or the chip's shared row for a chip's units.
-	zero []float64
 }
 
 // xtalkKey is the geometry a crosstalk table depends on.
@@ -130,12 +125,6 @@ func NewPLCU(cfg Config) *PLCU {
 	np := noise.DefaultParams()
 	np.Bandwidth = cfg.ModulationRate()
 
-	qaData := make([]float64, cfg.Nm*cfg.Nd)
-	qaBuf := make([][]float64, cfg.Nm)
-	for t := 0; t < cfg.Nm; t++ {
-		qaBuf[t] = qaData[t*cfg.Nd : (t+1)*cfg.Nd : (t+1)*cfg.Nd]
-	}
-
 	return &PLCU{
 		cfg:         cfg,
 		unitCurrent: unitCurrent,
@@ -145,10 +134,9 @@ func NewPLCU(cfg Config) *PLCU {
 		aq:          quant.NewActivation(cfg.DACBits, 1),
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		qwBuf:       make([]float64, cfg.Nm),
-		qaBuf:       qaBuf,
+		qaBuf:       make([]float64, cfg.Nm*cfg.Nd),
 		pos:         make([]float64, cfg.Nd),
 		neg:         make([]float64, cfg.Nd),
-		zero:        make([]float64, cfg.Nd),
 	}
 }
 
@@ -228,56 +216,63 @@ func (p *PLCU) CurrentsInto(dst, weights []float64, avals [][]float64) []float64
 		if len(avals[t]) != cfg.Nd {
 			panic(fmt.Sprintf("core: tap %d wants %d activations, got %d", t, cfg.Nd, len(avals[t]))) //lint:ignore exit-hygiene per-tap activation shape invariant; caller bug
 		}
-		row := p.qaBuf[t]
+		row := p.qaBuf[t*cfg.Nd : (t+1)*cfg.Nd]
 		for d, a := range avals[t] {
 			row[d] = p.aq.Quantize(a)
 		}
 	}
-	return p.accumulate(dst, p.qwBuf, p.qaBuf, cfg.Nd)
+	return p.accumulate(dst, p.qwBuf, p.qaBuf, cfg.Nd, p.coef)
 }
 
 // currentsPrequantized runs one cycle on weights and activations that
 // are already on the DAC grids: qw holds fault-effective quantized
-// weights (a compiled weight-program slot) and qa rows hold quantized
-// activations. Only the first live columns' currents are written (see
-// accumulate). It advances the same cycle counter and draws the same
-// noise samples as Currents, so live outputs are bit-identical to the
-// quantize-on-entry path.
+// weights (a compiled weight-program slot) and qa is a folded set of
+// the chip's row plan, Nm rows of Nd activations back to back with
+// each ring's crosstalk already folded in (see foldRow). Only the
+// first live columns' currents are written (see accumulate). It
+// advances the same cycle counter and draws the same noise samples as
+// Currents.
 //
 // hot: weight-stationary inner loop; must not allocate.
-func (p *PLCU) currentsPrequantized(dst []float64, qw []float64, qa [][]float64, live int) []float64 {
+func (p *PLCU) currentsPrequantized(dst, qw, qa []float64, live int) []float64 {
 	p.cycles++
-	return p.accumulate(dst, qw, qa, live)
+	return p.accumulate(dst, qw, qa, live, nil)
 }
 
 // accumulate is the shared analog datapath: MZM scaling, MRR routing
 // with crosstalk and ring faults, balanced detection, and noise. qw
-// and qa must already be quantized and fault-adjusted.
+// must already be quantized and fault-adjusted; qa holds Nm quantized
+// activation rows of Nd columns back to back.
+//
+// coef is the crosstalk table to apply to qa's rows. The quantize-on-
+// entry path (Currents, the BIST probes) passes the unit's own table
+// and raw rows; the chip passes nil and rows whose crosstalk its row
+// plan already folded in. Each tap's MZM scales every wavelength on
+// its bus by the same |w| (Eq. 2), so a ring's leakage is |w| times a
+// fixed mix of that tap's activations, which depends on the input
+// alone (see DESIGN.md §11, Crosstalk at the broadcast).
 //
 // Taps run on the outside so the Nd columns' accumulations are
-// independent, but each column still sees exactly the per-column
-// operation order of the physical model: taps ascending, the ring's
-// own signal first, then the leakage from the other columns in
+// independent, but each column still sees the per-column operation
+// order of the physical model: taps ascending, the ring's own signal
+// first, then (with a table) the leakage from the other columns in
 // ascending order, then the ring gain. Noise is drawn once per column
 // in column order after all taps.
 //
 // Only columns d < live are computed and written to dst; the caller
 // discards the rest. A dead column still draws its noise sample, so
 // the unit's noise stream advances exactly as at full width, and its
-// activations still leak into the live columns. A tap whose row is
-// the unit's zero row (by identity: the chip's row plan substitutes it
-// for every all-zero row) is skipped: activations, magnitudes,
-// crosstalk coefficients and ring gains are non-negative and finite
-// (InjectFault rejects NaN parameters), so every term an all-zero row
-// would add is ±0 and leaves the sums, which start at +0, unchanged.
-// A NaN weight code is not skipped, so it still poisons the sums.
+// activations still leak into the live columns. Activations,
+// magnitudes, crosstalk coefficients and ring gains are non-negative
+// and finite (InjectFault rejects NaN parameters), so an all-zero row
+// adds only ±0 terms to sums that start at +0 and changes no bit; a
+// NaN weight code still poisons the sums.
 //
 // hot: innermost per-column loop; must not allocate.
-func (p *PLCU) accumulate(dst []float64, qw []float64, qa [][]float64, live int) []float64 {
+func (p *PLCU) accumulate(dst, qw, qa []float64, live int, coef []float64) []float64 {
 	nm, nd := p.cfg.Nm, p.cfg.Nd
-	coef, gains := p.coef, p.gains
+	gains := p.gains
 	pos, neg := p.pos[:live], p.neg[:live]
-	zero := &p.zero[0]
 	for d := range pos {
 		pos[d] = 0
 		neg[d] = 0
@@ -288,16 +283,24 @@ func (p *PLCU) accumulate(dst []float64, qw []float64, qa [][]float64, live int)
 			continue
 		}
 		mag := math.Abs(w)
-		row := qa[t][:nd]
-		if &row[0] == zero && !math.IsNaN(mag) {
-			continue
-		}
+		row := qa[t*nd:][:nd]
 		sum := neg
 		if w > 0 {
 			sum = pos
 		}
 		liveRow := row[:live]
 		sum = sum[:len(liveRow)] // lets the compiler drop the bounds check on sum[d]
+		if coef == nil && gains == nil {
+			// The chip's healthy path: the loop below without its
+			// per-column branches, same bits (a unit gain is exact;
+			// TestAccumulateFastPathMatchesGeneralLoop). Worth 8% of
+			// gemm-zoo latency (DESIGN.md §11, Crosstalk at the
+			// broadcast).
+			for d, a := range liveRow {
+				sum[d] += mag * a
+			}
+			continue
+		}
 		for d, a := range liveRow {
 			// Intended signal: the ring for (t, d) drops its own
 			// wavelength carrying |w| * a.

@@ -17,10 +17,9 @@ type convScratch struct {
 	// weights[u] points at the compiled weight-program slot (or staged
 	// weight vector) driving healthy unit slot u this cycle.
 	weights [][]float64
-	// avals[u] is slot u's row set for this cycle: a set of the chip's
-	// row plan, whose rows view the pre-quantized input, the plan's
-	// staging arena or the shared zero row. Nothing writes through it.
-	avals [][][]float64
+	// avals[u] is slot u's row set for this cycle: a flat folded set
+	// in the chip's row plan stage. Nothing writes through it.
+	avals [][]float64
 }
 
 func newConvScratch(cfg Config) convScratch {
@@ -28,6 +27,6 @@ func newConvScratch(cfg Config) convScratch {
 		acc:     make([]float64, cfg.Nd),
 		part:    make([]float64, cfg.Nd),
 		weights: make([][]float64, cfg.Nu),
-		avals:   make([][][]float64, cfg.Nu),
+		avals:   make([][]float64, cfg.Nu),
 	}
 }

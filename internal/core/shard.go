@@ -235,6 +235,7 @@ func (c *Chip) pointwiseShard(a *tensor.Volume, w *tensor.Kernels, relu bool, sh
 	defer sp.End()
 	if s := aScale * pr.wScale; s != 0 {
 		c.plan.block(qa.Data, qa.Z, a.Y*a.X, pr.slotsPer)
+		c.fillPlan(pr.slotsPer, (*blockFill)(&c.plan))
 		c.block = blockLayer{c: c, pr: pr, dst: out.Data, npix: a.Y * a.X, outScale: s, relu: relu}
 		c.forEachKernel(sp, w.M, shard, &c.block)
 	}
@@ -259,6 +260,7 @@ func (c *Chip) FullyConnectedShard(a *tensor.Volume, w *tensor.Kernels, relu boo
 	defer sp.End()
 	if s := aScale * pr.wScale; s != 0 {
 		c.plan.block(qa.Data, len(qa.Data), 1, pr.slotsPer)
+		c.fillPlan(pr.slotsPer, (*blockFill)(&c.plan))
 		c.block = blockLayer{c: c, pr: pr, dst: out, npix: 1, outScale: s, relu: relu}
 		c.forEachKernel(sp, w.M, shard, &c.block)
 	}
