@@ -300,16 +300,20 @@ func BenchmarkFunctionalAttention(b *testing.B) {
 // BenchmarkFunctionalPLCUStep measures a single PLCU cycle, the basic
 // analog operation (45 MACs).
 func BenchmarkFunctionalPLCUStep(b *testing.B) {
-	plcu := core.NewPLCU(core.DefaultConfig())
-	field := make([][]float64, 3)
-	for i := range field {
-		field[i] = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7}
+	cfg := core.DefaultConfig()
+	plcu := core.NewPLCU(cfg)
+	// The native stride-1 3x3 mapping (Figure 5): tap t of column d
+	// reads field[t/3][t%3+d], and every field row is the same.
+	row := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7}
+	avals := make([][]float64, cfg.Nm)
+	for t := range avals {
+		avals[t] = row[t%3 : t%3+cfg.Nd]
 	}
-	avals := plcu.ReceptiveFieldAVals(field)
 	weights := []float64{0.5, -0.25, 1, 0, 0.75, -1, 0.125, 0.5, -0.5}
+	dst := make([]float64, cfg.Nd)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = plcu.Currents(weights, avals)
+		plcu.CurrentsInto(dst, weights, avals)
 	}
 }
 

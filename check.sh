@@ -8,9 +8,10 @@
 #              alloc proof accepts too
 #   race test  the full suite under the race detector (the Conv
 #              lane bit-identity tests run here)
-#   lanes      the core goldens, lane, shard, row-plan and crosstalk
-#              fold tests at -cpu 1,2,4: the one-lane loop, and more
-#              lanes than the race step's default GOMAXPROCS
+#   lanes      the core goldens, lane, shard, row-plan, crosstalk
+#              fold and activity tests at -cpu 1,2,4: the one-lane
+#              loop, and more lanes than the race step's default
+#              GOMAXPROCS
 #   fuzz       FuzzReplayRequest for 10 s: replay answers any journal
 #              admit payload and shard window with a result or an
 #              error, never a panic
@@ -71,8 +72,8 @@ fi
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> kernel lanes at -cpu 1,2,4 (goldens, lane, shard, row-plan and fold tests)"
-go test -count=1 -cpu 1,2,4 -run 'Golden|Lane|Shard|RowViews|RowPlan|Fold' ./internal/core
+echo "==> kernel lanes at -cpu 1,2,4 (goldens, lane, shard, row-plan, fold and activity tests)"
+go test -count=1 -cpu 1,2,4 -run 'Golden|Lane|Shard|RowViews|RowPlan|Fold|Activity' ./internal/core
 
 echo "==> replay fuzz (FuzzReplayRequest, 10 s)"
 go test -run '^$' -fuzz FuzzReplayRequest -fuzztime 10s ./internal/fleet

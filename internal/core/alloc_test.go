@@ -46,21 +46,6 @@ func TestCurrentsIntoAllocFree(t *testing.T) {
 	}
 }
 
-func TestCurrentsWrapperSingleAlloc(t *testing.T) {
-	// The allocating wrapper exists so callers (tests, BIST probes)
-	// that hold results across calls keep working; it must cost
-	// exactly the documented output slice and nothing else.
-	cfg := DefaultConfig()
-	p := NewPLCU(cfg)
-	weights, avals := hotInputs(cfg)
-	p.Currents(weights, avals)
-	if avg := testing.AllocsPerRun(200, func() {
-		p.Currents(weights, avals)
-	}); avg != 1 {
-		t.Fatalf("Currents allocates %.1f times per cycle, want exactly 1 (the output slice)", avg)
-	}
-}
-
 func TestStepPrequantizedAllocFree(t *testing.T) {
 	cfg := DefaultConfig()
 	g := NewPLCG(cfg)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"albireo/internal/obs"
 	"albireo/internal/quant"
 	"albireo/internal/tensor"
 )
@@ -36,7 +37,7 @@ type Chip struct {
 	// before the kernels fan out (see plan.go).
 	plan rowPlan
 	// progs caches compiled weight programs keyed by kernel-tensor
-	// identity and mapping kind.
+	// identity and layout.
 	progs map[progKey]*weightProgram
 	// schedEpoch advances on every quarantine transition, invalidating
 	// compiled programs whose slot-to-unit assignment it changes.
@@ -53,11 +54,10 @@ type Chip struct {
 	// offset scratch their refill reuses.
 	views   map[viewKey]*tensor.Kernels
 	tapOffs []int
-	// lanes is the kernel dispatcher's job; conv and block are the
-	// per-mapping bodies it runs, refilled per layer (see lanes.go).
+	// lanes is the kernel dispatcher's job and layer the per-kernel
+	// body it runs, refilled per layer (see lanes.go).
 	lanes laneJob
-	conv  convLayer
-	block blockLayer
+	layer layer
 }
 
 // NewChip builds a functional chip.
@@ -88,61 +88,12 @@ func (c *Chip) Config() Config { return c.cfg }
 // Groups exposes the PLCGs (read-only use).
 func (c *Chip) Groups() []*PLCG { return c.groups }
 
-// tapChunk is one pass worth of kernel taps: at most Nm positions.
-type tapChunk struct {
-	ky, kx []int
-}
-
-// tapChunks splits a KY x KX kernel footprint into row-major chunks of
-// at most Nm taps, the "additional cycles" a kernel larger than the
-// PLCU requires (Section III-A).
-func (c *Chip) tapChunks(ky, kx int) []tapChunk {
-	var chunks []tapChunk
-	cur := tapChunk{}
-	for y := 0; y < ky; y++ {
-		for x := 0; x < kx; x++ {
-			cur.ky = append(cur.ky, y)
-			cur.kx = append(cur.kx, x)
-			if len(cur.ky) == c.cfg.Nm {
-				chunks = append(chunks, cur)
-				cur = tapChunk{}
-			}
-		}
-	}
-	if len(cur.ky) > 0 {
-		chunks = append(chunks, cur)
-	}
-	return chunks
-}
-
-// prequantizeInput validates, normalizes, and DAC-quantizes the whole
-// activation volume into the chip's scratch volume, returning it and
-// the normalization scale. Negative activations are invalid: Albireo
-// encodes activations as optical power (Section II-B), so inputs must
-// be non-negative (post-ReLU, or pre-shifted images). Doing the
-// quantization once per layer instead of once per cycle is
-// bit-identical - quantization is a pure pointwise function - and
-// removes it from the hot path entirely. A zero scale means an
-// all-zero input; the scratch contents are unused in that case
-// because callers early-return on a zero output scale.
-func (c *Chip) prequantizeInput(a *tensor.Volume) (*tensor.Volume, float64) {
-	return c.prequantizePadded(a, 0, a.Y, a.X)
-}
-
-// prequantizePadded is prequantizeInput into a zero-padded layout:
-// each channel becomes a ph x pw plane holding the input at row and
-// column offset pad, zero elsewhere - the values tensor.AtPadded reads
-// - so receptive-field windows read it without bounds checks.
-func (c *Chip) prequantizePadded(a *tensor.Volume, pad, ph, pw int) (*tensor.Volume, float64) {
-	scale := c.padInput(a, ph, pw)
-	for z := 0; z < a.Z && scale != 0; z++ {
-		c.quantizePlane(a, z, pad, scale)
-	}
-	return &c.qaVol, scale
-}
-
 // padInput validates the activations, sizes the chip's scratch volume
-// for ph x pw planes, and returns the normalization scale.
+// for ph x pw planes, and returns the normalization scale. Negative
+// activations are invalid: Albireo encodes activations as optical
+// power (Section II-B), so inputs must be non-negative (post-ReLU, or
+// pre-shifted images). A zero scale means an all-zero input; the
+// scratch is then unused because run returns on a zero output scale.
 func (c *Chip) padInput(a *tensor.Volume, ph, pw int) float64 {
 	for _, v := range a.Data {
 		if v < 0 {
@@ -153,9 +104,15 @@ func (c *Chip) padInput(a *tensor.Volume, ph, pw int) float64 {
 	return a.MaxAbs()
 }
 
-// quantizePlane fills channel z's plane of the scratch volume (see
-// prequantizePadded). Planes are disjoint, so depthwise kernels
-// quantize their own channel on their lane.
+// quantizePlane normalizes and DAC-quantizes channel z of a into its
+// plane of the scratch volume: a ph x pw plane holding the input at
+// row and column offset pad, zero elsewhere - the values
+// tensor.AtPadded reads - so receptive-field windows read it without
+// bounds checks. Rows past a's data (the ragged last channel of a
+// block layout's view) are zero. Quantizing once per layer instead of
+// once per cycle is bit-identical - quantization is a pure pointwise
+// function - and planes are disjoint, so channels quantize on the
+// lanes.
 //
 // hot: per-channel quantization; must not allocate.
 func (c *Chip) quantizePlane(a *tensor.Volume, z, pad int, scale float64) {
@@ -165,23 +122,26 @@ func (c *Chip) quantizePlane(a *tensor.Volume, z, pad int, scale float64) {
 		clear(plane)
 	}
 	for y := 0; y < a.Y; y++ {
-		src := a.Data[(z*a.Y+y)*a.X:][:a.X]
 		dst := plane[(pad+y)*pw+pad:][:a.X]
-		for x, v := range src {
+		i := (z*a.Y + y) * a.X
+		if i >= len(a.Data) {
+			clear(dst)
+			continue
+		}
+		for x, v := range a.Data[i:][:a.X] {
 			dst[x] = c.aq.Quantize(v / scale)
 		}
 	}
 }
 
-// paddedDims returns the plane extent of a receptive-field layer's
-// padded input (see prequantizePadded): pad rows and columns before
-// the data, and enough after it that every tap of every Nd-wide output
-// tile - dead columns past the row end included - reads inside the
-// plane.
-func paddedDims(a *tensor.Volume, w *tensor.Kernels, pad, stride int, out *tensor.Volume, nd int) (ph, pw int) {
+// paddedDims returns the plane extent of a layer's padded input (see
+// quantizePlane): pad rows and columns before the data, and enough
+// after it that every tap of every Nd-wide output tile - dead columns
+// past the row end included - reads inside the plane.
+func paddedDims(a *tensor.Volume, lay layout, pad, stride int, out *tensor.Volume, nd int) (ph, pw int) {
 	lastTile := (out.X - 1) / nd * nd
-	ph = max(pad+a.Y, (out.Y-1)*stride+w.Y)
-	pw = max(pad+a.X, (lastTile+nd-1)*stride+w.X)
+	ph = max(pad+a.Y, (out.Y-1)*stride+lay.ky)
+	pw = max(pad+a.X, (lastTile+nd-1)*stride+lay.kx)
 	return ph, pw
 }
 
@@ -218,81 +178,111 @@ func convStride(cfg tensor.ConvConfig) int {
 	return cfg.Stride
 }
 
-// receptiveField runs the shard's kernels of a dense (progConv) or
-// depthwise (progDepthwise) layer into the caller's pre-zeroed out
-// volume: the weight program comes from the cache, the activations
-// are pre-quantized once into the padded layout and a dense layer's
-// row plan is filled once, channels spread over the lanes, and then
-// the kernels fan out over the lanes. Each depthwise channel's plane
-// and rows serve exactly one kernel, so the depthwise body quantizes
-// and fills its own channel on its lane.
-func (c *Chip) receptiveField(kind programKind, a *tensor.Volume, w *tensor.Kernels, stride, pad int, relu bool, shard ShardSpec, out *tensor.Volume) {
-	ph, pw := paddedDims(a, w, pad, stride, out, c.cfg.Nd)
-	aScale := c.padInput(a, ph, pw)
-	pr := c.programShard(kind, w, shard)
-	name, body := "conv", kernelBody(&c.conv)
-	if kind == progDepthwise {
-		name, body = "depthwise", (*depthwiseLayer)(&c.conv)
-	}
-	sp := c.ins.beginLayer(name, w.M, w.Z, w.Y, w.X)
-	defer sp.End()
-	if s := aScale * pr.wScale; s != 0 {
-		c.plan.receptive(&c.qaVol, pr.chunks, out, stride)
-		c.conv = convLayer{c: c, a: a, pad: pad, aScale: aScale, pr: pr, out: out, relu: relu, outScale: s}
-		if kind == progConv {
-			c.fillPlan(a.Z, (*receptiveFill)(&c.conv))
-		}
-		c.forEachKernel(sp, w.M, shard, body)
-	}
+// layer is one layer's kernel loop, the one loop every mapping runs
+// (Algorithm 2): each kernel streams every Nd-wide output tile through
+// its owning PLCG, aggregating lay.z channels Nu at a time and
+// lay.chunks tap chunks per channel. Dense conv is the loop as is; a
+// depthwise layer is the loop with one channel per kernel that reads
+// only its own input channel (own); the block layout runs it over an
+// Nm-row view (see Chip.blockLayer). The chip owns one and refills it
+// per layer.
+type layer struct {
+	c *Chip
+	// a is the input and out the output volume; the block layout's
+	// are headers over the caller's data.
+	a, out tensor.Volume
+	w      *tensor.Kernels
+	lay    layout
+	// stride and pad are the layer geometry on a's plane.
+	stride, pad int
+	// relu clamps at write-back; subtract makes write-back subtract
+	// instead of assign (a GEMM negative pass: the digital aggregation
+	// unit's A = A+ - A- combine).
+	relu, subtract bool
+	// own marks a depthwise layer: kernel m reads only channel m, so it
+	// quantizes and fills that channel's plane and sets on its own lane
+	// (no other kernel reads them).
+	own bool
+	// pr is w's compiled program, which run looks up unless it is set
+	// (a GEMM's second pass reuses the first's); aScale and outScale
+	// are set by run.
+	pr               *weightProgram
+	aScale, outScale float64
 }
 
-// convLayer is the per-kernel body of a receptive-field layer: the
-// input and its padding and scale (which depthwise kernels quantize),
-// the compiled weights and the output volume every kernel shares; the
-// rows come from the chip's plan. The chip owns one and refills it per
-// layer.
-type convLayer struct {
-	c        *Chip
-	a        *tensor.Volume
-	pad      int
-	aScale   float64
-	pr       *weightProgram
-	out      *tensor.Volume
-	relu     bool
-	outScale float64
+// run executes l's kernels the shard owns into l.out, which the caller
+// pre-zeroed: the input is validated and its scale taken on this lane,
+// the weight program comes from the cache, then - unless the layer is
+// depthwise - the channels are quantized into the padded layout and
+// the row plan filled once, spread over the lanes, and the kernels fan
+// out over the lanes. An all-zero input or kernel bank leaves out
+// zero and runs no cycle (a GEMM's empty negative pass). It returns l
+// with its program and scales.
+func (c *Chip) run(sp *obs.Span, l layer, shard ShardSpec) layer {
+	ph, pw := paddedDims(&l.a, l.lay, l.pad, l.stride, &l.out, c.cfg.Nd)
+	if l.aScale = c.padInput(&l.a, ph, pw); l.aScale == 0 {
+		return l
+	}
+	if l.pr == nil {
+		l.pr = c.programShard(l.w, l.lay, shard)
+	}
+	if l.outScale = l.aScale * l.pr.wScale; l.outScale == 0 {
+		return l
+	}
+	l.c = c
+	c.plan.receptive(&c.qaVol, l.lay, &l.out, l.stride)
+	c.layer = l
+	if !l.own {
+		c.fillPlan(l.a.Z, (*receptiveFill)(&c.layer))
+	}
+	c.forEachKernel(sp, l.w.M, shard, &c.layer)
+	// The body references the layer's tensors; drop them so a chip
+	// does not keep its last input and output alive.
+	c.layer = layer{}
+	return l
 }
 
-// kernel streams every output tile of dense-conv kernel m through its
-// owning PLCG: weights come from the compiled program, activation rows
-// from the plan, and partial sums accumulate across channel groups and
-// tap chunks. Only a tile's live columns - those inside the output row
-// - are computed. Only the lane that owns m's group position runs it,
-// so the group scratch needs no locking.
+// kernel streams every output tile of kernel m through its owning
+// PLCG: weights come from the compiled program, activation rows from
+// the plan, and partial sums accumulate across channel groups and tap
+// chunks. Only a tile's live columns - those inside the output row -
+// are computed. Only the lane that owns m's group position runs it,
+// so the group scratch needs no locking. A depthwise kernel first
+// quantizes its own channel, and fills that channel's sets one output
+// row at a time.
 //
 // hot: steady-state layer loop; per-tile work must not allocate.
-func (l *convLayer) kernel(m int) {
+func (l *layer) kernel(m int) {
 	c, pr := l.c, l.pr
 	gi := c.activeGroup(m)
 	g := c.groups[gi]
 	nug := g.Capacity()
 	sc := &g.conv
 	plan := &c.plan
-	nd := c.cfg.Nd
-	nchunks := len(pr.chunks)
+	nd, zDim, nchunks := c.cfg.Nd, l.lay.z, pr.nchunks
+	// key0 is the plan key of the kernel's first channel.
+	key0 := 0
+	if l.own {
+		c.quantizePlane(&l.a, m, l.pad, l.aScale)
+		key0 = m * nchunks
+	}
 	for oy := 0; oy < l.out.Y; oy++ {
+		if l.own {
+			plan.fillRow(m, oy)
+		}
 		for ox0 := 0; ox0 < l.out.X; ox0 += nd {
 			tile := oy*plan.tilesX + ox0/nd
 			acc := sc.acc[:min(nd, l.out.X-ox0)]
 			for d := range acc {
 				acc[d] = 0
 			}
-			for z0 := 0; z0 < pr.zDim; z0 += nug {
-				nu := min(nug, pr.zDim-z0)
+			for z0 := 0; z0 < zDim; z0 += nug {
+				nu := min(nug, zDim-z0)
 				for ci := 0; ci < nchunks; ci++ {
 					for u := 0; u < nu; u++ {
 						s := (z0+u)*nchunks + ci
 						sc.weights[u] = pr.slot(m, s)
-						sc.avals[u] = plan.set(tile, s)
+						sc.avals[u] = plan.set(tile, key0+s)
 					}
 					part := g.stepPrequantized(sc.part, sc.weights[:nu], sc.avals[:nu], len(acc))
 					if c.ins != nil {
@@ -309,59 +299,21 @@ func (l *convLayer) kernel(m int) {
 }
 
 // writeTile scales one accumulator tile of live columns into output
-// plane m, applying the ReLU.
+// plane m: assigned with the ReLU applied, or subtracted on a GEMM
+// negative pass.
 //
 // hot: per-tile write-back; must not allocate.
-func (l *convLayer) writeTile(acc []float64, m, oy, ox0 int) {
-	for d := range acc {
-		v := acc[d] * l.outScale
-		if l.relu && v < 0 {
-			v = 0
-		}
-		l.out.Set(m, oy, ox0+d, v)
-	}
-}
-
-// depthwiseLayer is convLayer's depthwise body: one single-channel
-// kernel per input channel, no cross-channel aggregation (Section
-// III-C: "aggregation is not performed across channels for depthwise
-// kernels").
-type depthwiseLayer convLayer
-
-// kernel quantizes channel z, then streams every output tile of it
-// through the first healthy unit of its owning PLCG, filling the
-// tile's rows of the plan first.
-//
-// hot: steady-state layer loop; per-tile work must not allocate.
-func (l *depthwiseLayer) kernel(z int) {
-	c, pr := l.c, l.pr
-	gi := c.activeGroup(z)
-	g := c.groups[gi]
-	sc := &g.conv
-	plan := &c.plan
-	c.quantizePlane(l.a, z, l.pad, l.aScale)
-	nd := c.cfg.Nd
-	nchunks := len(pr.chunks)
-	for oy := 0; oy < l.out.Y; oy++ {
-		for ox0 := 0; ox0 < l.out.X; ox0 += nd {
-			tile := oy*plan.tilesX + ox0/nd
-			plan.fillTile(z, oy, ox0/nd)
-			acc := sc.acc[:min(nd, l.out.X-ox0)]
-			for d := range acc {
-				acc[d] = 0
-			}
-			for ci := range pr.chunks {
-				sc.weights[0] = pr.slot(z, ci)
-				sc.avals[0] = plan.set(tile, z*nchunks+ci)
-				part := g.stepPrequantized(sc.part, sc.weights[:1], sc.avals[:1], len(acc))
-				if c.ins != nil {
-					c.ins.step(gi, 1)
-				}
-				for d := range acc {
-					acc[d] += part[d]
-				}
-			}
-			(*convLayer)(l).writeTile(acc, z, oy, ox0)
+func (l *layer) writeTile(acc []float64, m, oy, ox0 int) {
+	o := l.out.Data[(m*l.out.Y+oy)*l.out.X+ox0:][:len(acc)]
+	for d, a := range acc {
+		v := a * l.outScale
+		switch {
+		case l.subtract:
+			o[d] -= v
+		case l.relu && v < 0:
+			o[d] = 0
+		default:
+			o[d] = v
 		}
 	}
 }
@@ -401,15 +353,20 @@ func (c *Chip) groupedConv(a *tensor.Volume, w *tensor.Kernels, cfg tensor.ConvC
 	return out
 }
 
-// depthwiseConv applies one single-channel kernel per input channel
-// (see depthwiseLayer).
+// depthwiseConv applies one single-channel kernel per input channel,
+// with no cross-channel aggregation (Section III-C: "aggregation is
+// not performed across channels for depthwise kernels"): the layer
+// loop with one channel per kernel, which reads its own input channel
+// through the group's first healthy unit.
 func (c *Chip) depthwiseConv(a *tensor.Volume, w *tensor.Kernels, cfg tensor.ConvConfig, relu bool) *tensor.Volume {
 	if w.M != a.Z || w.Z != 1 {
 		panic("core: depthwise wants one depth-1 kernel per input channel") //lint:ignore exit-hygiene depthwise kernel shape invariant; caller bug
 	}
 	stride := convStride(cfg)
 	out := tensor.NewVolume(a.Z, tensor.ConvOutputDim(a.Y, w.Y, cfg.Pad, stride), tensor.ConvOutputDim(a.X, w.X, cfg.Pad, stride))
-	c.receptiveField(progDepthwise, a, w, stride, cfg.Pad, relu, ShardSpec{}, out)
+	sp := c.ins.beginLayer("depthwise", w.M, w.Z, w.Y, w.X)
+	defer sp.End()
+	c.run(sp, layer{a: *a, out: *out, w: w, lay: layout{1, w.Y, w.X}, stride: stride, pad: cfg.Pad, relu: relu, own: true}, ShardSpec{})
 	return out
 }
 
@@ -422,7 +379,9 @@ func (c *Chip) Pointwise(a *tensor.Volume, w *tensor.Kernels, relu bool) *tensor
 		panic("core: pointwise wants 1x1 kernels of full depth") //lint:ignore exit-hygiene pointwise kernel shape invariant; caller bug
 	}
 	out := tensor.NewVolume(w.M, a.Y, a.X)
-	c.pointwiseShard(a, w, relu, ShardSpec{}, out)
+	sp := c.ins.beginLayer("pointwise", w.M, w.Z, w.Y, w.X)
+	defer sp.End()
+	c.blockLayer(sp, a.Data, a.Y*a.X, w, relu, ShardSpec{}, out.Data)
 	return out
 }
 

@@ -88,13 +88,13 @@ func TestChipConvLargeKernelChunks(t *testing.T) {
 	// A 5x5 kernel does not fit the 9 MZMs and needs ceil(25/9) = 3
 	// tap chunks (Section III-A).
 	chip := NewChip(idealConfig())
-	if n := len(chip.tapChunks(5, 5)); n != 3 {
+	if n := (layout{ky: 5, kx: 5}).chunks(chip.cfg.Nm); n != 3 {
 		t.Fatalf("5x5 kernel should need 3 chunks, got %d", n)
 	}
-	if n := len(chip.tapChunks(3, 3)); n != 1 {
+	if n := (layout{ky: 3, kx: 3}).chunks(chip.cfg.Nm); n != 1 {
 		t.Fatalf("3x3 kernel should need 1 chunk, got %d", n)
 	}
-	if n := len(chip.tapChunks(11, 11)); n != 14 {
+	if n := (layout{ky: 11, kx: 11}).chunks(chip.cfg.Nm); n != 14 {
 		t.Fatalf("11x11 kernel should need 14 chunks, got %d", n)
 	}
 	a := tensor.RandomVolume(2, 9, 9, 107)
@@ -226,9 +226,6 @@ func TestChipAccessors(t *testing.T) {
 	if len(g.Units()) != 3 {
 		t.Error("each PLCG should hold 3 PLCUs")
 	}
-	if g.ValueLSB() <= 0 {
-		t.Error("value LSB should be positive")
-	}
 }
 
 func TestPLCGStepTailChannels(t *testing.T) {
@@ -264,29 +261,31 @@ func TestKernelsDoNotWriteRowViews(t *testing.T) {
 	receptive := func(a *tensor.Volume, w *tensor.Kernels, stride, pad int) func(*Chip) {
 		return func(c *Chip) {
 			out := tensor.NewVolume(w.M, tensor.ConvOutputDim(a.Y, w.Y, pad, stride), tensor.ConvOutputDim(a.X, w.X, pad, stride))
-			ph, pw := paddedDims(a, w, pad, stride, out, c.cfg.Nd)
-			qa, _ := c.prequantizePadded(a, pad, ph, pw)
-			c.plan.receptive(qa, c.tapChunks(w.Y, w.X), out, stride)
-			for z := 0; z < qa.Z; z++ {
+			lay := layout{w.Z, w.Y, w.X}
+			ph, pw := paddedDims(a, lay, pad, stride, out, c.cfg.Nd)
+			scale := c.padInput(a, ph, pw)
+			c.plan.receptive(&c.qaVol, lay, out, stride)
+			for z := 0; z < a.Z; z++ {
+				c.quantizePlane(a, z, pad, scale)
 				for oy := 0; oy < out.Y; oy++ {
-					for tx := 0; tx < c.plan.tilesX; tx++ {
-						c.plan.fillTile(z, oy, tx)
-					}
+					c.plan.fillRow(z, oy)
 				}
 			}
 		}
 	}
-	block := func(a *tensor.Volume, fc bool) func(*Chip) {
+	// block views n elements of data as the Nm-row volume of the block
+	// layout, npix pixels per element, and fills it as the layer does.
+	block := func(data []float64, n, npix int) func(*Chip) {
 		return func(c *Chip) {
-			qa, _ := c.prequantizeInput(a)
-			channels, npix := qa.Z, qa.Y*qa.X
-			if fc {
-				channels, npix = len(qa.Data), 1
-			}
-			slots := (channels + c.cfg.Nm - 1) / c.cfg.Nm
-			c.plan.block(qa.Data, channels, npix, slots)
-			for b := 0; b < slots; b++ {
-				c.plan.fillBlock(b)
+			lay := c.cfg.blockView(n)
+			v := &tensor.Volume{Z: lay.z, Y: lay.ky, X: npix, Data: data}
+			out := &tensor.Volume{Z: 1, Y: 1, X: npix}
+			ph, pw := paddedDims(v, lay, 0, 1, out, c.cfg.Nd)
+			scale := c.padInput(v, ph, pw)
+			c.plan.receptive(&c.qaVol, lay, out, 1)
+			for z := 0; z < v.Z; z++ {
+				c.quantizePlane(v, z, 0, scale)
+				c.plan.fillRow(z, 0)
 			}
 		}
 	}
@@ -314,11 +313,11 @@ func TestKernelsDoNotWriteRowViews(t *testing.T) {
 	fcA, fcW := tensor.RandomVolume(4, 5, 5, 731), tensor.RandomKernels(6, 4, 5, 5, 732)
 	mA, mB := tensor.RandomMatrix(11, 14, 741), tensor.RandomMatrix(14, 13, 742)
 	cases = append(cases,
-		mapping{"pointwise", func(c *Chip) { c.Pointwise(pwA, pwW, true) }, block(pwA, false)},
-		mapping{"fc", func(c *Chip) { c.FullyConnected(fcA, fcW, true) }, block(fcA, true)},
+		mapping{"pointwise", func(c *Chip) { c.Pointwise(pwA, pwW, true) }, block(pwA.Data, pwA.Z, pwA.Y*pwA.X)},
+		mapping{"fc", func(c *Chip) { c.FullyConnected(fcA, fcW, true) }, block(fcA.Data, len(fcA.Data), 1)},
 		mapping{"gemm-signed", func(c *Chip) { c.GEMM(mA, mB, false) }, func(c *Chip) {
 			c.stageSigned(mA)
-			block(&c.negVol, false)(c)
+			block(c.negVol.Data, mA.C, mA.R)(c)
 		}},
 	)
 	for _, tc := range cases {

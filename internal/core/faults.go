@@ -65,7 +65,7 @@ func (f Fault) String() string {
 }
 
 // InjectFault adds a defect to the PLCU. Faults apply to every
-// subsequent Currents call until ClearFaults. The fault must be
+// subsequent cycle until ClearFaults. The fault must be
 // physically representable: taps and columns inside the device grid,
 // transfer values inside [0, 1], and drift (DetunedRing only)
 // non-negative.
@@ -97,7 +97,9 @@ func (p *PLCU) InjectFault(f Fault) {
 	p.rebuildRingGains()
 }
 
-// ClearFaults removes all injected defects.
+// ClearFaults removes all injected defects. No production path
+// repairs hardware; it stays for the tests that model a repaired unit
+// (the fleet's re-probe and restore tests).
 func (p *PLCU) ClearFaults() {
 	p.faults = nil
 	p.faultEpoch++
@@ -132,9 +134,6 @@ func (p *PLCU) rebuildRingGains() {
 		}
 	}
 }
-
-// Faults returns the injected defects.
-func (p *PLCU) Faults() []Fault { return p.faults }
 
 // effectiveWeight applies StuckMZM faults to the quantized weight of a
 // tap: the sign routing is set by the programmed weight (the rings are

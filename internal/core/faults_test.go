@@ -15,19 +15,19 @@ func faultFixture(p *PLCU) ([]float64, [][]float64) {
 		field[i] = []float64{1, 1, 1, 1, 1, 1, 1}
 	}
 	weights := []float64{0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5}
-	return weights, p.ReceptiveFieldAVals(field)
+	return weights, fieldAVals(p.cfg, field)
 }
 
 func TestStuckMZMPinsTap(t *testing.T) {
 	t.Parallel()
 	p := NewPLCU(idealConfig())
 	weights, avals := faultFixture(p)
-	healthy := p.Dot(weights, avals)
+	healthy := dot(p, weights, avals)
 
 	// Stick tap 0 at full transmission: every column gains the
 	// difference between 1.0 and 0.5 on that tap.
 	p.InjectFault(Fault{Kind: StuckMZM, Tap: 0, Value: 1.0})
-	faulty := p.Dot(weights, avals)
+	faulty := dot(p, weights, avals)
 	for d := range healthy {
 		want := healthy[d] + 0.5
 		if math.Abs(faulty[d]-want) > 0.05 {
@@ -38,7 +38,7 @@ func TestStuckMZMPinsTap(t *testing.T) {
 	// A stuck-at-zero modulator silences the tap.
 	p.ClearFaults()
 	p.InjectFault(Fault{Kind: StuckMZM, Tap: 0, Value: 0})
-	dark := p.Dot(weights, avals)
+	dark := dot(p, weights, avals)
 	for d := range healthy {
 		want := healthy[d] - 0.5
 		if math.Abs(dark[d]-want) > 0.05 {
@@ -58,7 +58,7 @@ func TestStuckMZMPreservesSignRouting(t *testing.T) {
 		avals[i] = []float64{1, 1, 1, 1, 1}
 	}
 	p.InjectFault(Fault{Kind: StuckMZM, Tap: 0, Value: 1.0})
-	out := p.Dot(weights, avals)
+	out := dot(p, weights, avals)
 	if out[0] > -0.9 {
 		t.Errorf("stuck negative tap should contribute -1.0, got %.3f", out[0])
 	}
@@ -68,10 +68,10 @@ func TestDeadRingKillsOneColumn(t *testing.T) {
 	t.Parallel()
 	p := NewPLCU(idealConfig())
 	weights, avals := faultFixture(p)
-	healthy := p.Dot(weights, avals)
+	healthy := dot(p, weights, avals)
 
 	p.InjectFault(Fault{Kind: DeadRing, Tap: 4, Column: 2})
-	faulty := p.Dot(weights, avals)
+	faulty := dot(p, weights, avals)
 	// Column 2 loses tap 4's contribution (0.5); others unchanged.
 	for d := range healthy {
 		if d == 2 {
@@ -90,10 +90,10 @@ func TestDetunedRingPartialLoss(t *testing.T) {
 	t.Parallel()
 	p := NewPLCU(idealConfig())
 	weights, avals := faultFixture(p)
-	healthy := p.Dot(weights, avals)
+	healthy := dot(p, weights, avals)
 
 	p.InjectFault(Fault{Kind: DetunedRing, Tap: 0, Column: 0, Value: 0.5})
-	faulty := p.Dot(weights, avals)
+	faulty := dot(p, weights, avals)
 	// Column 0 loses half of tap 0's 0.5 contribution.
 	if math.Abs(faulty[0]-(healthy[0]-0.25)) > 0.05 {
 		t.Errorf("detuned ring should drop 0.25, got %.3f vs %.3f", faulty[0], healthy[0])
@@ -107,17 +107,17 @@ func TestDriftingDetunedRingWorsensOverCycles(t *testing.T) {
 	// cycles look dead - the progressive failure BIST sweeps chase.
 	p := NewPLCU(idealConfig())
 	weights, avals := faultFixture(p)
-	healthy := NewPLCU(idealConfig()).Dot(weights, avals)
+	healthy := dot(NewPLCU(idealConfig()), weights, avals)
 
 	p.InjectFault(Fault{Kind: DetunedRing, Tap: 4, Column: 2, Value: 1.0, Drift: 0.01})
-	first := p.Dot(weights, avals) // cycle advances to 1 during this call
+	first := dot(p, weights, avals) // cycle advances to 1 during this call
 	if math.Abs(first[2]-healthy[2]) > 0.06 {
 		t.Errorf("fresh drifting ring should still look healthy: %.3f vs %.3f", first[2], healthy[2])
 	}
 	for p.Cycles() < 100 { // run the residual down to zero
-		p.Dot(weights, avals)
+		dot(p, weights, avals)
 	}
-	late := p.Dot(weights, avals)
+	late := dot(p, weights, avals)
 	if math.Abs(late[2]-(healthy[2]-0.5)) > 0.05 {
 		t.Errorf("fully drifted ring should read dead: got %.3f, healthy %.3f", late[2], healthy[2])
 	}
@@ -132,11 +132,11 @@ func TestFaultAccounting(t *testing.T) {
 	p := NewPLCU(idealConfig())
 	p.InjectFault(Fault{Kind: DeadRing, Tap: 1, Column: 1})
 	p.InjectFault(Fault{Kind: StuckMZM, Tap: 2, Value: 0.7})
-	if len(p.Faults()) != 2 {
+	if len(p.faults) != 2 {
 		t.Error("fault list should accumulate")
 	}
 	p.ClearFaults()
-	if len(p.Faults()) != 0 {
+	if len(p.faults) != 0 {
 		t.Error("ClearFaults should empty the list")
 	}
 	if (Fault{Kind: DeadRing}).String() == "" || FaultKind(99).String() != "unknown" {
@@ -176,7 +176,7 @@ func TestFaultValidation(t *testing.T) {
 	expectPanic("NaN residual", func() { p.InjectFault(Fault{Kind: DetunedRing, Tap: 0, Column: 0, Value: math.NaN()}) })
 	expectPanic("NaN drift", func() { p.InjectFault(Fault{Kind: DetunedRing, Tap: 0, Column: 0, Value: 1, Drift: math.NaN()}) })
 	expectPanic("drift on non-detuned", func() { p.InjectFault(Fault{Kind: DeadRing, Tap: 0, Column: 0, Drift: 0.1}) })
-	if len(p.Faults()) != 0 {
+	if len(p.faults) != 0 {
 		t.Error("rejected faults must not be recorded")
 	}
 }

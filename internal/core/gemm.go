@@ -1,9 +1,6 @@
 package core
 
-import (
-	"albireo/internal/obs"
-	"albireo/internal/tensor"
-)
+import "albireo/internal/tensor"
 
 // GEMM on the photonic fabric.
 //
@@ -142,17 +139,4 @@ func (c *Chip) GEMM(a, b *tensor.Matrix, relu bool) *tensor.Matrix {
 	out := tensor.NewMatrix(a.R, b.C)
 	c.GEMMShard(a, b, relu, ShardSpec{}, out)
 	return out
-}
-
-// gemmPass streams one sign component of the activation matrix through
-// the block mapping - the Pointwise layer body with matrix rows as
-// pixels. The first (positive) pass assigns dst so a skipped negative
-// pass leaves pointwise-identical bits; the negative pass subtracts in
-// the digital aggregation unit. A non-whole shard restricts the pass
-// to its owned output columns (GEMMShard).
-func (c *Chip) gemmPass(qa *tensor.Volume, pr *weightProgram, sp *obs.Span, dst []float64, npix int, outScale float64, subtract bool, shard ShardSpec) {
-	c.plan.block(qa.Data, qa.Z, npix, pr.slotsPer)
-	c.fillPlan(pr.slotsPer, (*blockFill)(&c.plan))
-	c.block = blockLayer{c: c, pr: pr, dst: dst, npix: npix, outScale: outScale, subtract: subtract}
-	c.forEachKernel(sp, pr.m, shard, &c.block)
 }

@@ -199,19 +199,19 @@ func (c Config) ExpectedConvActivity(z, ay, ax, m, ky, kx, stride, pad int) Acti
 }
 
 // convLoop is the per-kernel loop nest of a dense conv: each kernel
-// makes passes passes, each aggregating slots PLCU slots. The
-// receptive-field layout passes once per (output row, column tile,
-// tap chunk) over z channel slots; the pointwise layout once per
-// Nd-pixel tile over ceil(z*L/Nm) blocks of live (channel, tap) pairs.
+// makes passes passes, one per (output row, column tile, tap chunk) of
+// the layout the layer loop runs, each aggregating its z PLCU slots.
+// The block layout is the Nm x 1 view of the z*L live (channel, tap)
+// planes over one row of by*bx pixels (see Chip.blockLayer).
 func (c Config) convLoop(z, ay, ax, ky, kx, stride, pad int) (passes, slots int64) {
 	stride = max(stride, 1)
-	by := int64(tensor.ConvOutputDim(ay, ky, pad, stride))
-	bx := int64(tensor.ConvOutputDim(ax, kx, pad, stride))
-	nd, nm := int64(c.Nd), int64(c.Nm)
+	by := tensor.ConvOutputDim(ay, ky, pad, stride)
+	bx := tensor.ConvOutputDim(ax, kx, pad, stride)
+	lay := layout{z, ky, kx}
 	if taps, block := c.denseLayout(ay, ax, ky, kx, stride, pad); block {
-		return ceilDiv(by*bx, nd), ceilDiv(int64(z)*int64(taps.count()), nm)
+		lay, by, bx = c.blockView(z*taps.count()), 1, by*bx
 	}
-	return by * ceilDiv(bx, nd) * ceilDiv(int64(ky)*int64(kx), nm), int64(z)
+	return int64(by) * ceilDiv(int64(bx), int64(c.Nd)) * int64(lay.chunks(c.Nm)), int64(lay.z)
 }
 
 // ObservedActivity extracts the chip-wide Activity totals from a

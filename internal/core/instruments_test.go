@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"albireo/internal/obs"
@@ -85,6 +86,90 @@ func TestObservedConvActivityMatchesClosedForm(t *testing.T) {
 		got := ObservedActivity(reg.Snapshot())
 		if got != want {
 			t.Errorf("case %+v: observed %+v, want %+v", tc, got, want)
+		}
+	}
+}
+
+// TestMappingActivityMatchesClosedForm holds every mapping's device
+// counters to one closed form with zero tolerance. Over the layout
+// {z, ky, kx} a layer runs and the output plane it streams, kernel m
+// on a group of capacity cap takes, per pass, outY*ceil(outX/Nd)
+// tiles x ceil(ky*kx/Nm) tap chunks x ceil(z/cap) steps, and drives z
+// units per (tile, chunk). The layouts are written out here by hand:
+// dense conv {Z, KY, KX}; depthwise one channel per kernel; pointwise,
+// FC, GEMM and a live-tap conv the block layout's Nm x 1 view of
+// their n-element kernels, {ceil(n/Nm), Nm, 1}, over one row of
+// pixels. A signed GEMM runs two passes. Each layer runs healthy and
+// with one unit quarantined.
+func TestMappingActivityMatchesClosedForm(t *testing.T) {
+	t.Parallel()
+	cfg := DefaultConfig()
+	nm, nd := cfg.Nm, cfg.Nd
+	ceil := func(a, b int) int { return (a + b - 1) / b }
+	block := func(n int) layout { return layout{ceil(n, nm), nm, 1} }
+	vol := func(z, y, x int) *tensor.Volume { return tensor.RandomVolume(z, y, x, 861) }
+	ker := func(m, z, y, x int) *tensor.Kernels { return tensor.RandomKernels(m, z, y, x, 862) }
+	signed, b := tensor.RandomMatrix(11, 23, 863), tensor.RandomMatrix(23, 13, 864)
+	nonNeg := tensor.NewMatrix(signed.R, signed.C)
+	for i, v := range signed.Data {
+		nonNeg.Data[i] = math.Abs(v)
+	}
+	cases := []struct {
+		name               string
+		run                func(*Chip)
+		kernels            int
+		lay                layout
+		outY, outX, passes int
+	}{
+		{"conv3x3", func(c *Chip) { c.Conv(vol(7, 12, 11), ker(11, 7, 3, 3), tensor.ConvConfig{Pad: 1}, true) },
+			11, layout{7, 3, 3}, 12, 11, 1},
+		{"conv5x5-s2", func(c *Chip) { c.Conv(vol(4, 16, 16), ker(5, 4, 5, 5), tensor.ConvConfig{Stride: 2, Pad: 2}, true) },
+			5, layout{4, 5, 5}, 8, 8, 1},
+		{"pointwise-full-tiles", func(c *Chip) { c.Pointwise(vol(20, 5, 5), ker(7, 20, 1, 1), true) },
+			7, block(20), 1, 25, 1},
+		{"pointwise-tail-tile", func(c *Chip) { c.Pointwise(vol(20, 7, 7), ker(7, 20, 1, 1), true) },
+			7, block(20), 1, 49, 1},
+		{"fc", func(c *Chip) { c.FullyConnected(vol(4, 5, 5), ker(6, 4, 5, 5), true) },
+			6, block(100), 1, 1, 1},
+		{"depthwise-s1", func(c *Chip) {
+			c.Conv(vol(5, 9, 13), ker(5, 1, 3, 3), tensor.ConvConfig{Pad: 1, Depthwise: true}, true)
+		},
+			5, layout{1, 3, 3}, 9, 13, 1},
+		{"depthwise-s2", func(c *Chip) {
+			c.Conv(vol(5, 9, 13), ker(5, 1, 3, 3), tensor.ConvConfig{Stride: 2, Pad: 1, Depthwise: true}, true)
+		}, 5, layout{1, 3, 3}, 5, 7, 1},
+		{"live-tap-1x1-s2", func(c *Chip) { c.Conv(vol(12, 9, 9), ker(10, 12, 1, 1), tensor.ConvConfig{Stride: 2}, true) },
+			10, block(12), 1, 25, 1},
+		{"live-tap-padding-only", func(c *Chip) { c.Conv(vol(20, 1, 1), ker(8, 20, 3, 3), tensor.ConvConfig{Pad: 1}, true) },
+			8, block(20), 1, 1, 1},
+		{"gemm-non-negative", func(c *Chip) { c.GEMM(nonNeg, b, false) },
+			13, block(23), 1, 11, 1},
+		{"gemm-signed", func(c *Chip) { c.GEMM(signed, b, false) },
+			13, block(23), 1, 11, 2},
+	}
+	for _, tc := range cases {
+		for _, quarantined := range []bool{false, true} {
+			c := NewChip(cfg)
+			if quarantined {
+				mustQuarantine(c, 1, 0)
+			}
+			reg := obs.NewRegistry()
+			c.Instrument(reg, nil)
+			tc.run(c)
+			var want Activity
+			for m := 0; m < tc.kernels; m++ {
+				capacity := c.groups[c.activeGroup(m)].Capacity()
+				passes := int64(tc.passes * tc.outY * ceil(tc.outX, nd) * ceil(tc.lay.ky*tc.lay.kx, nm))
+				steps, units := passes*int64(ceil(tc.lay.z, capacity)), passes*int64(tc.lay.z)
+				want.Steps += steps
+				want.MZMPrograms += units * int64(nm)
+				want.MRRSwitches += units * int64(nm*nd)
+				want.PDReads += units * int64(nd)
+				want.ADCConversions += steps * int64(nd)
+			}
+			if got := ObservedActivity(reg.Snapshot()); got != want {
+				t.Errorf("%s (quarantined %v): observed %+v, want %+v", tc.name, quarantined, got, want)
+			}
 		}
 	}
 }

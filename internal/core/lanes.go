@@ -26,10 +26,10 @@ import (
 // layer is simply not offered this one (the caller always runs a lane
 // itself, so a layer never waits for a helper to free up).
 
-// kernelBody is one mapping's per-kernel work: run kernel m (an
-// output channel, depthwise channel, FC neuron or GEMM output column)
-// on its owning PLCG. Implementations are chip-owned values, so
-// passing one to forEachKernel does not allocate.
+// kernelBody is a layer's per-index work: run kernel m (an output
+// channel, depthwise channel, FC neuron or GEMM output column) on its
+// owning PLCG, or fill input channel m's row sets. Implementations are
+// chip-owned values, so passing one to fanOut does not allocate.
 type kernelBody interface {
 	kernel(m int)
 }
@@ -100,15 +100,12 @@ func (c *Chip) forEachKernel(sp *obs.Span, n int, shard ShardSpec, body kernelBo
 		}
 	}
 	c.fanOut(len(c.active), n, shard, body)
-	// The bodies reference the layer's tensors; drop them so a chip
-	// does not keep its last output alive.
-	c.conv, c.block = convLayer{}, blockLayer{}
 }
 
-// fillPlan runs a row-plan fill body (receptiveFill or blockFill) for
-// every index < n before a layer's kernels fan out. Each index fills
-// its own sets, so the fills spread over every lane and give the same
-// bits in any order.
+// fillPlan runs the row-plan fill body (receptiveFill) for every index
+// < n before a layer's kernels fan out. Each index fills its own sets,
+// so the fills spread over every lane and give the same bits in any
+// order.
 //
 // hot: layer dispatch; runs once per layer and must not allocate.
 func (c *Chip) fillPlan(n int, body kernelBody) {

@@ -81,7 +81,9 @@ func (c *Chip) denseConv(a *tensor.Volume, w *tensor.Kernels, cfg tensor.ConvCon
 	stride := convStride(cfg)
 	taps, block := c.cfg.denseLayout(a.Y, a.X, w.Y, w.X, stride, cfg.Pad)
 	if !block {
-		c.receptiveField(progConv, a, w, stride, cfg.Pad, relu, shard, out)
+		sp := c.ins.beginLayer("conv", w.M, w.Z, w.Y, w.X)
+		defer sp.End()
+		c.run(sp, layer{a: *a, out: *out, w: w, lay: layout{w.Z, w.Y, w.X}, stride: stride, pad: cfg.Pad, relu: relu}, shard)
 		return
 	}
 	x, k := a, w
@@ -91,7 +93,9 @@ func (c *Chip) denseConv(a *tensor.Volume, w *tensor.Kernels, cfg tensor.ConvCon
 	if l := taps.count(); l != w.Y*w.X {
 		k = c.viewFor(viewKey{w: w, taps: taps}, w.M, w.Z*l)
 	}
-	c.pointwiseShard(x, k, relu, shard, out)
+	sp := c.ins.beginLayer("pointwise", k.M, k.Z, k.Y, k.X)
+	defer sp.End()
+	c.blockLayer(sp, x.Data, x.Y*x.X, k, relu, shard, out.Data)
 }
 
 // gatherTaps fills the chip's gather volume with the live-tap im2col

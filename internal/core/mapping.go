@@ -1,12 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"time"
-
-	"albireo/internal/nn"
-	"albireo/internal/units"
-)
+import "albireo/internal/nn"
 
 // LayerMapping is the cycle-level schedule of one layer on the chip,
 // following the convolution partitioning of Algorithm 2: Ng kernels in
@@ -143,20 +137,6 @@ func (mm ModelMapping) Latency() float64 {
 	return float64(mm.TotalCycles) / mm.Config.ModulationRate()
 }
 
-// LatencyDuration returns the latency as a time.Duration for display.
-func (mm ModelMapping) LatencyDuration() time.Duration {
-	return time.Duration(mm.Latency() * float64(time.Second))
-}
-
-// Throughput returns the effective MAC rate in MACs per second.
-func (mm ModelMapping) Throughput() float64 {
-	lat := mm.Latency()
-	if lat <= 0 {
-		return 0
-	}
-	return float64(mm.Model.TotalMACs()) / lat
-}
-
 // Utilization returns the fraction of peak fabric MACs actually used:
 // model MACs divided by (peak MACs/cycle * cycles). Peak is
 // Ng*Nu*Nm*Nd products per cycle.
@@ -167,10 +147,4 @@ func (mm ModelMapping) Utilization() float64 {
 		return 0
 	}
 	return float64(mm.Model.TotalMACs()) / peak
-}
-
-// String implements fmt.Stringer.
-func (mm ModelMapping) String() string {
-	return fmt.Sprintf("%s on %s: %d cycles, %.3f ms, %.1f%% utilization",
-		mm.Model.Name, mm.Config, mm.TotalCycles, mm.Latency()*units.Kilo, mm.Utilization()*100)
 }

@@ -221,15 +221,9 @@ func TestModelMappingAccounting(t *testing.T) {
 	if sum != mm.TotalCycles {
 		t.Error("per-layer cycles must sum to the total")
 	}
-	if mm.Throughput() <= 0 {
-		t.Error("throughput should be positive")
-	}
 	u := mm.Utilization()
 	if u <= 0 || u > 1 {
 		t.Errorf("utilization = %g out of (0,1]", u)
-	}
-	if mm.String() == "" || mm.LatencyDuration() <= 0 {
-		t.Error("mapping display helpers")
 	}
 }
 

@@ -10,9 +10,10 @@ import "albireo/internal/tensor"
 //
 // A row set is the Nm tap rows one PLCU reads in one step, indexed by
 // (tile, key) and never by kernel or group, so one plan serves healthy
-// and quarantined groups alike: receptive-field layers use tile
-// oy*tilesX+tx and key z*nchunks+ci, the block layout (pointwise, FC
-// and each GEMM pass) tile p0/Nd and key b. Every row is stored with
+// and quarantined groups alike: tile oy*tilesX+tx and key
+// z*nchunks+ci. The block layout (pointwise, FC and each GEMM pass) is
+// the same plan over its Nm-row view, where that is tile p0/Nd and key
+// b (see Chip.blockLayer). Every row is stored with
 // its rings' crosstalk already folded in (see foldRow), so
 // PLCU.accumulate applies no crosstalk of its own (see DESIGN.md §11,
 // Crosstalk at the broadcast).
@@ -21,23 +22,17 @@ type rowPlan struct {
 	// activations: set s is stage[s*nm*nd:(s+1)*nm*nd]. It grows to
 	// the largest layer seen and is then reused.
 	stage []float64
-	// raw holds one scratch row per block for a tail tile's raw
-	// activations.
-	raw []float64
 	// coef is the chip's crosstalk table (see crosstalkTable); nil when
 	// crosstalk is disabled, which makes the fold a plain copy.
 	coef []float64
 	// perTile is the number of sets per tile.
 	perTile int
 	nm, nd  int
-	// qp, chunks, tilesX and stride are the receptive-field geometry
-	// fillTile reads.
-	qp             *tensor.Volume
-	chunks         []tapChunk
-	tilesX, stride int
-	// data, channels and npix are the block geometry fillBlock reads.
-	data           []float64
-	channels, npix int
+	// qp, lay, nchunks, tilesX and stride are the layer geometry
+	// fillRow reads.
+	qp                      *tensor.Volume
+	lay                     layout
+	nchunks, tilesX, stride int
 }
 
 // newRowPlan returns an empty plan for cfg's geometry, folding with
@@ -108,106 +103,60 @@ func foldRow(dst, src []float64, stride int, coef []float64) {
 	}
 }
 
-// receptive sizes the plan for a receptive-field layer reading the
+// receptive sizes the plan for a layer of layout lay reading the
 // zero-padded pre-quantized volume qp (see paddedDims) into out. It
-// fills no rows: the caller fills them with fillTile.
-func (p *rowPlan) receptive(qp *tensor.Volume, chunks []tapChunk, out *tensor.Volume, stride int) {
-	p.qp, p.chunks, p.stride = qp, chunks, stride
+// fills no rows: the caller fills them with fillRow.
+func (p *rowPlan) receptive(qp *tensor.Volume, lay layout, out *tensor.Volume, stride int) {
+	p.qp, p.lay, p.stride = qp, lay, stride
+	p.nchunks = lay.chunks(p.nm)
 	p.tilesX = (out.X + p.nd - 1) / p.nd
-	p.perTile = qp.Z * len(chunks)
+	p.perTile = qp.Z * p.nchunks
 	p.grow(out.Y * p.tilesX * p.perTile)
 }
 
-// fillTile fills channel z's sets of output tile (oy, tx): row t of
-// chunk ci is the fold of the activations at tap t for output columns
-// tx*Nd+d. Fills of different channels write disjoint sets, so they
-// may run on different lanes. Rows past the chunk's tap count are
-// zero - their compiled weight codes can be non-zero under StuckMZM
-// faults or the voltage-domain DAC grid, so they must carry zero
-// activations.
+// fillRow fills channel z's sets of every tile of output row oy: row t
+// of chunk ci of tile tx is the fold of the activations at tap ci*Nm+t
+// (row-major in the footprint) for output columns tx*Nd+d. Fills of
+// different channels write disjoint sets, so they may run on
+// different lanes. Rows past the footprint are zero - their compiled
+// weight codes can be non-zero under StuckMZM faults or the
+// voltage-domain DAC grid, so they must carry zero activations.
 //
-// hot: per-tile activation gather; must not allocate.
-func (p *rowPlan) fillTile(z, oy, tx int) {
-	qp, nd, stride := p.qp, p.nd, p.stride
-	tile := oy*p.tilesX + tx
-	for ci := range p.chunks {
-		ch := &p.chunks[ci]
-		set := p.set(tile, z*len(p.chunks)+ci)
-		for t := 0; t < p.nm; t++ {
-			row := set[t*nd : (t+1)*nd]
-			if t >= len(ch.ky) {
-				clear(row)
-				continue
-			}
-			off := (z*qp.Y+oy*stride+ch.ky[t])*qp.X + tx*nd*stride + ch.kx[t]
-			foldRow(row, qp.Data[off:], stride, p.tapCoef(t))
-		}
-	}
-}
-
-// block sizes the plan for the Section III-C block layout over data,
-// channels planes of npix pixels each: tap t of block b carries
-// channel b*Nm+t, column d pixel p0+d. It fills no rows: the caller
-// fills each block with fillBlock. FC is the layout with one pixel per
-// element: each row carries its element in column 0, the only PD
-// column doing useful work.
-func (p *rowPlan) block(data []float64, channels, npix, slotsPer int) {
-	p.data, p.channels, p.npix, p.perTile = data, channels, npix, slotsPer
-	p.grow((npix + p.nd - 1) / p.nd * slotsPer)
-	if cap(p.raw) < slotsPer*p.nd {
-		p.raw = make([]float64, slotsPer*p.nd)
-	}
-	p.raw = p.raw[:slotsPer*p.nd]
-}
-
-// fillBlock fills block b's set of every tile. A tail tile's raw rows
-// are zero past the last pixel; taps past the last channel are zero.
-// Fills of different blocks write disjoint sets and raw rows, so they
-// may run on different lanes.
-//
-// hot: per-block activation gather; must not allocate.
-func (p *rowPlan) fillBlock(b int) {
-	nm, nd, npix := p.nm, p.nd, p.npix
-	raw := p.raw[b*nd : (b+1)*nd]
-	for p0 := 0; p0 < npix; p0 += nd {
-		set := p.set(p0/nd, b)
-		for t := 0; t < nm; t++ {
-			row := set[t*nd : (t+1)*nd]
-			z := b*nm + t
-			off := z*npix + p0
-			switch {
-			case z >= p.channels:
-				clear(row)
-			case p0+nd <= npix:
-				foldRow(row, p.data[off:off+nd], 1, p.tapCoef(t))
-			default:
-				n := copy(raw, p.data[off:(z+1)*npix])
-				clear(raw[n:])
-				foldRow(row, raw, 1, p.tapCoef(t))
+// hot: per-row activation gather; must not allocate.
+func (p *rowPlan) fillRow(z, oy int) {
+	qp, nd, stride, kx := p.qp, p.nd, p.stride, p.lay.kx
+	taps := p.lay.ky * kx
+	for tx := 0; tx < p.tilesX; tx++ {
+		base := (z*qp.Y+oy*stride)*qp.X + tx*nd*stride
+		// (y, x) is tap ci*Nm+t of the footprint.
+		y, x := 0, 0
+		for ci := 0; ci < p.nchunks; ci++ {
+			set := p.set(oy*p.tilesX+tx, z*p.nchunks+ci)
+			for t := 0; t < p.nm; t++ {
+				row := set[t*nd : (t+1)*nd]
+				if ci*p.nm+t >= taps {
+					clear(row)
+					continue
+				}
+				foldRow(row, qp.Data[base+y*qp.X+x:], stride, p.tapCoef(t))
+				if x++; x == kx {
+					x, y = 0, y+1
+				}
 			}
 		}
 	}
 }
 
-// receptiveFill and blockFill are the lane bodies that fill a layer's
-// plan before its kernels fan out (see Chip.fillPlan): index z
-// quantizes and fills channel z of a dense receptive-field layer,
-// index b fills block b.
-type (
-	receptiveFill convLayer
-	blockFill     rowPlan
-)
+// receptiveFill is the lane body that fills a layer's plan before its
+// kernels fan out (see Chip.fillPlan): index z quantizes channel z's
+// plane and fills its sets of every tile.
+type receptiveFill layer
 
 // kernel quantizes channel z's plane and fills its sets of every tile.
 func (f *receptiveFill) kernel(z int) {
 	c := f.c
-	c.quantizePlane(f.a, z, f.pad, f.aScale)
+	c.quantizePlane(&f.a, z, f.pad, f.aScale)
 	for oy := 0; oy < f.out.Y; oy++ {
-		for tx := 0; tx < c.plan.tilesX; tx++ {
-			c.plan.fillTile(z, oy, tx)
-		}
+		c.plan.fillRow(z, oy)
 	}
 }
-
-// kernel fills block b.
-func (f *blockFill) kernel(b int) { (*rowPlan)(f).fillBlock(b) }

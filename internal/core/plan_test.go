@@ -36,6 +36,32 @@ func newRefGather(cfg Config) *refGather {
 	return sc
 }
 
+// tapChunk and refChunks keep the explicit tap chunking the layer loop
+// replaced with index arithmetic, verbatim: one pass worth of kernel
+// taps, at most Nm positions, row-major.
+type tapChunk struct {
+	ky, kx []int
+}
+
+func refChunks(nm, ky, kx int) []tapChunk {
+	var chunks []tapChunk
+	cur := tapChunk{}
+	for y := 0; y < ky; y++ {
+		for x := 0; x < kx; x++ {
+			cur.ky = append(cur.ky, y)
+			cur.kx = append(cur.kx, x)
+			if len(cur.ky) == nm {
+				chunks = append(chunks, cur)
+				cur = tapChunk{}
+			}
+		}
+	}
+	if len(cur.ky) > 0 {
+		chunks = append(chunks, cur)
+	}
+	return chunks
+}
+
 func (sc *refGather) window(u int, qp *tensor.Volume, z, oy, ox0, stride int, ch *tapChunk, zero []float64) {
 	rows, nd := sc.avals[u], len(zero)
 	for t := range rows {
@@ -129,10 +155,11 @@ func planInput(z, y, x int, seed int64) *tensor.Volume {
 // TestRowPlanMatchesGathers runs every mapping on the lane path and
 // checks the flat sets it leaves behind against the verbatim
 // per-kernel gathers followed by the fold, over the chip's
-// pre-quantized input: dense conv at stride 1 and 2, pad 0 and 1, 3x3
-// and 5x5 (two tap chunks); depthwise at stride 1 and 2; pointwise
-// with full and tail tiles; FC; and both GEMM passes. The crosstalk-
-// free chip's sets must be the raw gathers themselves.
+// pre-quantized input (receptive-field layers) or the layer's unpadded
+// DAC codes (block layouts): dense conv at stride 1 and 2, pad 0 and
+// 1, 3x3 and 5x5 (two tap chunks); depthwise at stride 1 and 2;
+// pointwise with full and tail tiles; FC; and both GEMM passes. The
+// crosstalk-free chip's sets must be the raw gathers themselves.
 func TestRowPlanMatchesGathers(t *testing.T) {
 	for _, xtalk := range []bool{true, false} {
 		cfg := DefaultConfig()
@@ -148,7 +175,7 @@ func checkRowPlan(t *testing.T, cfg Config) {
 		c := NewChip(cfg)
 		out := manyLanes(func() *tensor.Volume { return c.Conv(a, w, cc, true) })
 		stride := convStride(cc)
-		chunks := c.tapChunks(w.Y, w.X)
+		chunks := refChunks(nm, w.Y, w.X)
 		ref := newRefGather(cfg)
 		for oy := 0; oy < out.Y; oy++ {
 			for tx := 0; tx*nd < out.X; tx++ {
@@ -177,11 +204,20 @@ func checkRowPlan(t *testing.T, cfg Config) {
 		receptive(fmt.Sprintf("depthwise-s%d", stride), a, w, tensor.ConvConfig{Stride: stride, Pad: 1, Depthwise: true})
 	}
 
-	blockLayout := func(name string, c *Chip, npix, slotsPer int) {
+	// quantized is a layer input's unpadded DAC codes, which the block
+	// and FC reference gathers read.
+	quantized := func(c *Chip, a *tensor.Volume) *tensor.Volume {
+		q, scale := tensor.NewVolume(a.Z, a.Y, a.X), a.MaxAbs()
+		for i, v := range a.Data {
+			q.Data[i] = c.aq.Quantize(v / scale)
+		}
+		return q
+	}
+	blockLayout := func(name string, c *Chip, qa *tensor.Volume, npix, slotsPer int) {
 		ref := newRefGather(cfg)
 		for p0 := 0; p0 < npix; p0 += nd {
 			for b := 0; b < slotsPer; b++ {
-				ref.block(0, &c.qaVol, npix, p0, b, min(nd, npix-p0), nm, nd, zero)
+				ref.block(0, qa, npix, p0, b, min(nd, npix-p0), nm, nd, zero)
 				checkSet(t, c, fmt.Sprintf("%s p0=%d block=%d", name, p0, b), c.plan.set(p0/nd, b), ref.avals[0])
 			}
 		}
@@ -191,18 +227,18 @@ func checkRowPlan(t *testing.T, cfg Config) {
 		w := tensor.RandomKernels(7, 20, 1, 1, 821)
 		c := NewChip(cfg)
 		manyLanes(func() *tensor.Volume { return c.Pointwise(a, w, true) })
-		blockLayout(fmt.Sprintf("pointwise-%dpx", hw*hw), c, hw*hw, (20+nm-1)/nm)
+		blockLayout(fmt.Sprintf("pointwise-%dpx", hw*hw), c, quantized(c, a), hw*hw, (20+nm-1)/nm)
 	}
 
 	// FC runs after a pointwise layer on the same chip, whose 4-pixel
-	// tail tiles leave raw activations behind in the plan's scratch row.
+	// tail tiles leave wider padded planes and their sets behind.
 	fcA := planInput(4, 5, 5, 831)
 	c := NewChip(cfg)
 	c.Pointwise(planInput(20, 7, 7, 833), tensor.RandomKernels(3, 20, 1, 1, 834), true)
 	manyLanes(func() []float64 { return c.FullyConnected(fcA, tensor.RandomKernels(6, 4, 5, 5, 832), true) })
 	ref := newRefGather(cfg)
 	for b := 0; b < (100+nm-1)/nm; b++ {
-		ref.fc(0, &c.qaVol, b, nm, zero)
+		ref.fc(0, quantized(c, fcA), b, nm, zero)
 		checkSet(t, c, fmt.Sprintf("fc block=%d", b), c.plan.set(0, b), ref.avals[0])
 	}
 
@@ -223,6 +259,10 @@ func checkRowPlan(t *testing.T, cfg Config) {
 	}{{"gemm-positive-pass", pos}, {"gemm-negative-pass", signed}} {
 		c := NewChip(cfg)
 		manyLanes(func() *tensor.Matrix { return c.GEMM(tc.a, b, false) })
-		blockLayout(tc.name, c, tc.a.R, (tc.a.C+nm-1)/nm)
+		staged := &c.negVol
+		if staged.MaxAbs() == 0 {
+			staged = &c.posVol
+		}
+		blockLayout(tc.name, c, quantized(c, staged), tc.a.R, (tc.a.C+nm-1)/nm)
 	}
 }

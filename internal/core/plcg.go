@@ -139,10 +139,3 @@ func (g *PLCG) aggregate(dst, sum []float64, nslots int) []float64 {
 	}
 	return dst
 }
-
-// ValueLSB returns the aggregation-unit quantization step in the value
-// domain: the smallest dot-product increment the ADC resolves. Useful
-// for error budgeting in tests.
-func (g *PLCG) ValueLSB() float64 {
-	return g.adc.LSB(g.fullScaleCurrent) / g.units[0].UnitCurrent()
-}

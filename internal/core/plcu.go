@@ -51,8 +51,8 @@ type PLCU struct {
 	// chip's weight-program cache can detect that previously compiled
 	// fault-effective weights are stale.
 	faultEpoch int64
-	// cycles counts Currents calls - the unit's elapsed modulation
-	// cycles, which progressive (drifting) faults key off.
+	// cycles counts the unit's elapsed modulation cycles, which
+	// progressive (drifting) faults key off.
 	cycles int64
 	// qwBuf and qaBuf are the unit's scratch arena: the quantized
 	// weight vector and the flat [tap*Nd+column] activation set
@@ -144,8 +144,8 @@ func NewPLCU(cfg Config) *PLCU {
 // calibration constant relating current to value domain.
 func (p *PLCU) UnitCurrent() float64 { return p.unitCurrent }
 
-// Cycles returns the unit's elapsed modulation cycles (Currents
-// calls). Progressive faults worsen as this advances.
+// Cycles returns the unit's elapsed modulation cycles. Progressive
+// faults worsen as this advances.
 func (p *PLCU) Cycles() int64 { return p.cycles }
 
 // QuantizeWeight exposes the unit's DAC weight quantization: the
@@ -178,20 +178,15 @@ func (p *PLCU) quantizeWeight(w float64) float64 {
 	return qmag
 }
 
-// Currents computes the Nd differential output currents for one cycle.
+// CurrentsInto computes the Nd differential output currents of one
+// cycle into dst (which must have length Nd) and returns it,
+// allocating nothing.
 //
 // weights has length Nm: the kernel channel in row-major order,
 // normalized to [-1, 1]. avals is indexed [tap][column]: avals[t][d]
 // is the activation (in [0, 1]) that output column d multiplies with
 // weight t. For the native 3x3 stride-1 mapping, avals[t][d] =
-// field[t/Wx][t%Wx + d], the overlapping receptive fields of Figure 5.
-func (p *PLCU) Currents(weights []float64, avals [][]float64) []float64 {
-	return p.CurrentsInto(make([]float64, p.cfg.Nd), weights, avals)
-}
-
-// CurrentsInto is the in-place variant of Currents: it writes the Nd
-// differential currents into dst (which must have length Nd) and
-// returns it, allocating nothing. The quantized weight vector and
+// field[t/Wx][t%Wx + d], the overlapping receptive fields of Figure 5. The quantized weight vector and
 // activation matrix live in the unit's scratch arena, so CurrentsInto
 // is not safe for concurrent use on one PLCU - which mirrors the
 // hardware: a unit executes one modulation cycle at a time.
@@ -231,7 +226,7 @@ func (p *PLCU) CurrentsInto(dst, weights []float64, avals [][]float64) []float64
 // each ring's crosstalk already folded in (see foldRow). Only the
 // first live columns' currents are written (see accumulate). It
 // advances the same cycle counter and draws the same noise samples as
-// Currents.
+// CurrentsInto.
 //
 // hot: weight-stationary inner loop; must not allocate.
 func (p *PLCU) currentsPrequantized(dst, qw, qa []float64, live int) []float64 {
@@ -245,7 +240,7 @@ func (p *PLCU) currentsPrequantized(dst, qw, qa []float64, live int) []float64 {
 // activation rows of Nd columns back to back.
 //
 // coef is the crosstalk table to apply to qa's rows. The quantize-on-
-// entry path (Currents, the BIST probes) passes the unit's own table
+// entry path (CurrentsInto, the BIST probes) passes the unit's own table
 // and raw rows; the chip passes nil and rows whose crosstalk its row
 // plan already folded in. Each tap's MZM scales every wavelength on
 // its bus by the same |w| (Eq. 2), so a ring's leakage is |w| times a
@@ -342,49 +337,14 @@ func (p *PLCU) accumulate(dst, qw, qa []float64, live int, coef []float64) []flo
 	return dst
 }
 
-// Dot computes the Nd dot products in the value domain (no ADC): the
-// differential currents divided by the unit current. Used by tests and
-// by the PLCG, which applies the shared ADC after the analog
-// cross-unit reduction.
-func (p *PLCU) Dot(weights []float64, avals [][]float64) []float64 {
-	cur := p.Currents(weights, avals)
-	for i := range cur {
-		cur[i] /= p.unitCurrent
-	}
-	return cur
-}
-
-// DotInto is the in-place variant of Dot: dst must have length Nd.
-// Like CurrentsInto it allocates nothing and is not safe for
-// concurrent use on one PLCU.
+// DotInto computes the Nd dot products in the value domain (no ADC):
+// the differential currents divided by the unit current, into dst of
+// length Nd. Like CurrentsInto it allocates nothing and is not safe
+// for concurrent use on one PLCU.
 func (p *PLCU) DotInto(dst, weights []float64, avals [][]float64) []float64 {
 	p.CurrentsInto(dst, weights, avals)
 	for i := range dst {
 		dst[i] /= p.unitCurrent
 	}
 	return dst
-}
-
-// ReceptiveFieldAVals lays out a KernelH x (Nd+KernelW-1) input field
-// into the [tap][column] activation matrix of the native stride-1
-// mapping: avals[t][d] = field[t/Wx][t%Wx + d].
-func (p *PLCU) ReceptiveFieldAVals(field [][]float64) [][]float64 {
-	cfg := p.cfg
-	width := cfg.Nd + cfg.KernelW - 1
-	if len(field) != cfg.KernelH {
-		panic(fmt.Sprintf("core: field wants %d rows, got %d", cfg.KernelH, len(field))) //lint:ignore exit-hygiene field row-count invariant; caller bug
-	}
-	out := make([][]float64, cfg.Nm)
-	for t := 0; t < cfg.Nm; t++ {
-		r, c := t/cfg.KernelW, t%cfg.KernelW
-		if len(field[r]) != width {
-			panic(fmt.Sprintf("core: field row %d wants %d cols, got %d", r, width, len(field[r]))) //lint:ignore exit-hygiene field column-count invariant; caller bug
-		}
-		row := make([]float64, cfg.Nd)
-		for d := 0; d < cfg.Nd; d++ {
-			row[d] = field[r][c+d]
-		}
-		out[t] = row
-	}
-	return out
 }

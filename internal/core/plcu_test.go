@@ -15,6 +15,24 @@ func idealConfig() Config {
 	return c
 }
 
+// dot runs one quantize-on-entry cycle of p and returns its Nd dot
+// products in the value domain.
+func dot(p *PLCU, weights []float64, avals [][]float64) []float64 {
+	return p.DotInto(make([]float64, p.cfg.Nd), weights, avals)
+}
+
+// fieldAVals lays out a KernelH x (Nd+KernelW-1) input field as the
+// [tap][column] activations of the native stride-1 mapping (Figure 5):
+// avals[t][d] = field[t/Wx][t%Wx + d].
+func fieldAVals(cfg Config, field [][]float64) [][]float64 {
+	avals := make([][]float64, cfg.Nm)
+	for t := range avals {
+		r, c := t/cfg.KernelW, t%cfg.KernelW
+		avals[t] = field[r][c : c+cfg.Nd]
+	}
+	return avals
+}
+
 func TestConfigValidate(t *testing.T) {
 	t.Parallel()
 	if err := DefaultConfig().Validate(); err != nil {
@@ -97,8 +115,8 @@ func TestPLCUIdealDotProducts(t *testing.T) {
 		{0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1},
 		{0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0},
 	}
-	avals := p.ReceptiveFieldAVals(field)
-	got := p.Dot(weights, avals)
+	avals := fieldAVals(p.cfg, field)
+	got := dot(p, weights, avals)
 	for d := 0; d < 5; d++ {
 		var want float64
 		for tap := 0; tap < 9; tap++ {
@@ -122,7 +140,7 @@ func TestPLCUZeroWeightIsExactZero(t *testing.T) {
 		{1, 1, 1, 1, 1, 1, 1},
 		{1, 1, 1, 1, 1, 1, 1},
 	}
-	got := p.Dot(weights, p.ReceptiveFieldAVals(field))
+	got := dot(p, weights, fieldAVals(p.cfg, field))
 	for d, v := range got {
 		if v != 0 {
 			t.Errorf("column %d: zero weights should give exactly 0, got %g", d, v)
@@ -147,7 +165,7 @@ func TestPLCUCrosstalkPerturbsNeighbors(t *testing.T) {
 	for d := 1; d < 5; d++ {
 		avals[0][d] = 1
 	}
-	got := p.Dot(weights, avals)
+	got := dot(p, weights, avals)
 	if got[0] <= 0 {
 		t.Errorf("crosstalk should leak neighbor power into column 0, got %g", got[0])
 	}
@@ -156,7 +174,7 @@ func TestPLCUCrosstalkPerturbsNeighbors(t *testing.T) {
 	}
 	// With crosstalk disabled the leak disappears.
 	ideal := NewPLCU(idealConfig())
-	if v := ideal.Dot(weights, avals)[0]; v != 0 {
+	if v := dot(ideal, weights, avals)[0]; v != 0 {
 		t.Errorf("ideal column 0 should be exactly 0, got %g", v)
 	}
 }
@@ -177,7 +195,7 @@ func TestPLCUNoiseStatistics(t *testing.T) {
 	var sum, sum2 float64
 	const trials = 4000
 	for i := 0; i < trials; i++ {
-		v := p.Currents(weights, avals)[0]
+		v := p.CurrentsInto(make([]float64, p.cfg.Nd), weights, avals)[0]
 		sum += v
 		sum2 += v * v
 	}
@@ -217,18 +235,15 @@ func TestPLCUPanics(t *testing.T) {
 	for i := range good {
 		good[i] = make([]float64, 5)
 	}
-	expectPanic("short weights", func() { p.Currents([]float64{1}, good) })
-	expectPanic("short avals", func() { p.Currents(make([]float64, 9), good[:3]) })
+	dst := make([]float64, 5)
+	expectPanic("short weights", func() { p.CurrentsInto(dst, []float64{1}, good) })
+	expectPanic("short avals", func() { p.CurrentsInto(dst, make([]float64, 9), good[:3]) })
 	expectPanic("ragged avals", func() {
 		bad := make([][]float64, 9)
 		for i := range bad {
 			bad[i] = make([]float64, 2)
 		}
-		p.Currents(make([]float64, 9), bad)
-	})
-	expectPanic("bad field rows", func() { p.ReceptiveFieldAVals([][]float64{{1}}) })
-	expectPanic("bad field cols", func() {
-		p.ReceptiveFieldAVals([][]float64{{1}, {1}, {1}})
+		p.CurrentsInto(dst, make([]float64, 9), bad)
 	})
 	expectPanic("invalid config", func() { NewPLCU(Config{}) })
 }

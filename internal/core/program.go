@@ -11,7 +11,7 @@ import (
 // depth-first dataflow); only the activations change cycle to cycle.
 // A weightProgram is the software mirror of that: the DAC-quantized,
 // fault-effective weight code for every slot the layer will ever
-// drive, compiled once per (kernel tensor, mapping kind) and reused
+// drive, compiled once per (kernel tensor, layout) and reused
 // across all output positions - and across layers, since CNNs run the
 // same weights on every inference.
 //
@@ -30,30 +30,25 @@ import (
 // datapath and drift with the cycle counter, so they are deliberately
 // not compiled in; PLCU.accumulate applies them per cycle.
 
-// programKind selects the slot layout a weight program is compiled
-// for.
-type programKind uint8
+// layout is the loop extent of a layer's kernels on the
+// receptive-field layout (Algorithm 2): z channels per kernel, each a
+// ky x kx tap footprint. Dense conv runs {Z, KY, KX} and depthwise
+// {1, KY, KX}; the block layout (pointwise, FC, GEMM, live-tap conv)
+// runs its n-element kernels as {ceil(n/Nm), Nm, 1} (see blockView).
+type layout struct{ z, ky, kx int }
 
-const (
-	// progConv lays out slots [m][z][chunk]: dense convolution, one
-	// slot per kernel channel per tap chunk.
-	progConv programKind = iota
-	// progDepthwise lays out slots [m][chunk]: one depth-1 kernel per
-	// input channel, always driving the group's first healthy unit.
-	progDepthwise
-	// progBlock lays out slots [m][block]: the pointwise/FC mapping,
-	// where each tap carries one flattened input element and blocks of
-	// Nm elements round-robin over the group's healthy units.
-	progBlock
-)
+// chunks is the number of tap chunks per channel, ceil(ky*kx/Nm): the
+// "additional cycles" a kernel larger than the PLCU requires (Section
+// III-A). Chunk ci carries taps ci*Nm.. in row-major order.
+func (l layout) chunks(nm int) int { return (l.ky*l.kx + nm - 1) / nm }
 
 // progKey identifies a cached program: the kernel tensor identity, the
-// mapping kind, and the (normalized) kernel-group shard it was
-// compiled for. Whole-layer shards normalize to the zero ShardSpec so
-// sharded and unsharded execution of a full slice share one entry.
+// layout, and the (normalized) kernel-group shard it was compiled for.
+// Whole-layer shards normalize to the zero ShardSpec so sharded and
+// unsharded execution of a full slice share one entry.
 type progKey struct {
 	w     *tensor.Kernels
-	kind  programKind
+	lay   layout
 	shard ShardSpec
 }
 
@@ -74,15 +69,11 @@ type weightProgram struct {
 	// src is a private copy of the kernel data for staleness
 	// detection.
 	src []float64
-	// chunks is the tap chunking of the kernel footprint (conv and
-	// depthwise layouts).
-	chunks []tapChunk
-	// nm is the slot width (Config.Nm).
-	nm int
-	// zDim is the per-kernel channel extent of the conv layout (w.Z;
-	// 1 for depthwise).
-	zDim int
-	// slotsPer is the number of slots per kernel.
+	// nchunks is the tap chunk count of the layout the slots are laid
+	// out for, and nm the slot width (Config.Nm).
+	nchunks, nm int
+	// slotsPer is the number of slots per kernel, lay.z*nchunks: slot
+	// z*nchunks+ci is channel z's tap chunk ci.
 	slotsPer int
 	// codes holds slotsPer*nm fault-effective quantized weights per
 	// kernel, contiguous per slot.
@@ -127,20 +118,16 @@ func (c *Chip) faultEpochSum() int64 {
 	return s
 }
 
-// programFor returns the compiled weight program for (w, kind),
-// reusing the cached compilation when the kernel bits, quarantine
-// schedule, and fault state are all unchanged.
-func (c *Chip) programFor(kind programKind, w *tensor.Kernels) *weightProgram {
-	return c.programShard(kind, w, ShardSpec{})
-}
-
-// programShard is programFor for a kernel-group shard: the compiled
-// program covers only the shard's owned kernels (unowned slots stay
-// zero, so slot indexing is unchanged), which makes per-shard compile
-// time and cache footprint proportional to the owned slice.
-func (c *Chip) programShard(kind programKind, w *tensor.Kernels, shard ShardSpec) *weightProgram {
+// programShard returns the compiled weight program of w's kernels on
+// layout lay for a kernel-group shard, reusing the cached compilation
+// when the kernel bits, quarantine schedule, and fault state are all
+// unchanged. The program covers only the shard's owned kernels
+// (unowned slots stay zero, so slot indexing is unchanged), which
+// makes per-shard compile time and cache footprint proportional to
+// the owned slice.
+func (c *Chip) programShard(w *tensor.Kernels, lay layout, shard ShardSpec) *weightProgram {
 	shard = normalizeShard(shard)
-	key := progKey{w: w, kind: kind, shard: shard}
+	key := progKey{w: w, lay: lay, shard: shard}
 	fe := c.faultEpochSum()
 	if pr, ok := c.progs[key]; ok &&
 		pr.schedEpoch == c.schedEpoch && pr.faultEpoch == fe &&
@@ -148,7 +135,7 @@ func (c *Chip) programShard(kind programKind, w *tensor.Kernels, shard ShardSpec
 		sameBits(pr.src, w.Data) {
 		return pr
 	}
-	pr := c.compileProgram(kind, w, shard)
+	pr := c.compileProgram(w, lay, shard)
 	pr.schedEpoch, pr.faultEpoch = c.schedEpoch, fe
 	if c.progs == nil {
 		c.progs = make(map[progKey]*weightProgram)
@@ -164,72 +151,42 @@ func (c *Chip) programShard(kind programKind, w *tensor.Kernels, shard ShardSpec
 // exact unit that will drive it under the current quarantine schedule,
 // folding in that unit's DAC grid (value-uniform or voltage-domain)
 // and StuckMZM transfers. The per-slot unit assignment mirrors the
-// layer loops: conv slot (m, z) lands on group activeGroup(m), unit
-// avail[z % capacity]; depthwise drives avail[0]; block layouts
-// round-robin blocks over avail. A non-whole shard compiles only its
-// owned kernels; the codes array stays full-size (unowned slots zero)
-// so slot(m, s) indexing is layout-independent.
-func (c *Chip) compileProgram(kind programKind, w *tensor.Kernels, shard ShardSpec) *weightProgram {
+// layer loop: slot (m, z, ci) lands on group activeGroup(m), unit
+// avail[z % capacity]. Tap t of the slot reads kernel element
+// z*ky*kx + ci*Nm + t of kernel m, the row-major tap of channel z;
+// taps past the footprint or past the kernel's n elements carry
+// weight zero, which still quantizes through the unit's DAC grid and
+// fault set, exactly as the quantize-on-entry path does. The kernel
+// is read in place, never reshaped. A non-whole shard compiles only
+// its owned kernels; the codes array stays full-size (unowned slots
+// zero) so slot(m, s) indexing is layout-independent.
+func (c *Chip) compileProgram(w *tensor.Kernels, lay layout, shard ShardSpec) *weightProgram {
 	pr := &weightProgram{
 		wScale: w.MaxAbs(),
 		m:      w.M, z: w.Z, y: w.Y, x: w.X,
-		src: append([]float64(nil), w.Data...),
-		nm:  c.cfg.Nm,
+		src:     append([]float64(nil), w.Data...),
+		nchunks: lay.chunks(c.cfg.Nm), nm: c.cfg.Nm,
 	}
 	if pr.wScale == 0 {
 		return pr
 	}
-	switch kind {
-	case progConv:
-		pr.chunks = c.tapChunks(w.Y, w.X)
-		pr.zDim = w.Z
-		pr.slotsPer = w.Z * len(pr.chunks)
-		pr.codes = make([]float64, w.M*pr.slotsPer*pr.nm)
-		for m := 0; m < w.M; m++ {
-			if !shard.Owns(m) {
-				continue
-			}
-			g := c.groups[c.activeGroup(m)]
-			nug := g.Capacity()
-			for z := 0; z < w.Z; z++ {
-				unit := g.units[g.avail[z%nug]]
-				for ci := range pr.chunks {
-					pr.compileSlot(pr.slot(m, z*len(pr.chunks)+ci), unit, w, m, z, &pr.chunks[ci])
-				}
-			}
+	pr.slotsPer = lay.z * pr.nchunks
+	pr.codes = make([]float64, w.M*pr.slotsPer*pr.nm)
+	n, taps := w.Z*w.Y*w.X, lay.ky*lay.kx
+	for m := 0; m < w.M; m++ {
+		if !shard.Owns(m) {
+			continue
 		}
-	case progDepthwise:
-		pr.chunks = c.tapChunks(w.Y, w.X)
-		pr.zDim = 1
-		pr.slotsPer = len(pr.chunks)
-		pr.codes = make([]float64, w.M*pr.slotsPer*pr.nm)
-		for m := 0; m < w.M; m++ {
-			if !shard.Owns(m) {
-				continue
-			}
-			g := c.groups[c.activeGroup(m)]
-			unit := g.units[g.avail[0]]
-			for ci := range pr.chunks {
-				pr.compileSlot(pr.slot(m, ci), unit, w, m, 0, &pr.chunks[ci])
-			}
-		}
-	case progBlock:
-		n := w.Z * w.Y * w.X
-		pr.slotsPer = (n + pr.nm - 1) / pr.nm
-		pr.codes = make([]float64, w.M*pr.slotsPer*pr.nm)
-		for m := 0; m < w.M; m++ {
-			if !shard.Owns(m) {
-				continue
-			}
-			g := c.groups[c.activeGroup(m)]
-			nug := g.Capacity()
-			for b := 0; b < pr.slotsPer; b++ {
-				unit := g.units[g.avail[b%nug]]
-				slot := pr.slot(m, b)
-				for t := 0; t < pr.nm; t++ {
+		g := c.groups[c.activeGroup(m)]
+		nug := g.Capacity()
+		for z := 0; z < lay.z; z++ {
+			unit := g.units[g.avail[z%nug]]
+			for ci := 0; ci < pr.nchunks; ci++ {
+				slot := pr.slot(m, z*pr.nchunks+ci)
+				for t := range slot {
 					var nw float64
-					if e := b*pr.nm + t; e < n {
-						nw = w.Data[m*n+e] / pr.wScale
+					if i := ci*pr.nm + t; i < taps && z*taps+i < n {
+						nw = w.Data[m*n+z*taps+i] / pr.wScale
 					}
 					slot[t] = unit.effectiveWeight(t, unit.quantizeWeight(nw))
 				}
@@ -237,18 +194,4 @@ func (c *Chip) compileProgram(kind programKind, w *tensor.Kernels, shard ShardSp
 		}
 	}
 	return pr
-}
-
-// compileSlot fills one conv/depthwise slot: the chunk's taps carry
-// the normalized kernel values, taps past the chunk carry weight
-// zero - which still quantizes through the unit's DAC grid and fault
-// set, exactly as the quantize-on-entry path does.
-func (pr *weightProgram) compileSlot(slot []float64, unit *PLCU, w *tensor.Kernels, m, z int, ch *tapChunk) {
-	for t := range slot {
-		var nw float64
-		if t < len(ch.ky) {
-			nw = w.At(m, z, ch.ky[t], ch.kx[t]) / pr.wScale
-		}
-		slot[t] = unit.effectiveWeight(t, unit.quantizeWeight(nw))
-	}
 }

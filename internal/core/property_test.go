@@ -38,7 +38,7 @@ func TestPropertyDotBounded(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		w, a := randomSlot(rng)
-		for _, v := range p.Dot(w, a) {
+		for _, v := range dot(p, w, a) {
 			if math.Abs(v) > 9.5 { // Nm plus crosstalk/noise margin
 				return false
 			}
@@ -58,12 +58,12 @@ func TestPropertyWeightSignSymmetry(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		w, a := randomSlot(rng)
-		pos := p.Dot(w, a)
+		pos := dot(p, w, a)
 		neg := make([]float64, len(w))
 		for i := range w {
 			neg[i] = -w[i]
 		}
-		flipped := p.Dot(neg, a)
+		flipped := dot(p, neg, a)
 		for d := range pos {
 			if math.Abs(pos[d]+flipped[d]) > 1e-9 {
 				return false
@@ -92,7 +92,7 @@ func TestPropertyActivationMonotone(t *testing.T) {
 		prev := math.Inf(-1)
 		for _, a0 := range []float64{0, 0.25, 0.5, 0.75, 1} {
 			base[0][0] = a0
-			v := p.Dot(w, base)[0]
+			v := dot(p, w, base)[0]
 			if v < prev-1e-12 {
 				return false
 			}
@@ -190,11 +190,11 @@ func TestPropertyNoiseZeroMean(t *testing.T) {
 	ideal := NewPLCU(idealConfig())
 	rng := rand.New(rand.NewSource(99))
 	w, a := randomSlot(rng)
-	want := ideal.Dot(w, a)[0]
+	want := dot(ideal, w, a)[0]
 	var sum float64
 	const trials = 3000
 	for i := 0; i < trials; i++ {
-		sum += p.Dot(w, a)[0]
+		sum += dot(p, w, a)[0]
 	}
 	mean := sum / trials
 	if math.Abs(mean-want) > 0.05 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"albireo/internal/obs"
 	"albireo/internal/tensor"
 )
 
@@ -51,25 +52,6 @@ func (s ShardSpec) Owns(m int) bool {
 	}
 	r := m % s.Of
 	return r >= s.Pos && r < s.Pos+s.Count
-}
-
-// Kernels counts the owned kernels of an mTotal-kernel layer.
-func (s ShardSpec) Kernels(mTotal int) int {
-	if mTotal <= 0 {
-		return 0
-	}
-	if s.Whole() {
-		return mTotal
-	}
-	n := 0
-	full, extra := mTotal/s.Of, mTotal%s.Of
-	for r := s.Pos; r < s.Pos+s.Count; r++ {
-		n += full
-		if r < extra {
-			n++
-		}
-	}
-	return n
 }
 
 // Validate rejects malformed specs. The zero ShardSpec (whole layer)
@@ -226,19 +208,32 @@ func (c *Chip) ConvShard(a *tensor.Volume, w *tensor.Kernels, cfg tensor.ConvCon
 	c.denseConv(a, w, cfg, relu, shard, out)
 }
 
-// pointwiseShard is the owned-slice pointwise mapping behind
-// Pointwise and the block route of denseConv.
-func (c *Chip) pointwiseShard(a *tensor.Volume, w *tensor.Kernels, relu bool, shard ShardSpec, out *tensor.Volume) {
-	qa, aScale := c.prequantizeInput(a)
-	pr := c.programShard(progBlock, w, shard)
-	sp := c.ins.beginLayer("pointwise", w.M, w.Z, w.Y, w.X)
-	defer sp.End()
-	if s := aScale * pr.wScale; s != 0 {
-		c.plan.block(qa.Data, qa.Z, a.Y*a.X, pr.slotsPer)
-		c.fillPlan(pr.slotsPer, (*blockFill)(&c.plan))
-		c.block = blockLayer{c: c, pr: pr, dst: out.Data, npix: a.Y * a.X, outScale: s, relu: relu}
-		c.forEachKernel(sp, w.M, shard, &c.block)
-	}
+// blockLayer runs w's kernels the shard owns on the Section III-C
+// block layout (pointwise, FC, a GEMM pass, a live-tap conv): each tap
+// carries one flattened input element, each PD column one pixel, and
+// blocks of Nm elements round-robin over a group's healthy units. That
+// is the receptive-field layout of an Nm x 1 kernel over data viewed
+// as ceil(n/Nm) channels of Nm rows x npix columns (n = w.Z*w.Y*w.X,
+// data holding n planes of npix pixels): tap t of block b reads
+// element b*Nm+t and column d pixel p0+d, so slot (m, b) lands on unit
+// avail[b mod capacity], plan key b and tile p0/Nd in both. The views
+// are headers over the caller's slices; nothing is reshaped or
+// copied. Kernel m's npix outputs land at out[m*npix:]. FC is the
+// layout with one pixel per element: neuron m's sum lands at out[m].
+// It returns the layer it ran (see run).
+func (c *Chip) blockLayer(sp *obs.Span, data []float64, npix int, w *tensor.Kernels, relu bool, shard ShardSpec, out []float64) layer {
+	lay := c.cfg.blockView(w.Z * w.Y * w.X)
+	return c.run(sp, layer{
+		a:   tensor.Volume{Z: lay.z, Y: lay.ky, X: npix, Data: data},
+		out: tensor.Volume{Z: w.M, Y: 1, X: npix, Data: out},
+		w:   w, lay: lay, stride: 1, relu: relu,
+	}, shard)
+}
+
+// blockView is the block layout of n-element kernels: ceil(n/Nm)
+// channels of an Nm x 1 footprint.
+func (c Config) blockView(n int) layout {
+	return layout{z: (n + c.Nm - 1) / c.Nm, ky: c.Nm, kx: 1}
 }
 
 // FullyConnectedShard executes the shard's neuron slice of an FC
@@ -254,16 +249,9 @@ func (c *Chip) FullyConnectedShard(a *tensor.Volume, w *tensor.Kernels, relu boo
 	if len(out) != w.M {
 		panic(fmt.Sprintf("core: shard output length %d != %d neurons", len(out), w.M)) //lint:ignore exit-hygiene merge buffer shape invariant; caller bug
 	}
-	qa, aScale := c.prequantizeInput(a)
-	pr := c.programShard(progBlock, w, shard)
 	sp := c.ins.beginLayer("fc", w.M, w.Z, w.Y, w.X)
 	defer sp.End()
-	if s := aScale * pr.wScale; s != 0 {
-		c.plan.block(qa.Data, len(qa.Data), 1, pr.slotsPer)
-		c.fillPlan(pr.slotsPer, (*blockFill)(&c.plan))
-		c.block = blockLayer{c: c, pr: pr, dst: out, npix: 1, outScale: s, relu: relu}
-		c.forEachKernel(sp, w.M, shard, &c.block)
-	}
+	c.blockLayer(sp, a.Data, 1, w, relu, shard, out)
 }
 
 // GEMMShard executes the shard's output-column slice of a matrix
@@ -282,8 +270,6 @@ func (c *Chip) GEMMShard(a, b *tensor.Matrix, relu bool, shard ShardSpec, out *t
 		panic(fmt.Sprintf("core: shard output %dx%d != product %dx%d", out.R, out.C, mRows, n)) //lint:ignore exit-hygiene merge buffer shape invariant; caller bug
 	}
 	w := c.bviewFor(b)
-	pr := c.programShard(progBlock, w, shard)
-
 	if cap(c.gemmAcc) < n*mRows {
 		c.gemmAcc = make([]float64, n*mRows)
 	}
@@ -295,16 +281,13 @@ func (c *Chip) GEMMShard(a, b *tensor.Matrix, relu bool, shard ShardSpec, out *t
 	c.stageSigned(a)
 	sp := c.ins.beginLayer("gemm", n, a.C, 1, 1)
 	defer sp.End()
-	if pr.wScale != 0 {
-		qa, aScale := c.prequantizeInput(&c.posVol)
-		if s := aScale * pr.wScale; s != 0 {
-			c.gemmPass(qa, pr, sp, dst, mRows, s, false, shard)
-		}
-		qa, aScale = c.prequantizeInput(&c.negVol)
-		if s := aScale * pr.wScale; s != 0 {
-			c.gemmPass(qa, pr, sp, dst, mRows, s, true, shard)
-		}
-	}
+	// The positive pass assigns dst, so a skipped negative pass (an
+	// all-zero A-) leaves pointwise-identical bits. The negative pass
+	// is the same layer over A-, subtracting in the digital aggregation
+	// unit, with the positive pass's program.
+	l := c.blockLayer(sp, c.posVol.Data, mRows, w, false, shard, dst)
+	l.a.Data, l.subtract = c.negVol.Data, true
+	c.run(sp, l, shard)
 	// Digital write-back: dst holds the product transposed (one PLCG
 	// kernel per output column); untranspose into row-major and clamp.
 	for j := 0; j < n; j++ {
@@ -317,68 +300,6 @@ func (c *Chip) GEMMShard(a, b *tensor.Matrix, relu bool, shard ShardSpec, out *t
 				v = 0
 			}
 			out.Data[i*n+j] = v
-		}
-	}
-}
-
-// blockLayer is the per-kernel body of the Section III-C block layout
-// shared by Pointwise, FC and the GEMM passes: kernel m's npix outputs
-// land at dst[m*npix:]. FC has one pixel, so neuron m's sum lands at
-// dst[m]. A GEMM negative pass subtracts instead of assigning (the
-// digital aggregation unit's A = A+ - A- combine).
-type blockLayer struct {
-	c              *Chip
-	pr             *weightProgram
-	dst            []float64
-	npix           int
-	outScale       float64
-	relu, subtract bool
-}
-
-// kernel streams every output pixel of kernel m through its owning
-// PLCG: each tap carries one input channel, each PD column one pixel,
-// and blocks of Nm channels round-robin over the group's healthy
-// units, reading the plan's rows. Only a tail tile's live columns are
-// computed.
-//
-// hot: steady-state layer loop; per-tile work must not allocate.
-func (l *blockLayer) kernel(m int) {
-	c, pr, npix := l.c, l.pr, l.npix
-	gi := c.activeGroup(m)
-	g := c.groups[gi]
-	nug := g.Capacity()
-	sc := &g.conv
-	nd := c.cfg.Nd
-	for p0 := 0; p0 < npix; p0 += nd {
-		acc := sc.acc[:min(nd, npix-p0)]
-		for d := range acc {
-			acc[d] = 0
-		}
-		for b0 := 0; b0 < pr.slotsPer; b0 += nug {
-			nu := min(nug, pr.slotsPer-b0)
-			for u := 0; u < nu; u++ {
-				sc.weights[u] = pr.slot(m, b0+u)
-				sc.avals[u] = c.plan.set(p0/nd, b0+u)
-			}
-			part := g.stepPrequantized(sc.part, sc.weights[:nu], sc.avals[:nu], len(acc))
-			if c.ins != nil {
-				c.ins.step(gi, nu)
-			}
-			for d := range acc {
-				acc[d] += part[d]
-			}
-		}
-		for d := range acc {
-			v := acc[d] * l.outScale
-			o := &l.dst[m*npix+p0+d]
-			switch {
-			case l.subtract:
-				*o -= v
-			case l.relu && v < 0:
-				*o = 0
-			default:
-				*o = v
-			}
 		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 func TestShardSpecOwnership(t *testing.T) {
 	t.Parallel()
 	whole := ShardSpec{}
-	if !whole.Whole() || !whole.Owns(7) || whole.Kernels(13) != 13 {
+	if !whole.Whole() || !whole.Owns(7) {
 		t.Fatal("zero spec must own everything")
 	}
 	if err := whole.Validate(); err != nil {
@@ -30,16 +30,11 @@ func TestShardSpecOwnership(t *testing.T) {
 			t.Fatalf("Owns(%d) = %v, want %v", m, s.Owns(m), want)
 		}
 	}
-	// 13 kernels mod 9: residues 0..3 appear twice, 4..8 once. Shard
-	// owns residues {3, 4}: 2 + 1 kernels.
-	if got := s.Kernels(13); got != 3 {
-		t.Fatalf("Kernels(13) = %d, want 3", got)
-	}
-	if got := (ShardSpec{Pos: 0, Count: 9, Of: 9}).Kernels(13); got != 13 {
-		t.Fatalf("full window Kernels(13) = %d, want 13", got)
+	if !(ShardSpec{Pos: 0, Count: 9, Of: 9}).Whole() {
+		t.Fatal("full window must be whole")
 	}
 	empty := ShardSpec{Pos: 5, Count: 0, Of: 9}
-	if empty.Owns(5) || empty.Kernels(100) != 0 {
+	if empty.Owns(5) {
 		t.Fatal("empty window must own nothing")
 	}
 	for _, bad := range []ShardSpec{
