@@ -626,21 +626,6 @@ func BenchmarkAblationBitwidth(b *testing.B) {
 	}
 }
 
-// BenchmarkExtendedModels maps the extended zoo (VGG19, MobileNetV2)
-// on Albireo-C.
-func BenchmarkExtendedModels(b *testing.B) {
-	for _, m := range nn.Extended() {
-		m := m
-		b.Run(m.Name, func(b *testing.B) {
-			var mm core.ModelMapping
-			for i := 0; i < b.N; i++ {
-				mm = core.DefaultConfig().MapModel(m)
-			}
-			b.ReportMetric(mm.Latency()*1e3, "latency_ms")
-		})
-	}
-}
-
 // BenchmarkBaselines times the PIXEL and DEAP-CNN analytic models.
 func BenchmarkBaselines(b *testing.B) {
 	b.Run("PIXEL", func(b *testing.B) {

@@ -21,7 +21,7 @@
 #              root go test ./... does not reach it
 #   lint       albireo-lint: the type-aware module rules
 #              (hotpath-alloc-proof, lock-order,
-#              map-iteration-determinism) plus determinism,
+#              map-iteration-determinism, unreachable) plus determinism,
 #              obs-determinism, unit-safety, float-equality,
 #              exit-hygiene, goroutine-hygiene (see README.md); the
 #              JSON report lands in lint.out, archived by CI

@@ -1,7 +1,7 @@
 // Command albireo-lint runs the repo-specific static analyzers in
 // internal/lint over the module: the type-aware module rules
-// (hotpath-alloc-proof, lock-order, map-iteration-determinism) plus
-// the per-file rules (determinism, obs-determinism, unit-safety,
+// (hotpath-alloc-proof, lock-order, map-iteration-determinism,
+// unreachable) plus the per-file rules (determinism, obs-determinism, unit-safety,
 // float-equality, exit-hygiene, goroutine-hygiene).
 //
 // Usage:

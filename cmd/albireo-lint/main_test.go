@@ -26,6 +26,7 @@ func TestRunFindingsFailAndPrint(t *testing.T) {
 		"[hotpath-alloc-proof]",
 		"[lock-order]",
 		"[map-iteration-determinism]",
+		"[unreachable]",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("stdout missing %s findings:\n%s", want, out.String())
@@ -90,7 +91,7 @@ func TestSeverityOverride(t *testing.T) {
 	// without -strict.
 	var out, errOut bytes.Buffer
 	args := []string{
-		"-severity", "hotpath-alloc-proof=warn,lock-order=warn,map-iteration-determinism=warn",
+		"-severity", "hotpath-alloc-proof=warn,lock-order=warn,map-iteration-determinism=warn,unreachable=warn",
 		fixtureTarget,
 	}
 	if err := run(args, &out, &errOut); err != nil {

@@ -188,3 +188,16 @@ func TestBaselineStrings(t *testing.T) {
 		t.Error("result String")
 	}
 }
+
+// No binary uses the declarations below; they live with the tests
+// that check them.
+
+// WDMEfficiency returns energy per wavelength used (J/wavelength),
+// lower is better - the paper's combination metric for how well an
+// architecture exploits WDM.
+func (r Result) WDMEfficiency() float64 {
+	if r.Wavelengths <= 0 {
+		return math.Inf(1)
+	}
+	return r.Energy / float64(r.Wavelengths)
+}

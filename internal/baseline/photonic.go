@@ -9,7 +9,6 @@ package baseline
 
 import (
 	"fmt"
-	"math"
 
 	"albireo/internal/device"
 	"albireo/internal/nn"
@@ -28,16 +27,6 @@ type Result struct {
 	// for computation, the denominator of the paper's WDM-efficiency
 	// metric.
 	Wavelengths int
-}
-
-// WDMEfficiency returns energy per wavelength used (J/wavelength),
-// lower is better - the paper's combination metric for how well an
-// architecture exploits WDM.
-func (r Result) WDMEfficiency() float64 {
-	if r.Wavelengths <= 0 {
-		return math.Inf(1)
-	}
-	return r.Energy / float64(r.Wavelengths)
 }
 
 // String implements fmt.Stringer.

@@ -40,9 +40,6 @@ func NewChannelPlan(perPLCU, plcus int) ChannelPlan {
 	}
 }
 
-// TotalChannels returns PerPLCU * PLCUs (63 by default).
-func (c ChannelPlan) TotalChannels() int { return c.PerPLCU * c.PLCUs }
-
 // Span returns the wavelength extent of the full plan: PLCUs
 // contiguous ring-FSR windows.
 func (c ChannelPlan) Span() float64 { return float64(c.PLCUs) * c.RingFSR }
@@ -58,15 +55,6 @@ func (c ChannelPlan) Window(u int) Grid {
 	// Windows tile symmetrically around the band center.
 	offset := (float64(u) - float64(c.PLCUs-1)/2) * c.RingFSR
 	return Grid{Center: c.Center + offset, FSR: c.RingFSR, N: c.PerPLCU}
-}
-
-// AllWavelengths returns every channel of the plan in ascending order.
-func (c ChannelPlan) AllWavelengths() []float64 {
-	out := make([]float64, 0, c.TotalChannels())
-	for u := 0; u < c.PLCUs; u++ {
-		out = append(out, c.Window(u).Wavelengths()...)
-	}
-	return out
 }
 
 // InterUnitIsolation returns the worst leakage (linear fraction) of

@@ -15,8 +15,8 @@ func TestDefaultPlanFitsAWG(t *testing.T) {
 	if !p.Fits() {
 		t.Errorf("default plan (span %.1f nm) must fit the 70 nm AWG FSR", p.Span()/units.Nano)
 	}
-	if p.TotalChannels() != 63 {
-		t.Errorf("total channels = %d, want 63", p.TotalChannels())
+	if p.PerPLCU*p.PLCUs != 63 {
+		t.Errorf("total channels = %d, want 63", p.PerPLCU*p.PLCUs)
 	}
 	// 5 windows would not fit.
 	if NewChannelPlan(21, 5).Fits() {
@@ -73,4 +73,16 @@ func TestPlanString(t *testing.T) {
 	if NewChannelPlan(21, 3).String() == "" {
 		t.Error("String")
 	}
+}
+
+// No binary uses the declarations below; they live with the tests
+// that check them.
+
+// AllWavelengths returns every channel of the plan in ascending order.
+func (c ChannelPlan) AllWavelengths() []float64 {
+	out := make([]float64, 0, c.PerPLCU*c.PLCUs)
+	for u := 0; u < c.PLCUs; u++ {
+		out = append(out, c.Window(u).Wavelengths()...)
+	}
+	return out
 }

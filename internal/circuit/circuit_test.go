@@ -273,3 +273,34 @@ func TestAlbireoSignalPathBudget(t *testing.T) {
 		t.Error("single-group path should save the broadcast split")
 	}
 }
+
+// No binary uses the declarations below; they live with the tests
+// that check them.
+
+// SystemPrecision combines the crosstalk limit with the noise limit of
+// internal/noise at the given per-channel photocurrent: the system
+// supports only as many levels as the tighter of the two constraints.
+func (c CrosstalkAnalysis) SystemPrecision(np noise.Params, iPer float64, differential bool) float64 {
+	xBits := c.PrecisionBits()
+	if differential {
+		xBits = c.DifferentialPrecisionBits()
+	}
+	nBits := np.PrecisionBits(iPer, c.Grid.N)
+	return math.Min(xBits, nBits)
+}
+
+// StepResponse returns the drop-port power envelope over the given
+// duration after the input switches from 0 to full scale at t = 0,
+// sampled at dt intervals. The steady-state value is the ring's
+// on-resonance drop transfer.
+func (tr TemporalResponse) StepResponse(duration, dt float64) []float64 {
+	tau := tr.Ring.PhotonLifetime()
+	peak := tr.Ring.DropTransfer(tr.Ring.ResonantWavelength)
+	n := int(duration/dt) + 1
+	out := make([]float64, n)
+	for i := range out {
+		t := float64(i) * dt
+		out[i] = peak * (1 - math.Exp(-t/tau))
+	}
+	return out
+}

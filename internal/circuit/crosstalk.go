@@ -3,7 +3,6 @@ package circuit
 import (
 	"math"
 
-	"albireo/internal/noise"
 	"albireo/internal/photonics"
 	"albireo/internal/units"
 )
@@ -96,18 +95,6 @@ func (c CrosstalkAnalysis) PrecisionBits() float64 {
 // here as a doubling of the interferer population's residual leakage.
 func (c CrosstalkAnalysis) DifferentialPrecisionBits() float64 {
 	return c.PrecisionBits() + 1
-}
-
-// SystemPrecision combines the crosstalk limit with the noise limit of
-// internal/noise at the given per-channel photocurrent: the system
-// supports only as many levels as the tighter of the two constraints.
-func (c CrosstalkAnalysis) SystemPrecision(np noise.Params, iPer float64, differential bool) float64 {
-	xBits := c.PrecisionBits()
-	if differential {
-		xBits = c.DifferentialPrecisionBits()
-	}
-	nBits := np.PrecisionBits(iPer, c.Grid.N)
-	return math.Min(xBits, nBits)
 }
 
 // CrosstalkMatrix returns the full N x N leakage matrix: entry [i][j]

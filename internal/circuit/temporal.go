@@ -37,22 +37,6 @@ func NewTemporalResponse(k2, symbolRate float64) TemporalResponse {
 	}
 }
 
-// StepResponse returns the drop-port power envelope over the given
-// duration after the input switches from 0 to full scale at t = 0,
-// sampled at dt intervals. The steady-state value is the ring's
-// on-resonance drop transfer.
-func (tr TemporalResponse) StepResponse(duration, dt float64) []float64 {
-	tau := tr.Ring.PhotonLifetime()
-	peak := tr.Ring.DropTransfer(tr.Ring.ResonantWavelength)
-	n := int(duration/dt) + 1
-	out := make([]float64, n)
-	for i := range out {
-		t := float64(i) * dt
-		out[i] = peak * (1 - math.Exp(-t/tau))
-	}
-	return out
-}
-
 // Drive runs an OOK symbol sequence (each entry 0 or 1, or any
 // amplitude in [0,1]) through the ring and returns the drop-port power
 // envelope with SamplesPerSymbol samples per symbol. The first-order

@@ -49,9 +49,6 @@ func NewRingLock(seed int64) *RingLock {
 	}
 }
 
-// HeaterPower returns the current heater drive in watts.
-func (r *RingLock) HeaterPower() float64 { return r.heater }
-
 // Step closes the loop once: ambientShift is the open-loop resonance
 // error (meters) the environment imposes this step; the servo measures
 // the residual detune (with sensor noise), updates the heater, and

@@ -59,8 +59,8 @@ func TestLockHeaterNonNegative(t *testing.T) {
 	// corrected by heating alone: power clamps at zero.
 	lock := NewRingLock(4)
 	lock.Run(100, -1*units.Nano, 0, 0)
-	if lock.HeaterPower() != 0 {
-		t.Errorf("heater power %.3g should clamp at zero for red offsets", lock.HeaterPower())
+	if lock.heater != 0 {
+		t.Errorf("heater power %.3g should clamp at zero for red offsets", lock.heater)
 	}
 }
 

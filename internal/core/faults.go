@@ -100,6 +100,8 @@ func (p *PLCU) InjectFault(f Fault) {
 // ClearFaults removes all injected defects. No production path
 // repairs hardware; it stays for the tests that model a repaired unit
 // (the fleet's re-probe and restore tests).
+//
+//lint:ignore unreachable TestFleetReprobeRestores models a re-locked ring with it
 func (p *PLCU) ClearFaults() {
 	p.faults = nil
 	p.faultEpoch++

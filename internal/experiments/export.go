@@ -1,73 +1,15 @@
 package experiments
 
 import (
-	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
-	"reflect"
-	"strconv"
 
 	"albireo/internal/core"
 	"albireo/internal/units"
 )
 
-// Export writers: every experiment's row slice can be serialized to
-// CSV (for plotting scripts) or JSON (for downstream tooling) via
-// reflection over the exported struct fields. The albireo-figures CLI
-// exposes these with -format csv|json.
-
-// WriteCSV writes any slice of flat structs as CSV with a header row
-// derived from the field names.
-func WriteCSV(w io.Writer, rows interface{}) error {
-	v := reflect.ValueOf(rows)
-	if v.Kind() != reflect.Slice {
-		return fmt.Errorf("experiments: WriteCSV wants a slice, got %T", rows)
-	}
-	cw := csv.NewWriter(w)
-	defer cw.Flush()
-	if v.Len() == 0 {
-		return nil
-	}
-	et := v.Index(0).Type()
-	if et.Kind() != reflect.Struct {
-		return fmt.Errorf("experiments: WriteCSV wants structs, got %s", et)
-	}
-	header := make([]string, et.NumField())
-	for i := 0; i < et.NumField(); i++ {
-		header[i] = et.Field(i).Name
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for r := 0; r < v.Len(); r++ {
-		rec := make([]string, et.NumField())
-		for i := 0; i < et.NumField(); i++ {
-			rec[i] = formatField(v.Index(r).Field(i))
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// formatField stringifies one struct field for CSV.
-func formatField(f reflect.Value) string {
-	switch f.Kind() {
-	case reflect.Float64, reflect.Float32:
-		return strconv.FormatFloat(f.Float(), 'g', 10, 64)
-	case reflect.Int, reflect.Int64, reflect.Int32:
-		return strconv.FormatInt(f.Int(), 10)
-	case reflect.Bool:
-		return strconv.FormatBool(f.Bool())
-	case reflect.String:
-		return f.String()
-	default:
-		return fmt.Sprint(f.Interface())
-	}
-}
+// Export: every experiment's structured rows serialize to JSON for
+// downstream tooling. The albireo-figures CLI exposes it with -json.
 
 // WriteJSON writes any value as indented JSON.
 func WriteJSON(w io.Writer, rows interface{}) error {
@@ -80,6 +22,7 @@ func WriteJSON(w io.Writer, rows interface{}) error {
 // machine-readable dump of the full reproduction.
 type Dataset struct {
 	Fig3     []Fig3Row
+	Fig4a    []Fig4aRow
 	Fig4b    []Fig4bRow
 	Fig4c    []Fig4cRow
 	Fig8     []Fig8Row
@@ -94,6 +37,7 @@ type Dataset struct {
 func CollectDataset() Dataset {
 	return Dataset{
 		Fig3:     Fig3(DefaultFig3Params()),
+		Fig4a:    Fig4a([]float64{0.02, 0.03, 0.05, 0.1}, 2*units.Nano, 41),
 		Fig4b:    Fig4b([]float64{0.02, 0.03, 0.05}, []float64{5 * units.Giga, 10 * units.Giga, 20 * units.Giga, 40 * units.Giga}),
 		Fig4c:    Fig4c([]float64{0.02, 0.03, 0.05}, 40),
 		Fig8:     Fig8(),

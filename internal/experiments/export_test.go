@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"fmt"
+	"io"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -89,5 +93,60 @@ func TestCollectDataset(t *testing.T) {
 	}
 	if buf.Len() < 1000 {
 		t.Error("dataset JSON implausibly small")
+	}
+}
+
+// No binary uses the declarations below; they live with the tests
+// that check them.
+
+// WriteCSV writes any slice of flat structs as CSV with a header row
+// derived from the field names.
+func WriteCSV(w io.Writer, rows interface{}) error {
+	v := reflect.ValueOf(rows)
+	if v.Kind() != reflect.Slice {
+		return fmt.Errorf("experiments: WriteCSV wants a slice, got %T", rows)
+	}
+	cw := csv.NewWriter(w)
+	defer cw.Flush()
+	if v.Len() == 0 {
+		return nil
+	}
+	et := v.Index(0).Type()
+	if et.Kind() != reflect.Struct {
+		return fmt.Errorf("experiments: WriteCSV wants structs, got %s", et)
+	}
+	header := make([]string, et.NumField())
+	for i := 0; i < et.NumField(); i++ {
+		header[i] = et.Field(i).Name
+	}
+	if err := cw.Write(header); err != nil {
+		return err
+	}
+	for r := 0; r < v.Len(); r++ {
+		rec := make([]string, et.NumField())
+		for i := 0; i < et.NumField(); i++ {
+			rec[i] = formatField(v.Index(r).Field(i))
+		}
+		if err := cw.Write(rec); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
+}
+
+// formatField stringifies one struct field for CSV.
+func formatField(f reflect.Value) string {
+	switch f.Kind() {
+	case reflect.Float64, reflect.Float32:
+		return strconv.FormatFloat(f.Float(), 'g', 10, 64)
+	case reflect.Int, reflect.Int64, reflect.Int32:
+		return strconv.FormatInt(f.Int(), 10)
+	case reflect.Bool:
+		return strconv.FormatBool(f.Bool())
+	case reflect.String:
+		return f.String()
+	default:
+		return fmt.Sprint(f.Interface())
 	}
 }

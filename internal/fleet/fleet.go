@@ -425,16 +425,6 @@ func (s *Scheduler) Ticks() int64 {
 	return s.ticks.Load()
 }
 
-// Conv submits a convolution and waits for its result.
-func (s *Scheduler) Conv(ctx context.Context, a *tensor.Volume, w *tensor.Kernels, cfg tensor.ConvConfig, relu bool) (*tensor.Volume, error) {
-	return s.ConvAsync(ctx, a, w, cfg, relu).Volume()
-}
-
-// FullyConnected submits a classifier layer and waits for its result.
-func (s *Scheduler) FullyConnected(ctx context.Context, a *tensor.Volume, w *tensor.Kernels, relu bool) ([]float64, error) {
-	return s.FullyConnectedAsync(ctx, a, w, relu).Logits()
-}
-
 // ConvAsync submits a convolution without waiting. Submission order is
 // batch order: calls from one goroutine coalesce deterministically.
 func (s *Scheduler) ConvAsync(ctx context.Context, a *tensor.Volume, w *tensor.Kernels, cfg tensor.ConvConfig, relu bool) *Future {
@@ -444,11 +434,6 @@ func (s *Scheduler) ConvAsync(ctx context.Context, a *tensor.Volume, w *tensor.K
 // FullyConnectedAsync submits a classifier layer without waiting.
 func (s *Scheduler) FullyConnectedAsync(ctx context.Context, a *tensor.Volume, w *tensor.Kernels, relu bool) *Future {
 	return s.submit(ctx, &request{op: journal.Request{Op: journal.OpFC, ReLU: relu, A: a, W: w}, ctx: ctx})
-}
-
-// GEMM submits a dense matrix product and waits for its result.
-func (s *Scheduler) GEMM(ctx context.Context, a, b *tensor.Matrix, relu bool) (*tensor.Matrix, error) {
-	return s.GEMMAsync(ctx, a, b, relu).Matrix()
 }
 
 // GEMMAsync submits a dense matrix product without waiting.

@@ -414,7 +414,7 @@ func TestFleetReprobeRestores(t *testing.T) {
 	ctx := context.Background()
 	in := tensor.RandomVolume(3, 9, 9, 5)
 	w := tensor.RandomKernels(4, 3, 3, 3, 50)
-	if _, err := s.Conv(ctx, in, w, tensor.ConvConfig{Stride: 1, Pad: 1}, false); err != nil {
+	if _, err := s.ConvAsync(ctx, in, w, tensor.ConvConfig{Stride: 1, Pad: 1}, false).Volume(); err != nil {
 		t.Fatalf("conv after restore: %v", err)
 	}
 	if err := s.Close(ctx); err != nil {
@@ -451,7 +451,7 @@ func TestFleetKeepDegraded(t *testing.T) {
 	ctx := context.Background()
 	in := tensor.RandomVolume(3, 9, 9, 5)
 	w := tensor.RandomKernels(4, 3, 3, 3, 50)
-	out, err := s.Conv(ctx, in, w, tensor.ConvConfig{Stride: 1, Pad: 1}, false)
+	out, err := s.ConvAsync(ctx, in, w, tensor.ConvConfig{Stride: 1, Pad: 1}, false).Volume()
 	if err != nil {
 		t.Fatalf("conv: %v", err)
 	}

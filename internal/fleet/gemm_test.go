@@ -28,7 +28,7 @@ func TestFleetGEMMMatchesLocalChip(t *testing.T) {
 	ctx := context.Background()
 	a := tensor.RandomMatrix(6, 14, 62)
 	b := tensor.RandomMatrix(14, 5, 63)
-	got, err := s.GEMM(ctx, a, b, true)
+	got, err := s.GEMMAsync(ctx, a, b, true).Matrix()
 	if err != nil {
 		t.Fatalf("GEMM: %v", err)
 	}

@@ -117,7 +117,7 @@ func (s *Scheduler) tryShardLocked(req *request) (*Future, bool) {
 		return nil, false
 	}
 	sp := &shardParent{req: req, out: newOutput(&req.op), minStart: math.MaxInt64, vMinStart: math.MaxInt64}
-	// The parent carries sp too (ShardStages, Close-time failure); it
+	// The parent carries sp too (for Close-time failure); it
 	// is never enqueued or ledger-booked itself, so the sub-only paths
 	// that test req.sp never see it.
 	req.sp = sp
@@ -202,24 +202,4 @@ func (s *Scheduler) failShard(sp *shardParent, err error) {
 	sp.mu.Unlock()
 	s.deliver(sp.req, result{err: err})
 	s.releaseSlot()
-}
-
-// ShardStages returns the per-shard stage decompositions of a sharded
-// request, in placement order (ascending worker id at fan-out time).
-// ok is false for unsharded requests or before the merged result
-// finalizes; the parent's own Stages aggregate the merge (ExecStart
-// is the earliest sub start, ExecEnd the last sub end).
-func (f *Future) ShardStages() ([]StageTicks, bool) {
-	if f.err != nil || f.req == nil || f.req.sp == nil || !f.req.final.Load() {
-		return nil, false
-	}
-	sp := f.req.sp
-	out := make([]StageTicks, 0, len(sp.subs))
-	for _, sub := range sp.subs {
-		if !sub.final.Load() {
-			return nil, false
-		}
-		out = append(out, sub.st)
-	}
-	return out, true
 }

@@ -59,19 +59,19 @@ func runShardTrace(t *testing.T, units []fleet.Unit, opt fleet.Options) ([][]flo
 	ma := tensor.RandomMatrix(11, 13, 935)
 	mb := tensor.RandomMatrix(13, 10, 936)
 
-	v1, err := s.Conv(ctx, in, w1, tensor.ConvConfig{Stride: 1, Pad: 1}, true)
+	v1, err := s.ConvAsync(ctx, in, w1, tensor.ConvConfig{Stride: 1, Pad: 1}, true).Volume()
 	if err != nil {
 		t.Fatalf("conv: %v", err)
 	}
-	u1, err := s.Conv(ctx, v1, w2, tensor.ConvConfig{}, true)
+	u1, err := s.ConvAsync(ctx, v1, w2, tensor.ConvConfig{}, true).Volume()
 	if err != nil {
 		t.Fatalf("pointwise: %v", err)
 	}
-	l1, err := s.FullyConnected(ctx, u1, wfc, false)
+	l1, err := s.FullyConnectedAsync(ctx, u1, wfc, false).Logits()
 	if err != nil {
 		t.Fatalf("fc: %v", err)
 	}
-	m1, err := s.GEMM(ctx, ma, mb, false)
+	m1, err := s.GEMMAsync(ctx, ma, mb, false).Matrix()
 	if err != nil {
 		t.Fatalf("gemm: %v", err)
 	}
@@ -207,7 +207,7 @@ func TestFleetShardedDegradedPlacement(t *testing.T) {
 	ctx := context.Background()
 	in := tensor.RandomVolume(6, 10, 10, 941)
 	w := tensor.RandomKernels(13, 6, 3, 3, 942)
-	if _, err := s.Conv(ctx, in, w, tensor.ConvConfig{Stride: 1, Pad: 1}, true); err != nil {
+	if _, err := s.ConvAsync(ctx, in, w, tensor.ConvConfig{Stride: 1, Pad: 1}, true).Volume(); err != nil {
 		t.Fatalf("conv: %v", err)
 	}
 	if err := s.Close(ctx); err != nil {
@@ -254,7 +254,7 @@ func TestFleetShardedDegradedPlacement(t *testing.T) {
 // whole decomposition is reproducible tick for tick.
 func TestFleetShardedVirtualTimeLatency(t *testing.T) {
 	t.Parallel()
-	run := func(pool int) (fleet.StageTicks, []fleet.StageTicks, bool) {
+	run := func(pool int) fleet.StageTicks {
 		units := cloneUnits(pool, 64, nil)
 		s, err := fleet.New(fleet.Options{
 			MaxBatch: 8, QueueDepth: 16, Shard: true,
@@ -282,25 +282,18 @@ func TestFleetShardedVirtualTimeLatency(t *testing.T) {
 		if !ok {
 			t.Fatal("stages not final after drain")
 		}
-		shards, sok := fut.ShardStages()
 		if err := s.Close(ctx); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
-		return st, shards, sok
+		return st
 	}
 
-	st1, _, sok1 := run(1)
-	if sok1 {
-		t.Fatal("pool-1 request reported shard stages")
-	}
+	st1 := run(1)
 	// Pool 1: ProgramTicks + RequestTicks = 20.
 	if got := st1.EndToEnd(); got != 20 {
 		t.Fatalf("pool-1 e2e = %d ticks, want 20", got)
 	}
-	st4, ss4, sok4 := run(4)
-	if !sok4 || len(ss4) != 4 {
-		t.Fatalf("pool-4 shard stages = %v (ok=%v), want 4 windows", ss4, sok4)
-	}
+	st4 := run(4)
 	// Pool 4 windows over 9 groups are {3,2,2,2}: the slowest sub pays
 	// 2 + ceil(18*3/9) = 8 ticks, and the merge barrier ends there.
 	if got := st4.EndToEnd(); got != 8 {
@@ -310,14 +303,8 @@ func TestFleetShardedVirtualTimeLatency(t *testing.T) {
 		t.Fatalf("sharded e2e %d !< single-chip e2e %d", st4.EndToEnd(), st1.EndToEnd())
 	}
 	// Determinism: the same trace books the same ledger.
-	st4b, ss4b, _ := run(4)
-	if st4b != st4 {
+	if st4b := run(4); st4b != st4 {
 		t.Fatalf("pool-4 stages changed across identical runs: %+v vs %+v", st4b, st4)
-	}
-	for i := range ss4 {
-		if ss4b[i] != ss4[i] {
-			t.Fatalf("shard %d stages changed across identical runs: %+v vs %+v", i, ss4b[i], ss4[i])
-		}
 	}
 }
 
@@ -351,22 +338,22 @@ func TestFleetShardedJournalReplay(t *testing.T) {
 		wfc := tensor.RandomKernels(10, 13, 10, 10, 963)
 		ma := tensor.RandomMatrix(7, 11, 964)
 		mb := tensor.RandomMatrix(11, 9, 965)
-		v1, err := s.Conv(ctx, in, w1, tensor.ConvConfig{Stride: 1, Pad: 1}, true)
+		v1, err := s.ConvAsync(ctx, in, w1, tensor.ConvConfig{Stride: 1, Pad: 1}, true).Volume()
 		if err != nil {
 			t.Fatalf("conv: %v", err)
 		}
-		if _, err := s.FullyConnected(ctx, v1, wfc, false); err != nil {
+		if _, err := s.FullyConnectedAsync(ctx, v1, wfc, false).Logits(); err != nil {
 			t.Fatalf("fc: %v", err)
 		}
-		if _, err := s.GEMM(ctx, ma, mb, false); err != nil {
+		if _, err := s.GEMMAsync(ctx, ma, mb, false).Matrix(); err != nil {
 			t.Fatalf("gemm: %v", err)
 		}
 		wdw := tensor.RandomKernels(6, 1, 3, 3, 966)
-		if _, err := s.Conv(ctx, in, wdw, tensor.ConvConfig{Stride: 1, Pad: 1, Depthwise: true}, true); err != nil {
+		if _, err := s.ConvAsync(ctx, in, wdw, tensor.ConvConfig{Stride: 1, Pad: 1, Depthwise: true}, true).Volume(); err != nil {
 			t.Fatalf("depthwise: %v", err)
 		}
 		wg := tensor.RandomKernels(4, 3, 3, 3, 967)
-		if _, err := s.Conv(ctx, in, wg, tensor.ConvConfig{Stride: 1, Pad: 1, Groups: 2}, false); err != nil {
+		if _, err := s.ConvAsync(ctx, in, wg, tensor.ConvConfig{Stride: 1, Pad: 1, Groups: 2}, false).Volume(); err != nil {
 			t.Fatalf("grouped: %v", err)
 		}
 		for _, op := range []journal.Op{journal.OpLSTM, journal.OpAttention} {
@@ -475,7 +462,7 @@ func BenchmarkShardedConv(b *testing.B) {
 			ctx := context.Background()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.Conv(ctx, in, w, cfg, true); err != nil {
+				if _, err := s.ConvAsync(ctx, in, w, cfg, true).Volume(); err != nil {
 					b.Fatalf("conv: %v", err)
 				}
 			}

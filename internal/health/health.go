@@ -148,6 +148,8 @@ func (r Report) FaultyUnits() []core.UnitRef {
 }
 
 // JSON renders the report as an indented JSON document.
+//
+//lint:ignore unreachable TestScanObservability checks the report's JSON form with it
 func (r Report) JSON() ([]byte, error) {
 	if r.Findings == nil {
 		r.Findings = []Finding{}

@@ -37,6 +37,8 @@ type convCase struct {
 // cases covers the layer geometries the Albireo mapping distinguishes:
 // receptive-field convs, strides, the pointwise fast path, depthwise
 // and grouped variants.
+//
+//lint:ignore unreachable test helper package: inference's conformance tests and fleet's backend tests run it
 func cases() []convCase {
 	return []convCase{
 		{
@@ -75,6 +77,8 @@ func cases() []convCase {
 }
 
 // Run exercises the conformance table against backends built by mk.
+//
+//lint:ignore unreachable test helper package: inference's conformance tests and fleet's backend tests run it
 func Run(t *testing.T, mk Factory) {
 	exact := inference.Exact{}
 
@@ -207,6 +211,8 @@ func Run(t *testing.T, mk Factory) {
 }
 
 // checkFinite fails on NaN or Inf anywhere in the output.
+//
+//lint:ignore unreachable test helper package: inference's conformance tests and fleet's backend tests run it
 func checkFinite(t *testing.T, name string, data []float64) {
 	t.Helper()
 	for i, v := range data {
@@ -217,6 +223,8 @@ func checkFinite(t *testing.T, name string, data []float64) {
 }
 
 // relRMS returns the RMS of (got - want) relative to the RMS of want.
+//
+//lint:ignore unreachable test helper package: inference's conformance tests and fleet's backend tests run it
 func relRMS(got, want []float64) float64 {
 	if len(got) != len(want) || len(want) == 0 {
 		return math.Inf(1)

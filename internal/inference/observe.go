@@ -42,13 +42,6 @@ func Observe(b Backend, reg *obs.Registry, trace *obs.Trace) *Observed {
 	return &Observed{Backend: b, Reg: reg, Trace: trace}
 }
 
-// WithReference attaches a reference backend for divergence scoring
-// and returns the wrapper for chaining.
-func (o *Observed) WithReference(ref Backend) *Observed {
-	o.Ref = ref
-	return o
-}
-
 // Name implements Backend.
 func (o *Observed) Name() string { return o.Backend.Name() }
 

@@ -13,7 +13,7 @@ func TestObservedBackendTelemetry(t *testing.T) {
 	t.Parallel()
 	reg := obs.NewRegistry()
 	tr := obs.NewTrace()
-	ob := Observe(NewAnalog(core.DefaultConfig()), reg, tr).WithReference(Exact{})
+	ob := &Observed{Backend: NewAnalog(core.DefaultConfig()), Ref: Exact{}, Reg: reg, Trace: tr}
 
 	a := tensor.RandomVolume(3, 8, 8, 31)
 	w := tensor.RandomKernels(4, 3, 3, 3, 32)
@@ -53,7 +53,7 @@ func TestObservedMatchesWrappedBackend(t *testing.T) {
 	w := tensor.RandomKernels(2, 3, 3, 3, 42)
 
 	plain := NewAnalog(core.DefaultConfig())
-	wrapped := Observe(NewAnalog(core.DefaultConfig()), obs.NewRegistry(), nil).WithReference(Exact{})
+	wrapped := &Observed{Backend: NewAnalog(core.DefaultConfig()), Ref: Exact{}, Reg: obs.NewRegistry()}
 
 	po := plain.Conv(a, w, tensor.ConvConfig{Stride: 1, Pad: 1}, true)
 	wo := wrapped.Conv(a, w, tensor.ConvConfig{Stride: 1, Pad: 1}, true)

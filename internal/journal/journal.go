@@ -283,19 +283,6 @@ func (w *Writer) Head() (uint64, [32]byte) {
 // Dir returns the journal directory.
 func (w *Writer) Dir() string { return w.dir }
 
-// Sync flushes the active segment to stable storage.
-func (w *Writer) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return ErrClosed
-	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	return nil
-}
-
 // Close syncs and closes the active segment. Further appends fail
 // with ErrClosed.
 func (w *Writer) Close() error {

@@ -267,6 +267,10 @@ func TestOpenAppendCleanReopen(t *testing.T) {
 	if err != nil || r.Recovered != lastSeq || r.TruncatedBytes != 0 {
 		t.Fatalf("restart payload = %+v, %v", r, err)
 	}
+	ex := &replayExec{hashes: map[int]map[string][32]byte{0: {sampleRequest().Op.String(): HashVector([]float64{1, 2})}}}
+	if res, err := Replay(snap, ex); err != nil || res.Restarts != 1 {
+		t.Fatalf("replay of the reopened journal: %+v, %v", res, err)
+	}
 }
 
 // lastSegment returns the path of the journal's last segment file.
@@ -597,15 +601,18 @@ func TestReplayDecodesEveryRecord(t *testing.T) {
 		Record{Kind: KindShed, Payload: EncodeShed(Shed{Op: OpConv, Queued: 3})},
 		Record{Kind: KindCancel, Payload: EncodeCancel(Cancel{Admit: 1})},
 		Record{Kind: KindFallback, Payload: EncodeFallback(Fallback{Worker: 1, Op: OpFC})},
+		Record{Kind: KindRestart, Payload: EncodeRestart(Restart{Recovered: 4})},
 	), &replayExec{})
-	if err != nil || res.Sheds != 1 || res.Cancels != 1 || res.Fallbacks != 1 {
+	if err != nil || res.Sheds != 1 || res.Cancels != 1 || res.Fallbacks != 1 || res.Restarts != 1 {
 		t.Fatalf("well-formed records: %+v, %v", res, err)
 	}
 	for name, rec := range map[string]Record{
-		"short shed":         {Kind: KindShed, Payload: []byte{1}},
-		"empty cancel":       {Kind: KindCancel},
-		"short fallback":     {Kind: KindFallback, Payload: []byte{9, 9}},
-		"cancel of no admit": {Kind: KindCancel, Payload: EncodeCancel(Cancel{Admit: 7})},
+		"short shed":          {Kind: KindShed, Payload: []byte{1}},
+		"empty cancel":        {Kind: KindCancel},
+		"short fallback":      {Kind: KindFallback, Payload: []byte{9, 9}},
+		"cancel of no admit":  {Kind: KindCancel, Payload: EncodeCancel(Cancel{Admit: 7})},
+		"short restart":       {Kind: KindRestart, Payload: []byte{1}},
+		"restart off its seq": {Kind: KindRestart, Payload: EncodeRestart(Restart{Recovered: 9})},
 	} {
 		if _, err := Replay(snap(rec), &replayExec{}); err == nil {
 			t.Errorf("%s: replay accepted it", name)

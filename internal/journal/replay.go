@@ -163,6 +163,15 @@ func Replay(snap *Snapshot, ex Executor) (ReplayResult, error) {
 			}
 			res.ShardSubs++
 		case KindRestart:
+			r, err := DecodeRestart(rec.Payload)
+			if err != nil {
+				return res, fmt.Errorf("seq %d: %w", rec.Seq, err)
+			}
+			// OpenAppend writes the restart right after the last valid
+			// record it recovered.
+			if r.Recovered+1 != rec.Seq {
+				return res, fmt.Errorf("seq %d: restart claims recovery through seq %d", rec.Seq, r.Recovered)
+			}
 			res.Restarts++
 		default:
 			return res, fmt.Errorf("seq %d: unknown record kind %d", rec.Seq, rec.Kind)

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 )
@@ -390,6 +389,3 @@ func (g *CallGraph) Reachable(roots []*types.Func) map[*types.Func][]string {
 	}
 	return paths
 }
-
-// posOf is a small helper for analyzers reporting at a node.
-func posOf(n ast.Node) token.Pos { return n.Pos() }

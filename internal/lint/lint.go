@@ -9,8 +9,8 @@
 // empty) and ships the repo-specific rules that keep those invariants
 // honest. LoadModule type-checks the whole module; per-file rules get
 // resolved identifiers, and module rules (hotpath-alloc-proof,
-// lock-order, map-iteration-determinism) get a static call graph over
-// the module (see callgraph.go).
+// lock-order, map-iteration-determinism, unreachable) get a static
+// call graph over the module (see callgraph.go).
 //
 // Each rule may be suppressed at a single site with a directive
 // comment carrying a mandatory reason:
@@ -204,26 +204,6 @@ func (r *ModuleReporter) Reportf(f *File, pos token.Pos, format string, args ...
 	})
 }
 
-// CheckFile runs every applicable per-file rule on one parsed file and
-// returns the surviving findings after //lint:ignore suppression,
-// sorted by position. Module rules (ModuleCheck) are skipped; run them
-// through CheckModule.
-func CheckFile(f *File, rules []*Rule) []Finding {
-	var findings []Finding
-	for _, rule := range rules {
-		if rule.Check == nil {
-			continue
-		}
-		if rule.Applies != nil && !rule.Applies(f) {
-			continue
-		}
-		rule.Check(f, &Reporter{file: f, rule: rule, findings: &findings})
-	}
-	findings = filterSuppressed(findings, suppressionsOf(f))
-	sortFindings(findings)
-	return findings
-}
-
 // CheckModule runs per-file rules over every file of the module and
 // module rules over the module itself, applies //lint:ignore
 // suppression, and returns the surviving findings sorted by position.
@@ -297,21 +277,6 @@ func suppressionsOf(f *File) fileSuppressions {
 		}
 	}
 	return suppressed
-}
-
-// filterSuppressed drops findings covered by one file's directives.
-func filterSuppressed(findings []Finding, sup fileSuppressions) []Finding {
-	if len(sup) == 0 {
-		return findings
-	}
-	kept := findings[:0]
-	for _, fd := range findings {
-		if sup[fd.Rule][fd.Pos.Line] {
-			continue
-		}
-		kept = append(kept, fd)
-	}
-	return kept
 }
 
 // filterSuppressedByFile drops findings covered by the directives of

@@ -17,7 +17,7 @@ func fixture(t *testing.T, name, relPath string, rules []*Rule) []string {
 		t.Fatalf("parse fixture %s: %v", name, err)
 	}
 	var got []string
-	for _, fd := range CheckFile(f, rules) {
+	for _, fd := range CheckModule(&Module{Fset: fset, Files: []*File{f}}, rules) {
 		got = append(got, fmt.Sprintf("%d: [%s] %s", fd.Pos.Line, fd.Rule, fd.Message))
 	}
 	return got
@@ -224,7 +224,7 @@ func TestGoroutineHygieneIsWarnLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := CheckFile(f, []*Rule{GoroutineHygiene()})
+	findings := CheckModule(&Module{Fset: fset, Files: []*File{f}}, []*Rule{GoroutineHygiene()})
 	if len(findings) == 0 {
 		t.Fatal("want at least one finding")
 	}

@@ -51,17 +51,6 @@ type Module struct {
 	Files []*File
 }
 
-// FileAt returns the loaded file with the given module-relative path,
-// or nil.
-func (m *Module) FileAt(rel string) *File {
-	for _, f := range m.Files {
-		if f.RelPath == rel {
-			return f
-		}
-	}
-	return nil
-}
-
 // modulePath extracts the module path from a go.mod file's contents.
 func modulePath(gomod []byte) string {
 	for _, line := range strings.Split(string(gomod), "\n") {
@@ -162,7 +151,7 @@ func LoadModule(root string) (*Module, error) {
 		seen := map[string]bool{}
 		for _, f := range rp.files {
 			for _, ip := range f.Imports {
-				if mod.Path != "" && (ip == mod.Path || strings.HasPrefix(ip, mod.Path+"/")) && !seen[ip] {
+				if inModule(mod, ip) && !seen[ip] {
 					seen[ip] = true
 					rp.imports = append(rp.imports, ip)
 				}
@@ -263,4 +252,9 @@ func (c *moduleChecker) check(rp *rawPackage) {
 		f.Info = info
 		f.Pkg = pkg
 	}
+}
+
+// inModule reports whether importPath belongs to the loaded module.
+func inModule(m *Module, importPath string) bool {
+	return m.Path != "" && (importPath == m.Path || strings.HasPrefix(importPath, m.Path+"/"))
 }

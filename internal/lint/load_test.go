@@ -62,12 +62,10 @@ func TestLoadModuleFixture(t *testing.T) {
 			t.Errorf("package %s import path = %q", p.Dir, p.ImportPath)
 		}
 	}
-	f := m.FileAt("internal/hot/hot.go")
-	if f == nil {
-		t.Fatal("FileAt(internal/hot/hot.go) = nil")
-	}
-	if f.Info == nil || f.Pkg == nil {
-		t.Error("loaded file missing Info/Pkg back-references")
+	for _, f := range m.Files {
+		if !f.IsTest && (f.Info == nil || f.Pkg == nil) {
+			t.Errorf("loaded file %s missing Info/Pkg back-references", f.RelPath)
+		}
 	}
 }
 

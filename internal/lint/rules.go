@@ -20,6 +20,7 @@ func Default() []*Rule {
 		HotPathAllocProof(),
 		LockOrder(),
 		MapIterationOrder(),
+		Unreachable(),
 	}
 }
 

@@ -63,10 +63,6 @@ func KernelCache() SRAM {
 	return New(16<<10, 4, 0.092*units.Milli*0.085*units.Milli, 0.0011)
 }
 
-// AccessEnergy returns the dynamic energy of one word access in
-// joules.
-func (s SRAM) AccessEnergy() float64 { return s.baseAccessEnergy }
-
 // ReadEnergy returns the energy to read n bytes.
 func (s SRAM) ReadEnergy(n int) float64 {
 	words := (n + s.WordBytes - 1) / s.WordBytes
@@ -89,25 +85,4 @@ func (s SRAM) Bandwidth(clockHz float64) float64 {
 func (s SRAM) String() string {
 	return fmt.Sprintf("sram{%d kB, %d B/word, %.3f mm^2}",
 		s.CapacityBytes>>10, s.WordBytes, s.Area*units.Mega)
-}
-
-// LayerTraffic estimates the SRAM energy of one convolution layer's
-// data movement: each input element is read once per kernel pass (the
-// broadcast amortizes it across PLCGs), kernel weights are read once
-// per cache fill, and each output activation is written once - the
-// "no partial sum writes" property of the PLCG's stationary
-// accumulation (Section III-B).
-type LayerTraffic struct {
-	// InputReads, WeightReads, OutputWrites are byte counts.
-	InputReads, WeightReads, OutputWrites int64
-}
-
-// Energy returns the total SRAM energy for the traffic, with inputs
-// and outputs hitting the global buffer and weights the kernel caches.
-func (t LayerTraffic) Energy() float64 {
-	gb := GlobalBuffer()
-	kc := KernelCache()
-	return gb.ReadEnergy(int(t.InputReads)) +
-		kc.ReadEnergy(int(t.WeightReads)) +
-		gb.WriteEnergy(int(t.OutputWrites))
 }

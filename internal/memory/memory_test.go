@@ -93,3 +93,31 @@ func TestString(t *testing.T) {
 		t.Error("String")
 	}
 }
+
+// No binary uses the declarations below; they live with the tests
+// that check them.
+
+// AccessEnergy returns the dynamic energy of one word access in
+// joules.
+func (s SRAM) AccessEnergy() float64 { return s.baseAccessEnergy }
+
+// LayerTraffic estimates the SRAM energy of one convolution layer's
+// data movement: each input element is read once per kernel pass (the
+// broadcast amortizes it across PLCGs), kernel weights are read once
+// per cache fill, and each output activation is written once - the
+// "no partial sum writes" property of the PLCG's stationary
+// accumulation (Section III-B).
+type LayerTraffic struct {
+	// InputReads, WeightReads, OutputWrites are byte counts.
+	InputReads, WeightReads, OutputWrites int64
+}
+
+// Energy returns the total SRAM energy for the traffic, with inputs
+// and outputs hitting the global buffer and weights the kernel caches.
+func (t LayerTraffic) Energy() float64 {
+	gb := GlobalBuffer()
+	kc := KernelCache()
+	return gb.ReadEnergy(int(t.InputReads)) +
+		kc.ReadEnergy(int(t.WeightReads)) +
+		gb.WriteEnergy(int(t.OutputWrites))
+}

@@ -49,9 +49,6 @@ func (s SRAM) Meter(reg *obs.Registry, array string) *Meter {
 	}
 }
 
-// SRAM returns the underlying array.
-func (m *Meter) SRAM() SRAM { return m.sram }
-
 func (m *Meter) words(n int) int64 {
 	return int64((n + m.sram.WordBytes - 1) / m.sram.WordBytes)
 }
@@ -169,6 +166,3 @@ func (c *Cache) Hits() int64 { return c.nhits }
 
 // Misses returns the accumulated miss count.
 func (c *Cache) Misses() int64 { return c.nmisses }
-
-// LineBytes returns the cache line size.
-func (c *Cache) LineBytes() int { return c.lineBytes }

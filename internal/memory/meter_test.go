@@ -92,8 +92,8 @@ func TestCacheAccessRangeAndAccount(t *testing.T) {
 	if c.AccessRange(0, 0) != 0 {
 		t.Fatal("empty range must be a no-op")
 	}
-	if c.LineBytes() != 16 {
-		t.Fatalf("line bytes = %d", c.LineBytes())
+	if c.lineBytes != 16 {
+		t.Fatalf("line bytes = %d", c.lineBytes)
 	}
 }
 

@@ -222,20 +222,10 @@ func (m Model) TotalParams() int64 {
 	return sum
 }
 
-// ComputeLayers returns only layers with MACs (the ones the photonic
-// fabric executes).
-func (m Model) ComputeLayers() []Layer {
-	out := make([]Layer, 0, len(m.Layers))
-	for _, l := range m.Layers {
-		if l.HasMACs() {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
 // Validate checks layer-to-layer shape consistency and returns a
 // descriptive error for the first mismatch.
+//
+//lint:ignore unreachable benchmark/bench_test.go and TestWorkloadModelsValidate check every model with it
 func (m Model) Validate() error {
 	prevZ, prevY, prevX := -1, -1, -1
 	for i, l := range m.Layers {

@@ -199,3 +199,18 @@ func TestResNetBranchLayers(t *testing.T) {
 		t.Errorf("ResNet18 should have 3 downsample shortcuts, got %d", branches)
 	}
 }
+
+// No binary uses the declarations below; they live with the tests
+// that check them.
+
+// ComputeLayers returns only layers with MACs (the ones the photonic
+// fabric executes).
+func (m Model) ComputeLayers() []Layer {
+	out := make([]Layer, 0, len(m.Layers))
+	for _, l := range m.Layers {
+		if l.HasMACs() {
+			out = append(out, l)
+		}
+	}
+	return out
+}

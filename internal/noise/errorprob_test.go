@@ -100,3 +100,65 @@ func TestMACErrorsPerInference(t *testing.T) {
 		t.Error("negative probability should clamp")
 	}
 }
+
+// The paper (Section II-C.1) notes that output value distributions
+// "may overlap a decision threshold with a small probability", making
+// computation approximate beyond the supported precision. The model
+// below is the probability that Gaussian noise pushes an output across
+// the midpoint between adjacent levels. No binary uses it; it lives
+// with the tests that check it.
+
+// ErrorProbability returns the per-sample probability of reading the
+// wrong level when adjacent levels are separated by sep and the noise
+// is Gaussian with standard deviation sigma. Interior levels can err
+// in both directions: P = erfc(sep/(2*sqrt(2)*sigma)).
+func ErrorProbability(sep, sigma float64) float64 {
+	if sigma <= 0 {
+		return 0
+	}
+	if sep <= 0 {
+		return 1
+	}
+	return math.Erfc(sep / (2 * math.Sqrt2 * sigma))
+}
+
+// LevelErrorProbability returns the misread probability for a b-bit
+// output over an accumulation of n wavelengths with per-channel
+// full-scale photocurrent iPer: the full scale n*iPer is divided into
+// 2^bits levels and compared against the operating-point noise.
+func (p Params) LevelErrorProbability(iPer float64, n, bits int) float64 {
+	if iPer <= 0 || n <= 0 || bits <= 0 {
+		return 1
+	}
+	fullScale := iPer * float64(n)
+	sep := fullScale / float64(uint64(1)<<uint(bits))
+	return ErrorProbability(sep, p.TotalSigma(iPer, n))
+}
+
+// MaxErrorFreeBits returns the largest bit width whose per-sample
+// error probability stays below pMax at the operating point - the
+// "fully supports b bits without error" criterion with an explicit
+// error budget instead of a sigma-separation rule of thumb.
+func (p Params) MaxErrorFreeBits(iPer float64, n int, pMax float64) int {
+	if pMax <= 0 {
+		return 0
+	}
+	bits := 0
+	for b := 1; b <= 16; b++ {
+		if p.LevelErrorProbability(iPer, n, b) > pMax {
+			break
+		}
+		bits = b
+	}
+	return bits
+}
+
+// MACErrorsPerInference estimates the expected number of erroneous
+// MAC-level reads in an inference with total dot-product outputs
+// given the per-sample error probability.
+func MACErrorsPerInference(perSample float64, outputs int64) float64 {
+	if perSample < 0 {
+		perSample = 0
+	}
+	return perSample * float64(outputs)
+}

@@ -112,19 +112,6 @@ func (p Params) PrecisionBits(iPer float64, n int) float64 {
 	return units.Log2(p.SeparableLevels(iPer, n))
 }
 
-// SupportedIntBits returns the largest integer bit width fully
-// supported without error: floor of PrecisionBits.
-func (p Params) SupportedIntBits(iPer float64, n int) int {
-	b := p.PrecisionBits(iPer, n)
-	if math.IsInf(b, 1) {
-		return 64
-	}
-	if b < 0 {
-		return 0
-	}
-	return int(math.Floor(b))
-}
-
 // DominantSource identifies which noise source has the largest
 // standard deviation at the operating point, matching the paper's
 // observation that RIN contributes the least at typical circuit powers
@@ -146,6 +133,8 @@ func (p Params) DominantSource(iPer float64, n int) string {
 // Sample draws one correlated noise realization for an accumulation of
 // n channels with per-channel current iPer, using rng. It is the Monte
 // Carlo counterpart of TotalSigma used by the functional simulator.
+//
+//lint:ignore unreachable refPLCU in core's datapath_test draws its reference noise with it
 func (p Params) Sample(rng *rand.Rand, iPer float64, n int) float64 {
 	return rng.NormFloat64() * p.TotalSigma(iPer, n)
 }

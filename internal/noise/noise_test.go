@@ -192,3 +192,19 @@ func TestSampleStatistics(t *testing.T) {
 		t.Errorf("sample std %g, want %g", std, want)
 	}
 }
+
+// No binary uses the declarations below; they live with the tests
+// that check them.
+
+// SupportedIntBits returns the largest integer bit width fully
+// supported without error: floor of PrecisionBits.
+func (p Params) SupportedIntBits(iPer float64, n int) int {
+	b := p.PrecisionBits(iPer, n)
+	if math.IsInf(b, 1) {
+		return 64
+	}
+	if b < 0 {
+		return 0
+	}
+	return int(math.Floor(b))
+}

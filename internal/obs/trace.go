@@ -269,6 +269,8 @@ func (t *Trace) Len() int {
 }
 
 // Dropped returns how many events fell past the cap.
+//
+//lint:ignore unreachable TestTraceCapDrops observes the production cap with it
 func (t *Trace) Dropped() int64 {
 	if t == nil {
 		return 0
@@ -279,6 +281,8 @@ func (t *Trace) Dropped() int64 {
 }
 
 // Events returns a copy of the buffered events.
+//
+//lint:ignore unreachable TestSpanNesting reads the recorded spans with it
 func (t *Trace) Events() []Event {
 	if t == nil {
 		return nil
@@ -304,6 +308,8 @@ func (t *Trace) Reset() {
 // CountByKind tallies events per kind name - the order-insensitive
 // view two schedules of the same work must agree on (for example
 // Conv on one lane and on many).
+//
+//lint:ignore unreachable TestQuarantineObservability and TestScanObservability tally the production trace with it
 func (t *Trace) CountByKind() map[string]int64 {
 	out := make(map[string]int64)
 	if t == nil {

@@ -94,16 +94,6 @@ func Evaluate(cfg core.Config, model nn.Model) Result {
 	}
 }
 
-// EvaluateAll evaluates every benchmark network on the configuration.
-func EvaluateAll(cfg core.Config) []Result {
-	models := nn.Benchmarks()
-	out := make([]Result, 0, len(models))
-	for _, m := range models {
-		out = append(out, Evaluate(cfg, m))
-	}
-	return out
-}
-
 // LayerResult is a per-layer line of the per-layer analysis
 // (Section IV-A: "we perform a per-layer analysis to yield latency,
 // energy, and EDP").

@@ -139,3 +139,16 @@ func TestResultDegenerateMetrics(t *testing.T) {
 		t.Error("zero result should yield zero rates, not NaN")
 	}
 }
+
+// No binary uses the declarations below; they live with the tests
+// that check them.
+
+// EvaluateAll evaluates every benchmark network on the configuration.
+func EvaluateAll(cfg core.Config) []Result {
+	models := nn.Benchmarks()
+	out := make([]Result, 0, len(models))
+	for _, m := range models {
+		out = append(out, Evaluate(cfg, m))
+	}
+	return out
+}

@@ -72,3 +72,20 @@ func TestScaleOutSmallModelSaturates(t *testing.T) {
 		t.Errorf("MobileNet efficiency %.2f should trail VGG16 %.2f", mob, vgg)
 	}
 }
+
+// No binary uses the declarations below; they live with the tests
+// that check them.
+
+// ScalingEfficiency returns the strong-scaling efficiency of the last
+// point of a curve: ideal speedup / achieved speedup ratio inverted,
+// i.e. achieved/(chips * base).
+func ScalingEfficiency(curve []Result) float64 {
+	if len(curve) < 2 {
+		return 1
+	}
+	base := curve[0].Latency
+	last := curve[len(curve)-1]
+	chips := float64(len(curve))
+	achieved := base / last.Latency
+	return achieved / chips
+}

@@ -6,39 +6,6 @@ import (
 	"math"
 )
 
-// DAC models the 8-bit digital-to-analog converter that drives the
-// modulators (Section IV-A: 8-bit, 5 GS/s conservative/moderate,
-// 8 GS/s aggressive). The converter quantizes a normalized value in
-// [0, 1] onto its output grid.
-type DAC struct {
-	// Bits is the converter resolution.
-	Bits int
-	// SampleRate is in samples per second; it bounds the photonic
-	// modulation rate.
-	SampleRate float64
-}
-
-// NewDAC returns the paper's 8-bit converter at the given rate.
-func NewDAC(rate float64) DAC { return DAC{Bits: 8, SampleRate: rate} }
-
-// Levels returns the number of output levels, 2^Bits.
-func (d DAC) Levels() int { return 1 << uint(d.Bits) }
-
-// Quantize maps x in [0, 1] to the nearest representable level and
-// returns the reconstructed analog value. Out-of-range inputs clip.
-func (d DAC) Quantize(x float64) float64 {
-	n := float64(d.Levels() - 1)
-	q := math.Round(clamp(x, 0, 1) * n)
-	return q / n
-}
-
-// Code returns the integer code for x in [0, 1], clipping out-of-range
-// inputs.
-func (d DAC) Code(x float64) int {
-	n := float64(d.Levels() - 1)
-	return int(math.Round(clamp(x, 0, 1) * n))
-}
-
 // ADC models the analog-to-digital converter in each PLCG aggregation
 // unit. It digitizes a value within [-FullScale, +FullScale]
 // (differential input from the balanced PD/TIA chain) to Bits of
@@ -49,9 +16,6 @@ type ADC struct {
 	// SampleRate is in samples per second.
 	SampleRate float64
 }
-
-// NewADC returns the paper's 8-bit converter at the given rate.
-func NewADC(rate float64) ADC { return ADC{Bits: 8, SampleRate: rate} }
 
 // Levels returns the number of codes, 2^Bits.
 func (a ADC) Levels() int { return 1 << uint(a.Bits) }
@@ -67,17 +31,7 @@ func (a ADC) Quantize(x, fs float64) float64 {
 	return q / half * fs
 }
 
-// LSB returns the quantization step for full scale fs.
-func (a ADC) LSB(fs float64) float64 {
-	return fs / float64(a.Levels()/2-1)
-}
-
 // String implements fmt.Stringer.
 func (a ADC) String() string {
 	return fmt.Sprintf("adc{%d bit @ %.0f GS/s}", a.Bits, a.SampleRate/units.Giga)
-}
-
-// String implements fmt.Stringer.
-func (d DAC) String() string {
-	return fmt.Sprintf("dac{%d bit @ %.0f GS/s}", d.Bits, d.SampleRate/units.Giga)
 }

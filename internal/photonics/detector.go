@@ -1,34 +1,8 @@
 package photonics
 
 import (
-	"fmt"
-
 	"albireo/internal/units"
 )
-
-// Laser models one off-chip continuous-wave laser source. Albireo uses
-// one laser per WDM wavelength; each is characterized by its output
-// power and relative intensity noise (RIN).
-type Laser struct {
-	// Wavelength is the emission wavelength in meters.
-	Wavelength float64
-	// Power is the CW output power in watts.
-	Power float64
-	// RINdBcHz is the relative intensity noise power spectral density
-	// in dBc/Hz (Table II: -140).
-	RINdBcHz float64
-}
-
-// NewLaser returns a laser with the Table II RIN at the given
-// wavelength and power.
-func NewLaser(wavelength, power float64) Laser {
-	return Laser{Wavelength: wavelength, Power: power, RINdBcHz: -140}
-}
-
-// RINLinear returns the RIN PSD as a linear fraction^2 per hertz.
-func (l Laser) RINLinear() float64 {
-	return units.DBToLinear(l.RINdBcHz)
-}
 
 // Photodiode models the PIN photodetector that converts accumulated
 // optical power into current (paper Section II-B: I is directly
@@ -43,64 +17,4 @@ type Photodiode struct {
 // NewPhotodiode returns the Table II PIN photodiode.
 func NewPhotodiode() Photodiode {
 	return Photodiode{Responsivity: 1.1, DarkCurrent: 25 * units.Pico}
-}
-
-// Current returns the photocurrent for the given total incident
-// optical power, including dark current.
-func (p Photodiode) Current(power float64) float64 {
-	if power < 0 {
-		power = 0
-	}
-	return p.Responsivity*power + p.DarkCurrent
-}
-
-// BalancedPD is the balanced photodiode pair of Eq. 4: PD0 detects the
-// positively-weighted accumulation waveguide, PD1 the negative one, and
-// the output is the current difference
-//
-//	Iout = R0 * sum(P+) - R1 * sum(P-).
-//
-// R0 = R1 for all designs in the paper.
-type BalancedPD struct {
-	Positive Photodiode
-	Negative Photodiode
-}
-
-// NewBalancedPD returns a matched pair of Table II photodiodes.
-func NewBalancedPD() BalancedPD {
-	return BalancedPD{Positive: NewPhotodiode(), Negative: NewPhotodiode()}
-}
-
-// Current returns the differential output current for the given total
-// powers on the positive and negative accumulation waveguides. The
-// matched dark currents cancel in the difference.
-func (b BalancedPD) Current(pPos, pNeg float64) float64 {
-	return b.Positive.Current(pPos) - b.Negative.Current(pNeg)
-}
-
-// TIA models the transimpedance amplifier converting the balanced PD
-// current into a voltage for the ADC (Section III-B). Its feedback
-// resistance sets both the gain and the Johnson-Nyquist noise floor
-// (Eq. 6).
-type TIA struct {
-	// FeedbackOhms is Rf in ohms.
-	FeedbackOhms float64
-	// Temperature is T in kelvin (Section II-C: 300 K).
-	Temperature float64
-}
-
-// NewTIA returns a TIA with a 10 kOhm feedback resistance at 300 K, a
-// representative value for multi-GHz silicon photonic receivers.
-func NewTIA() TIA {
-	return TIA{FeedbackOhms: 10 * units.Kilo, Temperature: 300}
-}
-
-// Voltage returns the output voltage for an input current.
-func (t TIA) Voltage(current float64) float64 {
-	return current * t.FeedbackOhms
-}
-
-// String implements fmt.Stringer.
-func (t TIA) String() string {
-	return fmt.Sprintf("tia{Rf=%.0f ohm T=%.0f K}", t.FeedbackOhms, t.Temperature)
 }

@@ -1,6 +1,8 @@
 package photonics
 
 import (
+	"albireo/internal/units"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -51,27 +53,6 @@ func TestBalancedPDLinearity(t *testing.T) {
 	}
 }
 
-func TestTIAVoltage(t *testing.T) {
-	tia := NewTIA()
-	if got := tia.Voltage(1e-4); math.Abs(got-1.0) > 1e-12 {
-		t.Errorf("100 uA through 10 kOhm should be 1 V, got %g", got)
-	}
-	if tia.Temperature != 300 {
-		t.Error("default temperature should be the paper's 300 K")
-	}
-}
-
-func TestLaserRIN(t *testing.T) {
-	l := NewLaser(c1550, 2e-3)
-	// -140 dBc/Hz is 1e-14 /Hz linear.
-	if math.Abs(l.RINLinear()-1e-14) > 1e-20 {
-		t.Errorf("RIN linear = %g, want 1e-14", l.RINLinear())
-	}
-	if l.Power != 2e-3 || l.Wavelength != c1550 {
-		t.Error("laser constructor should carry power and wavelength")
-	}
-}
-
 func TestDACQuantize(t *testing.T) {
 	d := NewDAC(5e9)
 	if d.Levels() != 256 {
@@ -107,7 +88,7 @@ func TestDACCode(t *testing.T) {
 }
 
 func TestADCQuantize(t *testing.T) {
-	a := NewADC(5e9)
+	a := ADC{Bits: 8, SampleRate: 5e9}
 	fs := 2.0
 	// Zero is exact; rails clip.
 	if a.Quantize(0, fs) != 0 {
@@ -117,7 +98,7 @@ func TestADCQuantize(t *testing.T) {
 		t.Error("inputs beyond full scale should clip to the rails")
 	}
 	// Quantization error bounded by half an LSB.
-	half := a.LSB(fs) / 2
+	half := fs / float64(a.Levels()/2-1) / 2
 	f := func(x float64) bool {
 		x = math.Mod(x, fs)
 		return math.Abs(a.Quantize(x, fs)-x) <= half+1e-12
@@ -132,7 +113,7 @@ func TestADCQuantize(t *testing.T) {
 }
 
 func TestADCSymmetry(t *testing.T) {
-	a := NewADC(5e9)
+	a := ADC{Bits: 8, SampleRate: 5e9}
 	f := func(x float64) bool {
 		x = math.Mod(x, 1)
 		return math.Abs(a.Quantize(x, 1)+a.Quantize(-x, 1)) < 1e-12
@@ -143,7 +124,81 @@ func TestADCSymmetry(t *testing.T) {
 }
 
 func TestConverterStrings(t *testing.T) {
-	if NewADC(5e9).String() == "" || NewDAC(5e9).String() == "" {
+	if (ADC{Bits: 8, SampleRate: 5e9}).String() == "" || NewDAC(5e9).String() == "" {
 		t.Error("converters should describe themselves")
 	}
+}
+
+// No binary uses the declarations below; they live with the tests
+// that check them.
+
+// Current returns the photocurrent for the given total incident
+// optical power, including dark current.
+func (p Photodiode) Current(power float64) float64 {
+	if power < 0 {
+		power = 0
+	}
+	return p.Responsivity*power + p.DarkCurrent
+}
+
+// BalancedPD is the balanced photodiode pair of Eq. 4: PD0 detects the
+// positively-weighted accumulation waveguide, PD1 the negative one, and
+// the output is the current difference
+//
+//	Iout = R0 * sum(P+) - R1 * sum(P-).
+//
+// R0 = R1 for all designs in the paper.
+type BalancedPD struct {
+	Positive Photodiode
+	Negative Photodiode
+}
+
+// NewBalancedPD returns a matched pair of Table II photodiodes.
+func NewBalancedPD() BalancedPD {
+	return BalancedPD{Positive: NewPhotodiode(), Negative: NewPhotodiode()}
+}
+
+// Current returns the differential output current for the given total
+// powers on the positive and negative accumulation waveguides. The
+// matched dark currents cancel in the difference.
+func (b BalancedPD) Current(pPos, pNeg float64) float64 {
+	return b.Positive.Current(pPos) - b.Negative.Current(pNeg)
+}
+
+// DAC models the 8-bit digital-to-analog converter that drives the
+// modulators (Section IV-A: 8-bit, 5 GS/s conservative/moderate,
+// 8 GS/s aggressive). The converter quantizes a normalized value in
+// [0, 1] onto its output grid.
+type DAC struct {
+	// Bits is the converter resolution.
+	Bits int
+	// SampleRate is in samples per second; it bounds the photonic
+	// modulation rate.
+	SampleRate float64
+}
+
+// NewDAC returns the paper's 8-bit converter at the given rate.
+func NewDAC(rate float64) DAC { return DAC{Bits: 8, SampleRate: rate} }
+
+// Levels returns the number of output levels, 2^Bits.
+func (d DAC) Levels() int { return 1 << uint(d.Bits) }
+
+// Quantize maps x in [0, 1] to the nearest representable level and
+// returns the reconstructed analog value. Out-of-range inputs clip.
+func (d DAC) Quantize(x float64) float64 {
+	n := float64(d.Levels() - 1)
+	q := math.Round(clamp(x, 0, 1) * n)
+	return q / n
+}
+
+// Code returns the integer code for x in [0, 1], clipping out-of-range
+// inputs.
+func (d DAC) Code(x float64) int {
+	n := float64(d.Levels() - 1)
+	return int(math.Round(clamp(x, 0, 1) * n))
+}
+
+// String implements fmt.Stringer.
+func (d DAC) String() string {
+	return fmt.Sprintf("dac{%d bit @ %.0f GS/s}", d.Bits, d.SampleRate/units.Giga)
 }

@@ -1,6 +1,8 @@
 package photonics
 
 import (
+	"albireo/internal/units"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -84,4 +86,87 @@ func TestCodeTransferCurve(t *testing.T) {
 	if d.String() == "" {
 		t.Error("String")
 	}
+}
+
+// No binary uses the declarations below; they live with the tests
+// that check them.
+
+// MZMDrive models the electro-optic drive of the weight MZM: the
+// paper's conservative device is the forward-biased PIN Mach-Zehnder
+// of Akiyama et al. (reference [1]) with V-pi*L = 0.29 V*cm. The DAC
+// output voltage sets the differential phase, which sets the weight
+// via Eq. 2 - this closes the loop between the digital weight code and
+// the optical transfer.
+type MZMDrive struct {
+	// VPiL is the voltage-length product for a pi phase shift, in
+	// volt-meters (0.29 V*cm).
+	VPiL float64
+	// ArmLength is the phase-shifter length in meters (300 um, the
+	// Table II MZM footprint's long axis).
+	ArmLength float64
+	// MaxVoltage is the driver swing ceiling.
+	MaxVoltage float64
+}
+
+// NewMZMDrive returns the reference [1] device geometry.
+func NewMZMDrive() MZMDrive {
+	return MZMDrive{
+		VPiL:       0.29e-2, // 0.29 V*cm in V*m
+		ArmLength:  300 * units.Micro,
+		MaxVoltage: 12,
+	}
+}
+
+// VPi returns the voltage for a pi differential phase shift at this
+// arm length.
+func (d MZMDrive) VPi() float64 {
+	return d.VPiL / d.ArmLength
+}
+
+// PhaseForVoltage returns the differential phase (radians, clamped to
+// [0, pi]) for a drive voltage.
+func (d MZMDrive) PhaseForVoltage(v float64) float64 {
+	return clamp(v/d.VPi(), 0, 1) * pi
+}
+
+// VoltageForWeight returns the drive voltage that programs weight w in
+// [0, 1] through Eq. 2: dphi = arccos(2w - 1), v = dphi/pi * Vpi.
+func (d MZMDrive) VoltageForWeight(w float64) float64 {
+	m := MZM{}
+	return m.PhaseForWeight(w) / pi * d.VPi()
+}
+
+// WeightForVoltage inverts the chain: voltage -> phase -> transfer.
+func (d MZMDrive) WeightForVoltage(v float64) float64 {
+	m := MZM{}
+	return m.Transfer(d.PhaseForVoltage(v))
+}
+
+// Reachable reports whether the full weight range [0, 1] fits inside
+// the driver swing: the zero weight needs the full Vpi.
+func (d MZMDrive) Reachable() bool {
+	return d.VPi() <= d.MaxVoltage
+}
+
+// CodeTransferCurve returns the optical transfer realized by each DAC
+// code of a b-bit driver spanning [0, Vpi] linearly - the end-to-end
+// code-to-weight map including the arccos nonlinearity. A linear
+// voltage DAC yields a raised-cosine weight grid, which is why the
+// weight quantizer in internal/quant models the value grid directly
+// (the controller pre-distorts codes).
+func (d MZMDrive) CodeTransferCurve(bits int) []float64 {
+	n := 1 << uint(bits)
+	out := make([]float64, n)
+	vpi := d.VPi()
+	for i := range out {
+		v := vpi * float64(i) / float64(n-1)
+		out[i] = d.WeightForVoltage(v)
+	}
+	return out
+}
+
+// String implements fmt.Stringer.
+func (d MZMDrive) String() string {
+	return fmt.Sprintf("mzmdrive{VpiL=%.2f V*cm, L=%.0f um, Vpi=%.2f V}",
+		d.VPiL*100, d.ArmLength*units.Mega, d.VPi())
 }

@@ -9,7 +9,6 @@ const pi = math.Pi
 func sqrt(x float64) float64 { return math.Sqrt(x) }
 func cos(x float64) float64  { return math.Cos(x) }
 func acos(x float64) float64 { return math.Acos(x) }
-func abs(x float64) float64  { return math.Abs(x) }
 
 // clamp limits x to the closed interval [lo, hi].
 func clamp(x, lo, hi float64) float64 {

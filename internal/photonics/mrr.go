@@ -120,19 +120,6 @@ func (m MRR) DropTransfer(lambda float64) float64 {
 	return k2 * k2 * a / den
 }
 
-// ThruTransfer returns the power transfer from the In port to the Thru
-// port at wavelength lambda:
-//
-//	Tt = (t2^2*a^2 - 2*t1*t2*a*cos(phi) + t1^2) / (1 - 2*t1*t2*a*cos(phi) + (t1*t2*a)^2)
-func (m MRR) ThruTransfer(lambda float64) float64 {
-	t, a := m.fieldParams()
-	phi := m.roundTripPhase(lambda)
-	tta := t * t * a
-	den := 1 - 2*tta*cos(phi) + tta*tta
-	num := t*t*a*a - 2*tta*cos(phi) + t*t
-	return num / den
-}
-
 // Bandwidth returns the optical 3 dB bandwidth of the resonance in
 // hertz: df = c * FWHM / lambda^2. This sets the ring's temporal
 // response and hence the maximum modulation rate it can pass

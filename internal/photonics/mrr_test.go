@@ -178,3 +178,19 @@ func TestMRRString(t *testing.T) {
 		t.Error("String should describe the ring")
 	}
 }
+
+// No binary uses the declarations below; they live with the tests
+// that check them.
+
+// ThruTransfer returns the power transfer from the In port to the Thru
+// port at wavelength lambda:
+//
+//	Tt = (t2^2*a^2 - 2*t1*t2*a*cos(phi) + t1^2) / (1 - 2*t1*t2*a*cos(phi) + (t1*t2*a)^2)
+func (m MRR) ThruTransfer(lambda float64) float64 {
+	t, a := m.fieldParams()
+	phi := m.roundTripPhase(lambda)
+	tta := t * t * a
+	den := 1 - 2*tta*cos(phi) + tta*tta
+	num := t*t*a*a - 2*tta*cos(phi) + t*t
+	return num / den
+}

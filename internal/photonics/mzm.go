@@ -52,19 +52,6 @@ func (m MZM) Multiply(pin, w float64) float64 {
 	return pin * m.Transfer(m.PhaseForWeight(w)) * units.LossDBToTransmission(m.InsertionLossDB)
 }
 
-// MultiplyWDM multiplies every channel power in pins by the same weight
-// w, writing results into a new slice. This models the MZM's
-// wavelength-independent operation across a WDM bundle (Figure 2b).
-func (m MZM) MultiplyWDM(pins []float64, w float64) []float64 {
-	out := make([]float64, len(pins))
-	loss := units.LossDBToTransmission(m.InsertionLossDB)
-	tf := m.Transfer(m.PhaseForWeight(w)) * loss
-	for i, p := range pins {
-		out[i] = p * tf
-	}
-	return out
-}
-
 // String implements fmt.Stringer.
 func (m MZM) String() string {
 	return fmt.Sprintf("mzm{IL=%.1f dB}", m.InsertionLossDB)

@@ -192,3 +192,52 @@ func TestWaveguideAmplitudeVsPower(t *testing.T) {
 		t.Error("a^2 must equal the power transmission")
 	}
 }
+
+// No binary uses the declarations below; they live with the tests
+// that check them.
+
+// MultiplyWDM multiplies every channel power in pins by the same weight
+// w, writing results into a new slice. This models the MZM's
+// wavelength-independent operation across a WDM bundle (Figure 2b).
+func (m MZM) MultiplyWDM(pins []float64, w float64) []float64 {
+	out := make([]float64, len(pins))
+	loss := units.LossDBToTransmission(m.InsertionLossDB)
+	tf := m.Transfer(m.PhaseForWeight(w)) * loss
+	for i, p := range pins {
+		out[i] = p * tf
+	}
+	return out
+}
+
+// Split returns the power on each of the two output arms.
+func (y YBranch) Split(pin float64) (a, b float64) {
+	out := pin / 2 * units.LossDBToTransmission(y.ExcessLossDB)
+	return out, out
+}
+
+// Multicast distributes each input channel to every output port. The
+// result is indexed [output][input] and contains the per-port power of
+// each wavelength after the split. All inputs carry distinct
+// wavelengths, so powers never interfere.
+func (s StarCoupler) Multicast(pins []float64) [][]float64 {
+	out := make([][]float64, s.Out)
+	for o := range out {
+		row := make([]float64, len(pins))
+		for i, p := range pins {
+			row[i] = s.PerOutputPower(p)
+		}
+		out[o] = row
+	}
+	return out
+}
+
+// StraightWaveguide returns the Table II straight waveguide
+// (500x220 nm, 1.5 dB/cm).
+func StraightWaveguide() Waveguide {
+	return Waveguide{NEff: 2.33, NGroup: 4.68, LossDBPerM: 150}
+}
+
+// Propagate attenuates an optical power over the given length.
+func (w Waveguide) Propagate(power, length float64) float64 {
+	return power * w.Transmission(length)
+}

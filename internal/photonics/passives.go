@@ -19,12 +19,6 @@ type YBranch struct {
 // NewYBranch returns the Table II Y-branch.
 func NewYBranch() YBranch { return YBranch{ExcessLossDB: 0.3} }
 
-// Split returns the power on each of the two output arms.
-func (y YBranch) Split(pin float64) (a, b float64) {
-	out := pin / 2 * units.LossDBToTransmission(y.ExcessLossDB)
-	return out, out
-}
-
 // BroadcastTree models a tree of Y-branches fanning one input out to n
 // outputs. It returns the per-output power. The tree depth is
 // ceil(log2(n)); each level costs the 3 dB split plus excess loss.
@@ -70,22 +64,6 @@ func (s StarCoupler) PerOutputPower(pin float64) float64 {
 		return 0
 	}
 	return pin / float64(s.Out) * units.LossDBToTransmission(s.ExcessLossDB)
-}
-
-// Multicast distributes each input channel to every output port. The
-// result is indexed [output][input] and contains the per-port power of
-// each wavelength after the split. All inputs carry distinct
-// wavelengths, so powers never interfere.
-func (s StarCoupler) Multicast(pins []float64) [][]float64 {
-	out := make([][]float64, s.Out)
-	for o := range out {
-		row := make([]float64, len(pins))
-		for i, p := range pins {
-			row[i] = s.PerOutputPower(p)
-		}
-		out[o] = row
-	}
-	return out
 }
 
 // AWG models the arrayed waveguide grating that demultiplexes the 64

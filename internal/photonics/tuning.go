@@ -1,8 +1,6 @@
 package photonics
 
 import (
-	"fmt"
-
 	"albireo/internal/units"
 )
 
@@ -28,74 +26,11 @@ func NewThermalTuner() ThermalTuner {
 // PowerForShift returns the heater power in watts to shift the
 // resonance by dLambda (meters; sign ignored - heaters only red-shift,
 // so fabs is the budget either way after fabrication binning).
+//
+//lint:ignore unreachable TestLockHoldsUnderStaticOffset checks the servo's heater power against it
 func (t ThermalTuner) PowerForShift(dLambda float64) float64 {
 	if dLambda < 0 {
 		dLambda = -dLambda
 	}
 	return dLambda / units.Nano / t.EfficiencyNMPerMW * units.Milli
-}
-
-// CanReach reports whether the heater can cover the shift.
-func (t ThermalTuner) CanReach(dLambda float64) bool {
-	return t.PowerForShift(dLambda) <= t.MaxPower
-}
-
-// AverageLockPower returns the expected tuning power for a ring whose
-// fabricated resonance is uniformly distributed over one FSR: heaters
-// shift in one direction only, so the mean shift is FSR/2.
-func (t ThermalTuner) AverageLockPower(fsr float64) float64 {
-	return t.PowerForShift(fsr / 2)
-}
-
-// ThermoOpticShift returns the resonance shift for a temperature
-// change dT in kelvin: dLambda = lambda * (dn/dT) * dT / ng, with the
-// silicon thermo-optic coefficient dn/dT = 1.86e-4 /K.
-func ThermoOpticShift(lambda, ng, dT float64) float64 {
-	const dnDT = 1.86e-4
-	return lambda * dnDT * dT / ng
-}
-
-// RingModulator is the signal-generation MRR of the Albireo input bank
-// (Section III-C: "modulated by a bank of MRRs to generate the input
-// signals"). It encodes a value by partially detuning the ring, which
-// attenuates the carrier coupled to the drop port.
-type RingModulator struct {
-	Ring  MRR
-	Tuner ThermalTuner
-}
-
-// NewRingModulator returns a modulator on the Table II ring at the
-// given carrier wavelength.
-func NewRingModulator(carrier float64) RingModulator {
-	return RingModulator{Ring: NewMRR(carrier), Tuner: NewThermalTuner()}
-}
-
-// DetuneForLevel returns the resonance offset (meters) that produces
-// the requested normalized output level in (0, 1], by inverting the
-// Lorentzian drop response: T(d)/T(0) = 1 / (1 + (2d/FWHM)^2).
-func (m RingModulator) DetuneForLevel(level float64) float64 {
-	level = clamp(level, 1e-6, 1) //lint:ignore unit-safety dimensionless drop-level floor, not a physical quantity
-	fwhm := m.Ring.FWHM()
-	return fwhm / 2 * sqrt(1/level-1)
-}
-
-// Output returns the modulated carrier power for a normalized level,
-// by evaluating the ring at the corresponding detuning.
-func (m RingModulator) Output(carrierPower, level float64) float64 {
-	ring := m.Ring
-	ring.ResonantWavelength += m.DetuneForLevel(level)
-	return carrierPower * ring.DropTransfer(m.Ring.ResonantWavelength)
-}
-
-// ExtinctionRatioDB returns the on/off contrast achievable with a
-// detuning of nFWHM half-widths: ER = 1 + (2d/FWHM)^2 in linear terms.
-func (m RingModulator) ExtinctionRatioDB(detune float64) float64 {
-	fwhm := m.Ring.FWHM()
-	x := 2 * detune / fwhm
-	return units.LinearToDB(1 + x*x)
-}
-
-// String implements fmt.Stringer.
-func (m RingModulator) String() string {
-	return fmt.Sprintf("ringmod{%v}", m.Ring)
 }

@@ -33,12 +33,6 @@ type Waveguide struct {
 	LossDBPerM float64
 }
 
-// StraightWaveguide returns the Table II straight waveguide
-// (500x220 nm, 1.5 dB/cm).
-func StraightWaveguide() Waveguide {
-	return Waveguide{NEff: 2.33, NGroup: 4.68, LossDBPerM: 150}
-}
-
 // BentWaveguide returns the Table II bent waveguide (3.8 dB/cm).
 func BentWaveguide() Waveguide {
 	return Waveguide{NEff: 2.33, NGroup: 4.68, LossDBPerM: 380}
@@ -48,17 +42,6 @@ func BentWaveguide() Waveguide {
 // length in meters.
 func (w Waveguide) Transmission(length float64) float64 {
 	return units.LossDBToTransmission(w.LossDBPerM * length)
-}
-
-// Propagate attenuates an optical power over the given length.
-func (w Waveguide) Propagate(power, length float64) float64 {
-	return power * w.Transmission(length)
-}
-
-// PhaseLength returns the optical phase accumulated over length at
-// wavelength lambda: phi = 2*pi*neff*L/lambda (radians).
-func (w Waveguide) PhaseLength(length, lambda float64) float64 {
-	return 2 * pi * w.NEff * length / lambda
 }
 
 // AmplitudeTransmission returns the single-pass field amplitude factor

@@ -59,12 +59,16 @@ func (a Affine) Code(x float64) int64 {
 }
 
 // Dequantize converts a code back to a real value.
+//
+//lint:ignore unreachable TestAffineRoundTripEveryBitwidth checks the production Code against it
 func (a Affine) Dequantize(code int64) float64 {
 	return a.Scale * float64(code-a.Zero)
 }
 
 // Quantize snaps x onto the affine grid and returns the dequantized
 // real value.
+//
+//lint:ignore unreachable TestAffineRoundTripEveryBitwidth checks the production Code against it
 func (a Affine) Quantize(x float64) float64 {
 	return a.Dequantize(a.Code(x))
 }

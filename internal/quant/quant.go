@@ -72,6 +72,8 @@ func (q Quantizer) Code(x float64) int {
 }
 
 // Dequantize converts an integer code back to a real value.
+//
+//lint:ignore unreachable TestQuantizerRoundTripEveryBitwidth checks the production Code against it
 func (q Quantizer) Dequantize(code int) float64 {
 	return float64(code) / float64(q.Steps()) * q.Scale
 }
@@ -79,12 +81,4 @@ func (q Quantizer) Dequantize(code int) float64 {
 // LSB returns the quantization step size.
 func (q Quantizer) LSB() float64 {
 	return q.Scale / float64(q.Steps())
-}
-
-// QuantizeSlice quantizes every element of xs in place and returns xs.
-func (q Quantizer) QuantizeSlice(xs []float64) []float64 {
-	for i, x := range xs {
-		xs[i] = q.Quantize(x)
-	}
-	return xs
 }

@@ -102,3 +102,14 @@ func TestLowBitWidths(t *testing.T) {
 		t.Error("coarse rounding incorrect")
 	}
 }
+
+// No binary uses the declarations below; they live with the tests
+// that check them.
+
+// QuantizeSlice quantizes every element of xs in place and returns xs.
+func (q Quantizer) QuantizeSlice(xs []float64) []float64 {
+	for i, x := range xs {
+		xs[i] = q.Quantize(x)
+	}
+	return xs
+}

@@ -76,6 +76,8 @@ func (v *Volume) MaxAbs() float64 {
 }
 
 // Shape returns (Z, Y, X).
+//
+//lint:ignore unreachable test fixture: TestVolumeHelpers reads shapes with it
 func (v *Volume) Shape() (int, int, int) { return v.Z, v.Y, v.X }
 
 // String implements fmt.Stringer.
@@ -109,6 +111,8 @@ func (k *Kernels) Set(m, z, y, x int, val float64) {
 }
 
 // Fill sets every weight using f(m, z, y, x).
+//
+//lint:ignore unreachable test fixture: TestConvHandComputed and core's live-tap tests build kernels with it
 func (k *Kernels) Fill(f func(m, z, y, x int) float64) {
 	for m := 0; m < k.M; m++ {
 		for z := 0; z < k.Z; z++ {

@@ -55,8 +55,3 @@ func synthImage(class, size int, rng *rand.Rand) *tensor.Volume {
 func clamp01(x float64) float64 {
 	return math.Min(math.Max(x, 0), 1)
 }
-
-// ClassNames labels the synthetic classes for reports.
-func ClassNames() []string {
-	return []string{"h-stripes", "v-stripes", "checker"}
-}

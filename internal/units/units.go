@@ -56,40 +56,6 @@ func LossDBToTransmission(lossDB float64) float64 {
 	return DBToLinear(-lossDB)
 }
 
-// DBmToWatts converts optical power in dBm to watts.
-func DBmToWatts(dbm float64) float64 {
-	return 1e-3 * math.Pow(10, dbm/10)
-}
-
-// WattsToDBm converts optical power in watts to dBm.
-// Non-positive powers return -Inf.
-func WattsToDBm(w float64) float64 {
-	if w <= 0 {
-		return math.Inf(-1)
-	}
-	return 10 * math.Log10(w/1e-3)
-}
-
-// WavelengthToFrequency converts a vacuum wavelength in meters to an
-// optical frequency in hertz.
-func WavelengthToFrequency(lambda float64) float64 {
-	return LightSpeed / lambda
-}
-
-// FrequencyToWavelength converts an optical frequency in hertz to a
-// vacuum wavelength in meters.
-func FrequencyToWavelength(f float64) float64 {
-	return LightSpeed / f
-}
-
-// WavelengthSpacingToFrequency converts a small wavelength spacing
-// dLambda around center wavelength lambda into the equivalent frequency
-// spacing |df| = c * dLambda / lambda^2. This is the first-order
-// dispersion-free conversion used for WDM channel grids.
-func WavelengthSpacingToFrequency(dLambda, lambda float64) float64 {
-	return LightSpeed * dLambda / (lambda * lambda)
-}
-
 // Log2 returns log base 2 of x. It is the "bits of precision" helper:
 // the paper reports log2 of the number of separable optical power
 // amplitudes (Section II-C). x <= 0 returns -Inf.
