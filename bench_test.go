@@ -49,11 +49,11 @@ func BenchmarkFig3NoisePrecision(b *testing.B) {
 // spectra across k^2.
 func BenchmarkFig4aDropSpectrum(b *testing.B) {
 	k2s := []float64{0.02, 0.03, 0.05, 0.1}
-	var rows []experiments.Fig4aRow
+	var f experiments.Fig4aSpectra
 	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig4a(k2s, 4e-9, 401)
+		f = experiments.Fig4a(k2s, 4e-9, 401)
 	}
-	_ = rows
+	_ = f
 	ring := circuit.NewCrosstalkAnalysis(0.03, 21).Ring
 	b.ReportMetric(ring.FWHM()*1e9, "FWHM_nm@k2=0.03")
 }
@@ -131,7 +131,7 @@ func BenchmarkTable1Devices(b *testing.B) {
 func BenchmarkTable2Optics(b *testing.B) {
 	var s string
 	for i := 0; i < b.N; i++ {
-		s = experiments.FormatTableII()
+		s = experiments.FormatTableII(device.Optics())
 	}
 	_ = s
 	b.ReportMetric(device.Optics().RingFSR*1e9, "fsr_nm")
@@ -140,13 +140,13 @@ func BenchmarkTable2Optics(b *testing.B) {
 // BenchmarkTable3Power regenerates the Table III chip power breakdown.
 // Paper: 22.7 / 6.19 / 1.64 W for C / M / A.
 func BenchmarkTable3Power(b *testing.B) {
-	var cols []experiments.TableIIIColumn
+	var t experiments.TableIIIPower
 	for i := 0; i < b.N; i++ {
-		cols = experiments.TableIII(core.DefaultConfig())
+		t = experiments.TableIII(core.DefaultConfig())
 	}
-	b.ReportMetric(cols[0].Power.Total(), "albireoC_W")
-	b.ReportMetric(cols[1].Power.Total(), "albireoM_W")
-	b.ReportMetric(cols[2].Power.Total(), "albireoA_W")
+	b.ReportMetric(t.Columns[0].Total(), "albireoC_W")
+	b.ReportMetric(t.Columns[1].Total(), "albireoM_W")
+	b.ReportMetric(t.Columns[2].Total(), "albireoA_W")
 }
 
 // BenchmarkTable4Electronic regenerates Table IV. Paper: VGG16 on

@@ -14,7 +14,13 @@
 #              GOMAXPROCS
 #   fuzz       FuzzReplayRequest for 10 s: replay answers any journal
 #              admit payload and shard window with a result or an
-#              error, never a panic
+#              error, never a panic; FuzzRecordRoundTrip for 10 s:
+#              every journal record decodes back to its canonical bytes
+#   results    albireo-figures -json must reproduce the committed
+#              RESULTS.json byte for byte (the paper's numbers on
+#              linux/amd64); the diff prints which numbers moved.
+#              After an intended change, re-record with
+#              go run ./cmd/albireo-figures -json > RESULTS.json
 #   benchmark  the whole-network benchmark's own package tests (a
 #              reduced run of every workload plus the BENCHMARK.json
 #              catalogue check); benchmark/ is a nested module, so the
@@ -77,6 +83,12 @@ go test -count=1 -cpu 1,2,4 -run 'Golden|Lane|Shard|RowViews|RowPlan|Fold|Activi
 
 echo "==> replay fuzz (FuzzReplayRequest, 10 s)"
 go test -run '^$' -fuzz FuzzReplayRequest -fuzztime 10s ./internal/fleet
+
+echo "==> journal codec fuzz (FuzzRecordRoundTrip, 10 s)"
+go test -run '^$' -fuzz FuzzRecordRoundTrip -fuzztime 10s ./internal/journal
+
+echo "==> results gate (albireo-figures -json vs committed RESULTS.json)"
+go run ./cmd/albireo-figures -json | diff -u RESULTS.json -
 
 echo "==> go -C benchmark test ./..."
 go -C benchmark test ./...

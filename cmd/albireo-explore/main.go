@@ -1,7 +1,8 @@
 // Command albireo-explore sweeps the Albireo design space: the MRR
 // coupling coefficient k^2 (Section II-C), the PLCU/PLCG dimensions
 // (Nd, Nu, Ng), and the FC mapping - the ablations DESIGN.md calls
-// out.
+// out. The dataflow, energy and scale-out studies over every benchmark
+// are albireo-figures entries.
 //
 // Usage:
 //
@@ -21,7 +22,6 @@ import (
 	"albireo/internal/core"
 	"albireo/internal/nn"
 	"albireo/internal/perf"
-	"albireo/internal/sim"
 )
 
 func main() {
@@ -35,7 +35,7 @@ func main() {
 // sweeps as errors so main keeps the single exit point.
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("albireo-explore", flag.ContinueOnError)
-	sweep := fs.String("sweep", "k2", "design sweep: k2, nd, nu, ng, fc, dataflow, energy, scaleout")
+	sweep := fs.String("sweep", "k2", "design sweep: k2, nd, nu, ng, fc")
 	modelName := fs.String("model", "VGG16", "benchmark model for architectural sweeps")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -57,50 +57,10 @@ func run(args []string, out io.Writer) error {
 		sweepNg(out, model)
 	case "fc":
 		sweepFC(out, model)
-	case "dataflow":
-		sweepDataflow(out, model)
-	case "energy":
-		sweepEnergy(out, model)
-	case "scaleout":
-		sweepScaleOut(out, model)
 	default:
 		return fmt.Errorf("unknown sweep %q", *sweep)
 	}
 	return nil
-}
-
-func sweepDataflow(out io.Writer, model nn.Model) {
-	fmt.Fprintf(out, "dataflow ablation on %s (Section III-B):\n", model.Name)
-	df, ws := sim.Compare(core.DefaultConfig(), model)
-	fmt.Fprintln(out, "dataflow           cycles      SRAM-traffic(MB)  movement-energy(uJ)")
-	fmt.Fprintf(out, "%-17s  %-10d  %16.2f  %19.2f\n", "depth-first", df.Cycles,
-		float64(df.Traffic)/1e6, df.SRAMEnergy*1e6)
-	fmt.Fprintf(out, "%-17s  %-10d  %16.2f  %19.2f\n", "weight-stationary", ws.Cycles,
-		float64(ws.Traffic)/1e6, ws.SRAMEnergy*1e6)
-	fmt.Fprintln(out, "\nthe PLCG's depth-first aggregation creates no partial-sum")
-	fmt.Fprintln(out, "writes; the weight-stationary alternative pays for every spill.")
-}
-
-func sweepScaleOut(out io.Writer, model nn.Model) {
-	fmt.Fprintf(out, "multi-chip strong scaling on %s:\n", model.Name)
-	fmt.Fprintln(out, "chips   latency(ms)  power(W)  energy(mJ)   EDP(mJ*ms)  efficiency")
-	curve := perf.ScaleOutCurve(core.DefaultConfig(), model, 8)
-	base := curve[0].Latency
-	for i, r := range curve {
-		eff := base / r.Latency / float64(i+1)
-		fmt.Fprintf(out, "%5d   %11.4f  %8.1f  %10.3f  %11.4f  %9.2f\n",
-			i+1, r.Latency*1e3, r.Power, r.Energy*1e3, r.EDP*1e6, eff)
-	}
-}
-
-func sweepEnergy(out io.Writer, model nn.Model) {
-	fmt.Fprintf(out, "energy accounting refinement on %s:\n", model.Name)
-	eb := perf.EvaluateEnergy(core.DefaultConfig(), model)
-	fmt.Fprintf(out, "flat (paper-style, power x latency):  %8.3f mJ\n", eb.Flat*1e3)
-	fmt.Fprintf(out, "with idle-PLCG power gating:          %8.3f mJ\n", eb.Gated*1e3)
-	fmt.Fprintf(out, "explicit SRAM data movement:          %8.4f mJ\n", eb.SRAM*1e3)
-	fmt.Fprintf(out, "refined total:                        %8.3f mJ (%.1f%% below flat)\n",
-		eb.Total()*1e3, eb.Savings()*100)
 }
 
 func sweepK2(out io.Writer) {

@@ -54,6 +54,29 @@ func FormatFig8(rows []Fig8Row) string {
 	return b.String()
 }
 
+// Excluded evaluates VGG16 on Albireo-27 next to HolyLight and
+// DNNARA scaled to 60 W, the designs Section V leaves out of Figure 8.
+func Excluded() []Fig8Row {
+	m := nn.VGG16()
+	alb := perf.Evaluate(core.Albireo27(), m)
+	rows := []Fig8Row{{m.Name, "Albireo-27", alb.Latency, alb.Energy, alb.EDP, alb.Power}}
+	for _, r := range []baseline.Result{baseline.NewHolyLight().Evaluate(m), baseline.NewDNNARA().Evaluate(m)} {
+		rows = append(rows, Fig8Row{m.Name, r.Design, r.Latency, r.Energy, r.EDP, r.Power})
+	}
+	return rows
+}
+
+// FormatExcluded renders the Section V exclusion at the 60 W budget.
+func FormatExcluded(rows []Fig8Row) string {
+	var b strings.Builder
+	fmt.Fprintln(&b, "Excluded baselines (Section V claim)")
+	fmt.Fprintln(&b, "design                    VGG16 latency(ms)  power(W)")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%-24s  %18.3f  %8.1f\n", r.Design, r.Latency*units.Kilo, r.Power)
+	}
+	return b.String()
+}
+
 // Fig9Row is one component slice of the Figure 9 area pie.
 type Fig9Row struct {
 	Component string
@@ -116,11 +139,11 @@ func TableI() []TableIRow {
 }
 
 // FormatTableI renders Table I.
-func FormatTableI() string {
+func FormatTableI(rows []TableIRow) string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "Table I: device power estimates (mW)")
 	fmt.Fprintln(&b, "device  conservative  moderate  aggressive")
-	for _, r := range TableI() {
+	for _, r := range rows {
 		fmt.Fprintf(&b, "%-6s  %12.2f  %8.3f  %10.3f\n",
 			r.Device, r.Conservative*units.Kilo, r.Moderate*units.Kilo, r.Aggressive*units.Kilo)
 	}
@@ -128,8 +151,7 @@ func FormatTableI() string {
 }
 
 // FormatTableII renders the optical device parameters.
-func FormatTableII() string {
-	o := device.Optics()
+func FormatTableII(o device.OpticalParams) string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "Table II: optical device parameters")
 	fmt.Fprintf(&b, "waveguide neff/ng        %.2f / %.2f @ 1550 nm\n", o.NEff, o.NGroup)
@@ -144,33 +166,33 @@ func FormatTableII() string {
 	return b.String()
 }
 
-// TableIIIColumn is one estimate column of Table III.
-type TableIIIColumn struct {
-	Estimate device.Estimate
-	Power    perf.PowerBreakdown
+// TableIIIPower is Table III: the power breakdown of an Ng-PLCG chip
+// under every device estimate, one column per estimate.
+type TableIIIPower struct {
+	Ng      int
+	Columns []perf.PowerBreakdown
 }
 
 // TableIII computes the chip power breakdown for every estimate.
-func TableIII(cfg core.Config) []TableIIIColumn {
+func TableIII(cfg core.Config) TableIIIPower {
 	census := perf.NewCensus(cfg)
-	var out []TableIIIColumn
+	t := TableIIIPower{Ng: cfg.Ng}
 	for _, e := range device.Estimates {
-		out = append(out, TableIIIColumn{e, census.Power(e)})
+		t.Columns = append(t.Columns, census.Power(e))
 	}
-	return out
+	return t
 }
 
 // FormatTableIII renders the breakdown with per-row portions.
-func FormatTableIII(cfg core.Config) string {
-	cols := TableIII(cfg)
+func FormatTableIII(t TableIIIPower) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Table III: device power breakdown (Ng=%d)\n", cfg.Ng)
+	fmt.Fprintf(&b, "Table III: device power breakdown (Ng=%d)\n", t.Ng)
 	fmt.Fprintln(&b, "row      Albireo-C            Albireo-M            Albireo-A")
 	row := func(name string, f func(perf.PowerBreakdown) float64) {
 		fmt.Fprintf(&b, "%-6s", name)
-		for _, c := range cols {
-			v := f(c.Power)
-			fmt.Fprintf(&b, "  %7.2f W (%5.1f%%)", v, 100*v/c.Power.Total())
+		for _, p := range t.Columns {
+			v := f(p)
+			fmt.Fprintf(&b, "  %7.2f W (%5.1f%%)", v, 100*v/p.Total())
 		}
 		fmt.Fprintln(&b)
 	}
@@ -259,13 +281,26 @@ func FormatTableIV(rows []TableIVRow) string {
 	return b.String()
 }
 
-// FormatLayers renders the Section IV-A per-layer analysis for one
-// network on one configuration.
-func FormatLayers(cfg core.Config, m nn.Model) string {
+// LayerTable is the Section IV-A per-layer analysis of one network
+// on one configuration.
+type LayerTable struct {
+	Model    string
+	Estimate device.Estimate
+	Ng       int
+	Layers   []perf.LayerResult
+}
+
+// Layers evaluates every compute layer of m on cfg.
+func Layers(cfg core.Config, m nn.Model) LayerTable {
+	return LayerTable{m.Name, cfg.Estimate, cfg.Ng, perf.EvaluateLayers(cfg, m)}
+}
+
+// FormatLayers renders the per-layer analysis.
+func FormatLayers(t LayerTable) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Per-layer analysis: %s on Albireo-%s (Ng=%d)\n", m.Name, cfg.Estimate, cfg.Ng)
+	fmt.Fprintf(&b, "Per-layer analysis: %s on Albireo-%s (Ng=%d)\n", t.Model, t.Estimate, t.Ng)
 	fmt.Fprintln(&b, "layer         kind     cycles       latency(us)  energy(uJ)")
-	for _, lr := range perf.EvaluateLayers(cfg, m) {
+	for _, lr := range t.Layers {
 		fmt.Fprintf(&b, "%-12s  %-7s  %-11d  %11.2f  %10.2f\n",
 			lr.Layer.Name, lr.Layer.Kind, lr.Cycles, lr.Latency*units.Mega, lr.Energy*units.Mega)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"albireo/internal/core"
+	"albireo/internal/device"
 )
 
 func TestFig3ShapeAndAnchor(t *testing.T) {
@@ -44,7 +45,8 @@ func TestFig3ShapeAndAnchor(t *testing.T) {
 
 func TestFig4aOrdering(t *testing.T) {
 	k2s := []float64{0.02, 0.03, 0.05}
-	rows := Fig4a(k2s, 2e-9, 41)
+	f := Fig4a(k2s, 2e-9, 41)
+	rows := f.Spectrum
 	if len(rows) != 3*41 {
 		t.Fatal("row count")
 	}
@@ -61,7 +63,7 @@ func TestFig4aOrdering(t *testing.T) {
 	if !(at(0.02) < at(0.03) && at(0.03) < at(0.05)) {
 		t.Error("off-resonance suppression should improve as k^2 falls")
 	}
-	if FormatFig4a(k2s) == "" {
+	if len(f.Rings) != 3 || FormatFig4a(f) == "" {
 		t.Error("format")
 	}
 }
@@ -182,13 +184,13 @@ func TestFig9Fractions(t *testing.T) {
 }
 
 func TestTableFormats(t *testing.T) {
-	if !strings.Contains(FormatTableI(), "MZM") {
+	if !strings.Contains(FormatTableI(TableI()), "MZM") {
 		t.Error("Table I should list devices")
 	}
-	if !strings.Contains(FormatTableII(), "RIN") {
+	if !strings.Contains(FormatTableII(device.Optics()), "RIN") {
 		t.Error("Table II should list optical parameters")
 	}
-	t3 := FormatTableIII(core.DefaultConfig())
+	t3 := FormatTableIII(TableIII(core.DefaultConfig()))
 	if !strings.Contains(t3, "Total") || !strings.Contains(t3, "DAC") {
 		t.Error("Table III should include totals")
 	}

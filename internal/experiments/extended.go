@@ -7,9 +7,12 @@ import (
 	"albireo/internal/circuit"
 	"albireo/internal/core"
 	"albireo/internal/nn"
+	"albireo/internal/obs"
 	"albireo/internal/perf"
 	"albireo/internal/sim"
+	"albireo/internal/tensor"
 	"albireo/internal/units"
+	"albireo/internal/waveform"
 )
 
 // Extended experiments: analyses this repository adds beyond the
@@ -88,20 +91,48 @@ func FormatEnergy(rows []EnergyRow) string {
 	return b.String()
 }
 
+// LinkDesign is the channel-resolved distribution budget of one chip
+// design.
+type LinkDesign struct {
+	Ng     int
+	Budget circuit.Budget
+}
+
+// LinkReport is the WDM link study: both designs' budgets plus the
+// default channel plan's fit and inter-unit leakage.
+type LinkReport struct {
+	Designs  []LinkDesign
+	Plan     circuit.ChannelPlan
+	PlanFits bool
+	Leakage  float64
+}
+
+// LinkBudgets analyzes the 63-channel link at 2 mW per laser for the
+// 9- and 27-PLCG designs.
+func LinkBudgets() LinkReport {
+	var r LinkReport
+	for _, ng := range []int{9, 27} {
+		r.Designs = append(r.Designs, LinkDesign{ng, circuit.NewLink(ng, 63, 2*units.Milli).Analyze()})
+	}
+	r.Plan = circuit.NewChannelPlan(21, 3)
+	r.PlanFits = r.Plan.Fits()
+	r.Leakage = r.Plan.InterUnitIsolation(1)
+	return r
+}
+
 // FormatLink renders the channel-resolved distribution budget.
-func FormatLink() string {
+func FormatLink(r LinkReport) string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "WDM link budget (63 channels, 2 mW lasers)")
 	fmt.Fprintln(&b, "design  worst(uW)  best(uW)  spread(dB)  loss(dB)  worst-I(uA)")
-	for _, ng := range []int{9, 27} {
-		bb := circuit.NewLink(ng, 63, 2*units.Milli).Analyze()
+	for _, d := range r.Designs {
+		bb := d.Budget
 		fmt.Fprintf(&b, "Ng=%-3d  %9.3f  %8.3f  %10.3f  %8.1f  %11.3f\n",
-			ng, bb.WorstPower*units.Mega, bb.BestPower*units.Mega, bb.SpreadDB,
+			d.Ng, bb.WorstPower*units.Mega, bb.BestPower*units.Mega, bb.SpreadDB,
 			bb.EndToEndLossDB, bb.WorstCurrent*units.Mega)
 	}
-	plan := circuit.NewChannelPlan(21, 3)
 	fmt.Fprintf(&b, "channel plan: %v (fits AWG FSR: %v, inter-unit leakage %.2g)\n",
-		plan, plan.Fits(), plan.InterUnitIsolation(1))
+		r.Plan, r.PlanFits, r.Leakage)
 	return b.String()
 }
 
@@ -139,5 +170,162 @@ func FormatFeasibility(rows []FeasibilityRow) string {
 	}
 	fmt.Fprintln(&b, "cache misfits stream weights from the buffer (FC layers);")
 	fmt.Fprintln(&b, "buffer misfits tile activations through off-chip memory.")
+	return b.String()
+}
+
+// ISIRow is the worst-case intersymbol interference of the
+// sample-resolved 9-wavelength optical chain at one symbol rate, as a
+// fraction of full scale, for the k^2 = 0.02 and 0.03 rings.
+type ISIRow struct {
+	Rate                 float64
+	Penalty02, Penalty03 float64
+}
+
+// ISISweep runs the time-domain ISI study at 5, 8 and 20 GHz.
+func ISISweep() []ISIRow {
+	var rows []ISIRow
+	for _, rate := range []float64{5 * units.Giga, 8 * units.Giga, 20 * units.Giga} {
+		rows = append(rows, ISIRow{rate, waveform.ISIPenalty(9, rate, 0.02), waveform.ISIPenalty(9, rate, 0.03)})
+	}
+	return rows
+}
+
+// FormatISI renders the ISI sweep.
+func FormatISI(rows []ISIRow) string {
+	var b strings.Builder
+	fmt.Fprintln(&b, "Time-domain ISI, % of full scale (9 wavelengths, staggered toggling)")
+	fmt.Fprintln(&b, "rate(GHz)  k^2=0.02  k^2=0.03")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%9.0f  %8.2f  %8.2f\n", r.Rate/units.Giga, 100*r.Penalty02, 100*r.Penalty03)
+	}
+	return b.String()
+}
+
+// ActivityRow is one device class of the observed-activity check.
+type ActivityRow struct {
+	Class              string
+	Devices            int
+	Observed, Analytic int64
+}
+
+// ActivityCheck is one instrumented functional convolution: its
+// geometry and, per device class, the event counts the chip recorded
+// next to the closed-form activity model's.
+type ActivityCheck struct {
+	Z, AY, AX, M, K, Stride, Pad int
+	Rows                         []ActivityRow
+}
+
+// ObservedActivity runs a small convolution through an instrumented
+// chip and pairs the recorded per-device-class event counts with the
+// closed-form activity model and the device census - validating that
+// the activity factors behind the Table III power numbers match what
+// the functional simulator actually does.
+func ObservedActivity(cfg core.Config) ActivityCheck {
+	c := ActivityCheck{Z: 6, AY: 16, AX: 16, M: 12, K: 3, Stride: 1, Pad: 1}
+	chip := core.NewChip(cfg)
+	reg := obs.NewRegistry()
+	chip.Instrument(reg, nil)
+	a := tensor.RandomVolume(c.Z, c.AY, c.AX, 5)
+	w := tensor.RandomKernels(c.M, c.Z, c.K, c.K, 6)
+	chip.Conv(a, w, tensor.ConvConfig{Stride: c.Stride, Pad: c.Pad}, true)
+
+	got := core.ObservedActivity(reg.Snapshot())
+	want := cfg.ExpectedConvActivity(c.Z, c.AY, c.AX, c.M, c.K, c.K, c.Stride, c.Pad)
+	census := perf.NewCensus(cfg)
+	c.Rows = []ActivityRow{
+		{"weight MZMs", census.WeightMZMs, got.MZMPrograms, want.MZMPrograms},
+		{"switching MRRs", census.SwitchingMRRs, got.MRRSwitches, want.MRRSwitches},
+		{"balanced PDs", census.Photodiodes, got.PDReads, want.PDReads},
+		{"ADCs", census.ADCs, got.ADCConversions, want.ADCConversions},
+		{"PLCG steps", cfg.Ng, got.Steps, want.Steps},
+	}
+	return c
+}
+
+// FormatActivity renders the check, flagging every disagreement.
+func FormatActivity(c ActivityCheck) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "functional run: %d kernels %dx%dx%d over a %dx%dx%d input (stride %d, pad %d)\n\n",
+		c.M, c.Z, c.K, c.K, c.Z, c.AY, c.AX, c.Stride, c.Pad)
+	fmt.Fprintln(&b, "device class     devices  observed events  analytic events  events/device")
+	mismatch := false
+	for _, r := range c.Rows {
+		flag := ""
+		if r.Observed != r.Analytic {
+			flag = "  <-- MISMATCH"
+			mismatch = true
+		}
+		fmt.Fprintf(&b, "%-15s  %7d  %15d  %15d  %13.1f%s\n",
+			r.Class, r.Devices, r.Observed, r.Analytic, float64(r.Observed)/float64(r.Devices), flag)
+	}
+	if mismatch {
+		fmt.Fprintln(&b, "\nWARNING: observed device activity disagrees with the analytic activity model")
+	} else {
+		fmt.Fprintln(&b, "\nobserved activity matches the analytic model exactly")
+	}
+	return b.String()
+}
+
+// WorkloadRow is one non-CNN model of the GEMM workload zoo on
+// Albireo-C.
+type WorkloadRow struct {
+	Model        string
+	Layers       int
+	MACs, Cycles int64
+	Latency      float64 // seconds
+	Energy       float64 // joules
+	Utilization  float64
+}
+
+// WorkloadZoo evaluates the MLP head, LSTM sequence and transformer
+// block through the same Algorithm 2 mapping the paper benchmarks use:
+// the GEMM-family kinds schedule on the photonic block mapping, so
+// latency, energy and utilization compare directly with the CNN rows.
+func WorkloadZoo(cfg core.Config) []WorkloadRow {
+	var rows []WorkloadRow
+	for _, m := range nn.WorkloadModels() {
+		mapping := cfg.MapModel(m)
+		r := perf.Evaluate(cfg, m)
+		rows = append(rows, WorkloadRow{m.Name, len(mapping.Layers), m.TotalMACs(), mapping.TotalCycles,
+			r.Latency, r.Energy, mapping.Utilization()})
+	}
+	return rows
+}
+
+// FormatWorkloads renders the zoo.
+func FormatWorkloads(rows []WorkloadRow) string {
+	var b strings.Builder
+	fmt.Fprintln(&b, "GEMM workload zoo: non-CNN latency and energy on Albireo-C")
+	fmt.Fprintln(&b, "model              layers      MACs     cycles  latency(us)  energy(uJ)  util(%)")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%-17s  %6d  %8d  %9d  %11.3f  %10.3f  %7.1f\n",
+			r.Model, r.Layers, r.MACs, r.Cycles, r.Latency*units.Mega, r.Energy*units.Mega, r.Utilization*100)
+	}
+	return b.String()
+}
+
+// ScaleOut runs the 1-8 chip strong-scaling curve of every benchmark:
+// element i of a curve is the network on i+1 chips.
+func ScaleOut() [][]perf.Result {
+	var curves [][]perf.Result
+	for _, m := range nn.Benchmarks() {
+		curves = append(curves, perf.ScaleOutCurve(core.DefaultConfig(), m, 8))
+	}
+	return curves
+}
+
+// FormatScaleOut renders the curves. Efficiency is the one-chip
+// latency over chips x latency.
+func FormatScaleOut(curves [][]perf.Result) string {
+	var b strings.Builder
+	fmt.Fprintln(&b, "Multi-chip strong scaling on Albireo-C")
+	fmt.Fprintln(&b, "model       chips  latency(ms)  power(W)  energy(mJ)  EDP(mJ*ms)  efficiency")
+	for _, curve := range curves {
+		for i, r := range curve {
+			fmt.Fprintf(&b, "%-10s  %5d  %11.4f  %8.1f  %10.3f  %10.4f  %10.2f\n", r.Model, i+1,
+				r.Latency*units.Kilo, r.Power, r.Energy*units.Kilo, r.EDP*units.Mega, curve[0].Latency/r.Latency/float64(i+1))
+		}
+	}
 	return b.String()
 }

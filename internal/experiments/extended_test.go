@@ -57,7 +57,7 @@ func TestEnergyRefinement(t *testing.T) {
 }
 
 func TestFormatLink(t *testing.T) {
-	out := FormatLink()
+	out := FormatLink(LinkBudgets())
 	if !strings.Contains(out, "Ng=9") || !strings.Contains(out, "Ng=27") {
 		t.Error("link report should cover both designs")
 	}
@@ -95,7 +95,7 @@ func TestFeasibilityReport(t *testing.T) {
 }
 
 func TestFormatLayers(t *testing.T) {
-	out := FormatLayers(coreDefault(), mustVGG())
+	out := FormatLayers(Layers(coreDefault(), mustVGG()))
 	if !strings.Contains(out, "conv1_1") || !strings.Contains(out, "fc3") {
 		t.Error("per-layer table should list every compute layer")
 	}

@@ -2,9 +2,10 @@
 // paper's evaluation (Section IV) from the simulator: Figure 3 (noise
 // precision), Figure 4 (MRR design space), Figure 8 (photonic
 // accelerator comparison), Figure 9 (area breakdown), and Tables I-IV.
-// Each experiment returns structured rows plus a formatted text table,
-// so the same code backs the albireo-figures CLI, the benchmark
-// harness, and EXPERIMENTS.md.
+// Each experiment returns structured rows, and its Format function
+// renders the text table from those rows. All lists every experiment
+// once; it backs the albireo-figures CLI, whose JSON output is the
+// committed RESULTS.json that EXPERIMENTS.md quotes.
 package experiments
 
 import (
@@ -89,35 +90,50 @@ type Fig4aRow struct {
 	DropDB   float64
 }
 
-// Fig4a sweeps the drop-port spectrum for the paper's k^2 values.
-func Fig4a(k2s []float64, span float64, points int) []Fig4aRow {
-	var rows []Fig4aRow
+// Fig4aRing is one ring of the Figure 4a summary table.
+type Fig4aRing struct {
+	K2       float64
+	FWHMNM   float64
+	Finesse  float64
+	PeakDrop float64 // drop-port transmission at resonance
+}
+
+// Fig4aSpectra is Figure 4a: the per-ring summary the text table
+// prints and the drop-port spectrum points it summarizes.
+type Fig4aSpectra struct {
+	Rings    []Fig4aRing
+	Spectrum []Fig4aRow
+}
+
+// Fig4a sweeps the drop-port spectrum of a 1550 nm ring for each k^2
+// over span with the given number of points, and summarizes each
+// ring's linewidth, finesse and peak drop.
+func Fig4a(k2s []float64, span float64, points int) Fig4aSpectra {
+	var f Fig4aSpectra
 	center := 1550 * units.Nano
 	for _, k2 := range k2s {
 		ring := photonics.NewMRRWithK2(center, k2)
+		f.Rings = append(f.Rings, Fig4aRing{k2, ring.FWHM() / units.Nano, ring.Finesse(),
+			ring.DropTransfer(ring.ResonantWavelength)})
 		for i := 0; i < points; i++ {
 			det := -span/2 + span*float64(i)/float64(points-1)
-			tr := ring.DropTransfer(center + det)
-			rows = append(rows, Fig4aRow{
+			f.Spectrum = append(f.Spectrum, Fig4aRow{
 				K2:       k2,
 				DetuneNM: det / units.Nano,
-				DropDB:   units.LinearToDB(tr),
+				DropDB:   units.LinearToDB(ring.DropTransfer(center + det)),
 			})
 		}
 	}
-	return rows
+	return f
 }
 
-// FormatFig4a renders the spectra with FWHM annotations.
-func FormatFig4a(k2s []float64) string {
+// FormatFig4a renders the ring summaries.
+func FormatFig4a(f Fig4aSpectra) string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "Figure 4a: MRR drop-port spectrum vs k^2 (1550 nm ring)")
 	fmt.Fprintln(&b, "   k^2    FWHM(nm)  finesse  peak-drop")
-	for _, k2 := range k2s {
-		ring := photonics.NewMRRWithK2(1550*units.Nano, k2)
-		fmt.Fprintf(&b, "%6.3f  %9.4f  %7.1f  %9.4f\n",
-			k2, ring.FWHM()/units.Nano, ring.Finesse(),
-			ring.DropTransfer(ring.ResonantWavelength))
+	for _, r := range f.Rings {
+		fmt.Fprintf(&b, "%6.3f  %9.4f  %7.1f  %9.4f\n", r.K2, r.FWHMNM, r.Finesse, r.PeakDrop)
 	}
 	return b.String()
 }
