@@ -1,9 +1,11 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -102,6 +104,82 @@ func TestDocsCiteEntries(t *testing.T) {
 		for _, m := range cite.FindAllStringSubmatch(string(raw), -1) {
 			if id := m[1]; id != "<id>" && !names[id] {
 				t.Errorf("%s cites albireo-figures -only %s, which names no experiment", doc, id)
+			}
+		}
+	}
+}
+
+// TestDocsTableIVMatchesResults reads the Albireo cells of
+// EXPERIMENTS.md's Table IV "Measured" column and compares each number
+// with the committed RESULTS.json table4 entry at the printed
+// precision: these are the cells MapLayer drives.
+func TestDocsTableIVMatchesResults(t *testing.T) {
+	t.Parallel()
+	raw, err := os.ReadFile(filepath.Join("..", "..", "RESULTS.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var results struct {
+		Table4 []map[string]any `json:"table4"`
+	}
+	if err := json.Unmarshal(raw, &results); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "## Table IV")
+	if !ok {
+		t.Fatal("EXPERIMENTS.md has no Table IV section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	measured := map[string]string{}
+	for _, line := range strings.Split(section, "\n") {
+		if cells := strings.Split(line, "|"); len(cells) == 5 {
+			measured[strings.TrimSpace(cells[1])] = cells[3]
+		}
+	}
+	// The row label, the table4 row, and the fields its numbers
+	// print in order; latency and energy print in ms and mJ.
+	rows := []struct {
+		label, model, design string
+		fields               []string
+	}{
+		{"AlexNet Albireo-C latency / energy", "AlexNet", "Albireo-C", []string{"Latency", "Energy"}},
+		{"VGG16 Albireo-C latency / energy", "VGG16", "Albireo-C", []string{"Latency", "Energy"}},
+		{"VGG16 Albireo-M energy", "VGG16", "Albireo-M", []string{"Energy"}},
+		{"VGG16 Albireo-A latency / energy", "VGG16", "Albireo-A", []string{"Latency", "Energy"}},
+		{"AlexNet GOPS/mm² (C)", "AlexNet", "Albireo-C", []string{"GOPSPerMM2"}},
+		{"VGG16 GOPS/mm² (C)", "VGG16", "Albireo-C", []string{"GOPSPerMM2"}},
+		{"VGG16 GOPS/W/mm² (C)", "VGG16", "Albireo-C", []string{"GOPSPerWattPerMM2"}},
+	}
+	number := regexp.MustCompile(`[0-9]+(\.[0-9]+)?`)
+	for _, r := range rows {
+		cell, ok := measured[r.label]
+		if !ok {
+			t.Errorf("EXPERIMENTS.md Table IV has no row %q", r.label)
+			continue
+		}
+		var row map[string]any
+		for _, e := range results.Table4 {
+			if e["Model"] == r.model && e["Design"] == r.design {
+				row = e
+			}
+		}
+		nums := number.FindAllStringSubmatch(cell, -1)
+		if row == nil || len(nums) != len(r.fields) {
+			t.Errorf("%s: cell %q does not pair with table4 %s %s %v", r.label, cell, r.model, r.design, r.fields)
+			continue
+		}
+		for i, f := range r.fields {
+			v, _ := row[f].(float64)
+			if f == "Latency" || f == "Energy" {
+				v *= 1e3
+			}
+			decimals := max(len(nums[i][1])-1, 0)
+			if want := strconv.FormatFloat(v, 'f', decimals, 64); nums[i][0] != want {
+				t.Errorf("%s: EXPERIMENTS.md prints %s %s, RESULTS.json gives %s", r.label, f, nums[i][0], want)
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"albireo/internal/obs"
-	"albireo/internal/tensor"
 )
 
 // Metric names the chip emits. Every counter carries a plcg="<index>"
@@ -176,42 +175,6 @@ type Activity struct {
 	MRRSwitches    int64
 	PDReads        int64
 	ADCConversions int64
-}
-
-// ExpectedConvActivity computes the Activity of a dense convolution
-// of m ky-by-kx kernels over a z-by-ay-by-ax input at the given
-// stride and pad, mirroring the layer loop of the mapping the
-// live-tap rule picks exactly: for every kernel and pass, one step per
-// Nu slots with min(Nu, remaining) active PLCUs.
-func (c Config) ExpectedConvActivity(z, ay, ax, m, ky, kx, stride, pad int) Activity {
-	passes, slots := c.convLoop(z, ay, ax, ky, kx, stride, pad)
-	steps := int64(m) * passes * ceilDiv(slots, int64(c.Nu))
-	// Summing min(Nu, slots-s0) over the slot loop yields exactly
-	// slots active PLCU-steps per (kernel, pass).
-	activeUnits := int64(m) * passes * slots
-	return Activity{
-		Steps:          steps,
-		MZMPrograms:    activeUnits * int64(c.Nm),
-		MRRSwitches:    activeUnits * int64(c.Nm) * int64(c.Nd),
-		PDReads:        activeUnits * int64(c.Nd),
-		ADCConversions: steps * int64(c.Nd),
-	}
-}
-
-// convLoop is the per-kernel loop nest of a dense conv: each kernel
-// makes passes passes, one per (output row, column tile, tap chunk) of
-// the layout the layer loop runs, each aggregating its z PLCU slots.
-// The block layout is the Nm x 1 view of the z*L live (channel, tap)
-// planes over one row of by*bx pixels (see Chip.blockLayer).
-func (c Config) convLoop(z, ay, ax, ky, kx, stride, pad int) (passes, slots int64) {
-	stride = max(stride, 1)
-	by := tensor.ConvOutputDim(ay, ky, pad, stride)
-	bx := tensor.ConvOutputDim(ax, kx, pad, stride)
-	lay := layout{z, ky, kx}
-	if taps, block := c.denseLayout(ay, ax, ky, kx, stride, pad); block {
-		lay, by, bx = c.blockView(z*taps.count()), 1, by*bx
-	}
-	return int64(by) * ceilDiv(int64(bx), int64(c.Nd)) * int64(lay.chunks(c.Nm)), int64(lay.z)
 }
 
 // ObservedActivity extracts the chip-wide Activity totals from a

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"testing"
 
-	"albireo/internal/obs"
+	"albireo/internal/nn"
 	"albireo/internal/tensor"
 )
 
@@ -179,31 +179,38 @@ func liveTapShapes() []liveTapShape {
 	}
 }
 
+// layer is the shape as the model describes it.
+func (tc liveTapShape) layer() nn.Layer {
+	return nn.Layer{Kind: nn.Conv, InZ: tc.z, InY: tc.ay, InX: tc.ax, OutZ: tc.m, KY: tc.k, KX: tc.k, Stride: tc.stride, Pad: tc.pad}
+}
+
+// run executes the shape's kernels shard owns on c.
+func (tc liveTapShape) run(c *Chip, shard ShardSpec) {
+	a := tensor.RandomVolume(tc.z, tc.ay, tc.ax, 721)
+	w := tensor.RandomKernels(tc.m, tc.z, tc.k, tc.k, 722)
+	cc := tensor.ConvConfig{Stride: tc.stride, Pad: tc.pad}
+	out := tensor.NewVolume(tc.m, tensor.ConvOutputDim(tc.ay, tc.k, tc.pad, tc.stride), tensor.ConvOutputDim(tc.ax, tc.k, tc.pad, tc.stride))
+	c.ConvShard(a, w, cc, false, shard, out)
+}
+
 // TestObservedLiveTapActivityMatchesClosedForm holds the device
 // counters of the re-routed shapes to the closed form with zero
-// tolerance, on a healthy chip, with one unit quarantined (whose
-// group then aggregates its slots two units at a time) and summed
-// over the chips of a 2-way shard.
+// tolerance, on a healthy chip and with one unit quarantined (whose
+// group then aggregates its slots two units at a time).
+// TestShardWindowActivitySumsToLayer sums them over shard windows.
 func TestObservedLiveTapActivityMatchesClosedForm(t *testing.T) {
 	t.Parallel()
 	cfg := DefaultConfig()
-	run := func(c *Chip, tc liveTapShape, shard ShardSpec) Activity {
-		reg := obs.NewRegistry()
-		c.Instrument(reg, nil)
-		a := tensor.RandomVolume(tc.z, tc.ay, tc.ax, 721)
-		w := tensor.RandomKernels(tc.m, tc.z, tc.k, tc.k, 722)
-		cc := tensor.ConvConfig{Stride: tc.stride, Pad: tc.pad}
-		out := tensor.NewVolume(tc.m, tensor.ConvOutputDim(tc.ay, tc.k, tc.pad, tc.stride), tensor.ConvOutputDim(tc.ax, tc.k, tc.pad, tc.stride))
-		c.ConvShard(a, w, cc, false, shard, out)
-		return ObservedActivity(reg.Snapshot())
-	}
 	for _, tc := range liveTapShapes() {
-		want := cfg.ExpectedConvActivity(tc.z, tc.ay, tc.ax, tc.m, tc.k, tc.k, tc.stride, tc.pad)
-		passes, slots := cfg.convLoop(tc.z, tc.ay, tc.ax, tc.k, tc.k, tc.stride, tc.pad)
+		want := cfg.ExpectedActivity(tc.layer())
+		s := cfg.schedule(tc.layer())[0]
+		_, tiles, _, runs := s.loop(cfg)
+		passes, slots := tiles*runs, int64(s.lay.z)
 		if wantSlots := int64((tc.z*tc.l + cfg.Nm - 1) / cfg.Nm); slots != wantSlots {
 			t.Fatalf("%s: %d slots per pass, want ceil(Z*L/Nm) = %d", tc.name, slots, wantSlots)
 		}
-		if got := run(NewChip(cfg), tc, ShardSpec{}); got != want {
+		whole := func(c *Chip) { tc.run(c, ShardSpec{}) }
+		if got := observe(NewChip(cfg), whole); got != want {
 			t.Errorf("%s healthy: observed %+v, want %+v", tc.name, got, want)
 		}
 
@@ -219,21 +226,8 @@ func TestObservedLiveTapActivityMatchesClosedForm(t *testing.T) {
 		if q.Steps == want.Steps {
 			t.Fatalf("%s: the quarantined unit does not change the step count; pick a deeper shape", tc.name)
 		}
-		if got := run(c, tc, ShardSpec{}); got != q {
+		if got := observe(c, whole); got != q {
 			t.Errorf("%s quarantined: observed %+v, want %+v", tc.name, got, q)
-		}
-
-		var sum Activity
-		for _, s := range evenShards(cfg.Ng, 2) {
-			got := run(NewChip(cfg), tc, s)
-			sum.Steps += got.Steps
-			sum.MZMPrograms += got.MZMPrograms
-			sum.MRRSwitches += got.MRRSwitches
-			sum.PDReads += got.PDReads
-			sum.ADCConversions += got.ADCConversions
-		}
-		if sum != want {
-			t.Errorf("%s 2-way shard: observed %+v summed, want %+v", tc.name, sum, want)
 		}
 	}
 }

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"testing"
 
 	"albireo/internal/device"
 	"albireo/internal/nn"
+	"albireo/internal/tensor"
 )
 
 func TestMapLayerConv(t *testing.T) {
@@ -117,9 +121,9 @@ func TestMapLayerLiveTaps(t *testing.T) {
 			t.Errorf("%s: mapped %+v, want the pointwise %+v", tc.name, got, want)
 		}
 		l := tc.conv
-		act := c.ExpectedConvActivity(l.InZ, l.InY, l.InX, c.Ng, l.KY, l.KX, l.Stride, l.Pad)
-		if perPass := got.Cycles / got.KernelPasses; act.Steps != int64(c.Ng)*perPass {
-			t.Errorf("%s: %d steps for Ng kernels, model prices %d cycles per kernel pass", tc.name, act.Steps, perPass)
+		l.OutZ = c.Ng
+		if perPass := got.Cycles / got.KernelPasses; c.ExpectedActivity(l).Steps != int64(c.Ng)*perPass {
+			t.Errorf("%s: %d steps for Ng kernels, model prices %d cycles per kernel pass", tc.name, c.ExpectedActivity(l).Steps, perPass)
 		}
 	}
 	// A conv whose live taps fill the waveguides keeps the
@@ -227,6 +231,24 @@ func TestModelMappingAccounting(t *testing.T) {
 	}
 }
 
+// TestMapModelVGG16ComputeLayers checks MapModel keeps exactly the
+// layers with MACs: VGG16's 13 convs and 3 FCs, carrying every MAC.
+func TestMapModelVGG16ComputeLayers(t *testing.T) {
+	t.Parallel()
+	m := nn.VGG16()
+	mm := DefaultConfig().MapModel(m)
+	if len(mm.Layers) != 16 {
+		t.Errorf("VGG16 should have 16 compute layers, got %d", len(mm.Layers))
+	}
+	var sum int64
+	for _, lm := range mm.Layers {
+		sum += lm.Layer.MACs()
+	}
+	if sum != m.TotalMACs() {
+		t.Error("compute layers must carry all MACs")
+	}
+}
+
 func TestAllBenchmarksMap(t *testing.T) {
 	t.Parallel()
 	for _, m := range nn.Benchmarks() {
@@ -314,5 +336,128 @@ func TestMapLayerGEMM(t *testing.T) {
 	// AV:   ceil(27/9)*ceil(18/5)*ceil(18/27) = 3*4*1 = 12
 	if want := int64(2 * (8 + 12)); a.Cycles != want {
 		t.Errorf("attention cycles = %d, want %d", a.Cycles, want)
+	}
+}
+
+// goldenMappingDigest is the SHA-256 of every LayerMapping field of
+// every compute layer of nn.Benchmarks(), nn.WorkloadModels() and
+// mapperRepresentatives(), over Ng in {1, 4, 9, 16, 27, 36} and both
+// FC mappings. It was recorded from MapLayer's per-kind arithmetic,
+// before the layer schedule replaced it; sim reads the factor fields,
+// so none of them may move.
+const goldenMappingDigest = "154c042e21d2035b9fe21f79a5c6b388f81a363d719d4b23d3dd5c0edd29432d"
+
+// TestGoldenLayerMappings pins MapLayer's every field beyond the few
+// configurations RESULTS.json covers.
+func TestGoldenLayerMappings(t *testing.T) {
+	t.Parallel()
+	var layers []nn.Layer
+	for _, m := range append(nn.Benchmarks(), nn.WorkloadModels()...) {
+		layers = append(layers, m.Layers...)
+	}
+	reps := mapperRepresentatives()
+	for k := nn.Kind(0); k < nn.NumKinds; k++ {
+		layers = append(layers, reps[k])
+	}
+	h := sha256.New()
+	for _, ng := range []int{1, 4, 9, 16, 27, 36} {
+		for _, wide := range []bool{true, false} {
+			c := DefaultConfig()
+			c.Ng, c.FCWide = ng, wide
+			for _, l := range layers {
+				if !l.HasMACs() {
+					continue
+				}
+				m := c.MapLayer(l)
+				fmt.Fprintf(h, "%d %t %#v %d %d %d %d %d\n", ng, wide, m.Layer,
+					m.KernelPasses, m.ColumnTiles, m.ChannelGroups, m.TapChunks, m.Cycles)
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != goldenMappingDigest {
+		t.Errorf("LayerMapping digest = %s, want %s", got, goldenMappingDigest)
+	}
+}
+
+// runRepresentative runs l on c with random operands: non-negative
+// activations, signed GEMM-family inputs. An LSTM steps from a random
+// hidden state, so no timestep's recurrent product is all zero.
+func runRepresentative(c *Chip, l nn.Layer) {
+	a := tensor.RandomVolume(l.InZ, l.InY, l.InX, 871)
+	cc := tensor.ConvConfig{Stride: l.Stride, Pad: l.Pad}
+	switch l.Kind {
+	case nn.Conv:
+		c.Conv(a, tensor.RandomKernels(l.OutZ, l.InZ, l.KY, l.KX, 872), cc, true)
+	case nn.Depthwise:
+		cc.Depthwise = true
+		c.Conv(a, tensor.RandomKernels(l.InZ, 1, l.KY, l.KX, 872), cc, true)
+	case nn.Pointwise:
+		c.Pointwise(a, tensor.RandomKernels(l.OutZ, l.InZ, 1, 1, 872), true)
+	case nn.FC:
+		c.FullyConnected(a, tensor.RandomKernels(l.OutZ, l.InZ, l.InY, l.InX, 872), true)
+	case nn.GEMM:
+		c.GEMM(tensor.RandomMatrix(l.InX, l.InZ, 873), tensor.RandomMatrix(l.InZ, l.OutZ, 874), false)
+	case nn.LSTMCell:
+		cell := nn.NewLSTM("lstm", l.InZ, l.OutZ, 875)
+		h, state := tensor.RandomMatrix(1, l.OutZ, 876), (*tensor.Matrix)(nil)
+		for i := 0; i < l.InX; i++ {
+			h, state = cell.Step(c, tensor.RandomMatrix(1, l.InZ, 877+int64(i)), h, state)
+		}
+	case nn.AttentionBlock:
+		q, k, v := tensor.RandomMatrix(l.InX, l.InZ, 873), tensor.RandomMatrix(l.InX, l.InZ, 874), tensor.RandomMatrix(l.InX, l.InZ, 875)
+		nn.Attention(c, q, k, v)
+	}
+}
+
+// TestScheduleActivityDivergences runs mapperRepresentatives() on a
+// healthy chip and holds each to ExpectedActivity: equal, except by
+// the three factors Config.schedule names. The chip runs depthwise one
+// channel per step where the model packs Nu (exactly Nu x the steps
+// when Ng*Nu divides the channels); it runs FC narrow whatever FCWide
+// says; and it skips the negative pass of a non-negative GEMM input,
+// which attention's softmax scores always are.
+func TestScheduleActivityDivergences(t *testing.T) {
+	t.Parallel()
+	cfg := DefaultConfig()
+	reps := mapperRepresentatives()
+	half := func(a Activity) Activity {
+		return Activity{a.Steps / 2, a.MZMPrograms / 2, a.MRRSwitches / 2, a.PDReads / 2, a.ADCConversions / 2}
+	}
+	for k := nn.Kind(0); k < nn.NumKinds; k++ {
+		l := reps[k]
+		if !l.HasMACs() {
+			continue
+		}
+		want := cfg.ExpectedActivity(l)
+		switch k {
+		case nn.Depthwise:
+			l.InZ, l.OutZ = cfg.Ng*cfg.Nu, cfg.Ng*cfg.Nu
+			want = cfg.ExpectedActivity(l)
+			nu := int64(cfg.Nu)
+			want.Steps, want.ADCConversions = nu*want.Steps, nu*want.ADCConversions
+		case nn.FC:
+			narrow := cfg
+			narrow.FCWide = false
+			if want == narrow.ExpectedActivity(l) {
+				t.Fatalf("%v: the wide and narrow FC schedules count the same activity", k)
+			}
+			want = narrow.ExpectedActivity(l)
+		case nn.AttentionBlock:
+			// The AV product's input is the softmax scores.
+			av := half(cfg.ExpectedActivity(nn.Layer{Kind: nn.GEMM, InZ: l.InX, InY: 1, InX: l.InX, OutZ: l.InZ, KY: 1, KX: 1}))
+			want = Activity{want.Steps - av.Steps, want.MZMPrograms - av.MZMPrograms, want.MRRSwitches - av.MRRSwitches,
+				want.PDReads - av.PDReads, want.ADCConversions - av.ADCConversions}
+		}
+		if got := observe(NewChip(cfg), func(c *Chip) { runRepresentative(c, l) }); got != want {
+			t.Errorf("%v: observed %+v, want %+v", k, got, want)
+		}
+	}
+	// A non-negative GEMM input runs one of the model's two passes.
+	l := reps[nn.GEMM]
+	got := observe(NewChip(cfg), func(c *Chip) {
+		c.GEMM(tensor.RandomNonNegMatrix(l.InX, l.InZ, 873), tensor.RandomMatrix(l.InZ, l.OutZ, 874), false)
+	})
+	if want := half(cfg.ExpectedActivity(l)); got != want {
+		t.Errorf("non-negative GEMM: observed %+v, want half the model's %+v", got, want)
 	}
 }

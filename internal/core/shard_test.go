@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"albireo/internal/nn"
 	"albireo/internal/obs"
 	"albireo/internal/tensor"
 )
@@ -327,5 +328,54 @@ func TestShardStepsProportional(t *testing.T) {
 
 	if want := fullSteps / 3; shardSteps != want {
 		t.Fatalf("3-of-9 shard ran %d steps, want exactly %d (full %d)", shardSteps, want, fullSteps)
+	}
+}
+
+// TestShardWindowActivitySumsToLayer runs every shardable mapping -
+// a dense conv, the live-tap shapes, FC and a signed GEMM - over the
+// PartitionShards windows of 2 and 3 equal workers, each window on its
+// own chip: the windows' device counters sum to the whole layer's
+// ExpectedActivity.
+func TestShardWindowActivitySumsToLayer(t *testing.T) {
+	t.Parallel()
+	cfg := DefaultConfig()
+	cfg.FCWide = false // the chip always runs FC narrow
+	a := tensor.RandomVolume(6, 10, 10, 941)
+	w, fc := tensor.RandomKernels(13, 6, 3, 3, 942), tensor.RandomKernels(13, 6, 10, 10, 943)
+	signed, b := tensor.RandomMatrix(11, 23, 944), tensor.RandomMatrix(23, 13, 945)
+	type mapping struct {
+		name  string
+		layer nn.Layer
+		run   func(*Chip, ShardSpec)
+	}
+	cases := []mapping{
+		{"dense-conv", nn.Layer{Kind: nn.Conv, InZ: 6, InY: 10, InX: 10, OutZ: 13, KY: 3, KX: 3, Stride: 1, Pad: 1},
+			func(c *Chip, s ShardSpec) {
+				c.ConvShard(a, w, tensor.ConvConfig{Stride: 1, Pad: 1}, false, s, tensor.NewVolume(13, 10, 10))
+			}},
+		{"fc", nn.Layer{Kind: nn.FC, InZ: 6, InY: 10, InX: 10, OutZ: 13, KY: 1, KX: 1},
+			func(c *Chip, s ShardSpec) { c.FullyConnectedShard(a, fc, false, s, make([]float64, 13)) }},
+		{"gemm-signed", nn.Layer{Kind: nn.GEMM, InZ: 23, InY: 1, InX: 11, OutZ: 13, KY: 1, KX: 1},
+			func(c *Chip, s ShardSpec) { c.GEMMShard(signed, b, false, s, tensor.NewMatrix(11, 13)) }},
+	}
+	for _, tc := range liveTapShapes() {
+		cases = append(cases, mapping{"live-tap-" + tc.name, tc.layer(), tc.run})
+	}
+	for _, tc := range cases {
+		want := cfg.ExpectedActivity(tc.layer)
+		for _, workers := range []int{2, 3} {
+			var sum Activity
+			for _, s := range evenShards(cfg.Ng, workers) {
+				got := observe(NewChip(cfg), func(c *Chip) { tc.run(c, s) })
+				sum.Steps += got.Steps
+				sum.MZMPrograms += got.MZMPrograms
+				sum.MRRSwitches += got.MRRSwitches
+				sum.PDReads += got.PDReads
+				sum.ADCConversions += got.ADCConversions
+			}
+			if sum != want {
+				t.Errorf("%s over %d workers: observed %+v summed, want %+v", tc.name, workers, sum, want)
+			}
+		}
 	}
 }

@@ -231,7 +231,7 @@ func ObservedActivity(cfg core.Config) ActivityCheck {
 	chip.Conv(a, w, tensor.ConvConfig{Stride: c.Stride, Pad: c.Pad}, true)
 
 	got := core.ObservedActivity(reg.Snapshot())
-	want := cfg.ExpectedConvActivity(c.Z, c.AY, c.AX, c.M, c.K, c.K, c.Stride, c.Pad)
+	want := cfg.ExpectedActivity(nn.Layer{Kind: nn.Conv, InZ: c.Z, InY: c.AY, InX: c.AX, OutZ: c.M, KY: c.K, KX: c.K, Stride: c.Stride, Pad: c.Pad})
 	census := perf.NewCensus(cfg)
 	c.Rows = []ActivityRow{
 		{"weight MZMs", census.WeightMZMs, got.MZMPrograms, want.MZMPrograms},

@@ -130,21 +130,6 @@ func TestPoolingLayersHaveNoMACs(t *testing.T) {
 	}
 }
 
-func TestComputeLayers(t *testing.T) {
-	m := VGG16()
-	cl := m.ComputeLayers()
-	if len(cl) != 16 {
-		t.Errorf("VGG16 should have 16 compute layers, got %d", len(cl))
-	}
-	var sum int64
-	for _, l := range cl {
-		sum += l.MACs()
-	}
-	if sum != m.TotalMACs() {
-		t.Error("compute layers must carry all MACs")
-	}
-}
-
 func TestByName(t *testing.T) {
 	if _, ok := ByName("VGG16"); !ok {
 		t.Error("VGG16 should be found")
@@ -198,19 +183,4 @@ func TestResNetBranchLayers(t *testing.T) {
 	if branches != 3 {
 		t.Errorf("ResNet18 should have 3 downsample shortcuts, got %d", branches)
 	}
-}
-
-// No binary uses the declarations below; they live with the tests
-// that check them.
-
-// ComputeLayers returns only layers with MACs (the ones the photonic
-// fabric executes).
-func (m Model) ComputeLayers() []Layer {
-	out := make([]Layer, 0, len(m.Layers))
-	for _, l := range m.Layers {
-		if l.HasMACs() {
-			out = append(out, l)
-		}
-	}
-	return out
 }

@@ -77,34 +77,8 @@ func EvaluateEnergy(cfg core.Config, model nn.Model) EnergyBreakdown {
 		flat += flatPower * t
 
 		// Average active PLCGs over the layer's kernel passes: full
-		// passes use all Ng, the last uses OutZ mod Ng (conv/FC) or
-		// the channel remainder (depthwise).
-		var active float64
-		switch l.Kind {
-		case nn.Depthwise:
-			lanes := cfg.Ng * cfg.Nu
-			full := l.InZ / lanes
-			rem := l.InZ % lanes
-			passes := full
-			if rem > 0 {
-				passes++
-			}
-			activeLanes := float64(full*lanes) + float64(rem)
-			if passes > 0 {
-				// Convert lane occupancy back to group granularity.
-				active = activeLanes / float64(passes) / float64(cfg.Nu)
-			}
-		default:
-			full := l.OutZ / cfg.Ng
-			rem := l.OutZ % cfg.Ng
-			passes := full
-			if rem > 0 {
-				passes++
-			}
-			if passes > 0 {
-				active = float64(full*cfg.Ng+rem) / float64(passes)
-			}
-		}
+		// passes use all Ng, the last the kernel remainder.
+		active := cfg.ActivePLCGs(l)
 		if active <= 0 || active > float64(cfg.Ng) {
 			active = float64(cfg.Ng)
 		}

@@ -92,28 +92,6 @@ func TestMAEstimatesMatchTableIV(t *testing.T) {
 	}
 }
 
-func TestEvaluateAll(t *testing.T) {
-	rs := EvaluateAll(core.DefaultConfig())
-	if len(rs) != 4 {
-		t.Fatal("should evaluate all four benchmarks")
-	}
-	names := map[string]bool{}
-	for _, r := range rs {
-		names[r.Model] = true
-		if r.Latency <= 0 || r.Energy <= 0 || r.Power <= 0 {
-			t.Errorf("%s: non-positive metrics", r.Model)
-		}
-		if r.String() == "" {
-			t.Error("result String")
-		}
-	}
-	for _, want := range []string{"AlexNet", "VGG16", "ResNet18", "MobileNet"} {
-		if !names[want] {
-			t.Errorf("missing %s", want)
-		}
-	}
-}
-
 func TestEvaluateLayers(t *testing.T) {
 	lrs := EvaluateLayers(core.DefaultConfig(), nn.VGG16())
 	if len(lrs) != 16 {
@@ -138,17 +116,4 @@ func TestResultDegenerateMetrics(t *testing.T) {
 		r.GOPSPerMM2Active() != 0 || r.GOPSPerWattPerMM2Active() != 0 {
 		t.Error("zero result should yield zero rates, not NaN")
 	}
-}
-
-// No binary uses the declarations below; they live with the tests
-// that check them.
-
-// EvaluateAll evaluates every benchmark network on the configuration.
-func EvaluateAll(cfg core.Config) []Result {
-	models := nn.Benchmarks()
-	out := make([]Result, 0, len(models))
-	for _, m := range models {
-		out = append(out, Evaluate(cfg, m))
-	}
-	return out
 }

@@ -51,41 +51,25 @@ func TestScaleOutCurve(t *testing.T) {
 			t.Error("latency must be non-increasing with chips")
 		}
 	}
-	eff := ScalingEfficiency(curve)
+	// Strong-scaling efficiency: the achieved speedup per chip.
+	eff := curve[0].Latency / curve[3].Latency / 4
 	if eff <= 0.5 || eff > 1.0 {
 		t.Errorf("VGG16 4-chip scaling efficiency = %.2f, want (0.5, 1]", eff)
 	}
 	if !strings.Contains(curve[3].Design, "x4") {
 		t.Error("design label should carry the chip count")
 	}
-	if ScalingEfficiency(curve[:1]) != 1 {
-		t.Error("degenerate curve efficiency is 1")
-	}
 }
 
 func TestScaleOutSmallModelSaturates(t *testing.T) {
 	// MobileNet's small layers saturate: the 8-chip efficiency falls
 	// below a large model's.
-	mob := ScalingEfficiency(ScaleOutCurve(core.DefaultConfig(), nn.MobileNet(), 8))
-	vgg := ScalingEfficiency(ScaleOutCurve(core.DefaultConfig(), nn.VGG16(), 8))
+	eff := func(m nn.Model) float64 {
+		curve := ScaleOutCurve(core.DefaultConfig(), m, 8)
+		return curve[0].Latency / curve[7].Latency / 8
+	}
+	mob, vgg := eff(nn.MobileNet()), eff(nn.VGG16())
 	if mob >= vgg {
 		t.Errorf("MobileNet efficiency %.2f should trail VGG16 %.2f", mob, vgg)
 	}
-}
-
-// No binary uses the declarations below; they live with the tests
-// that check them.
-
-// ScalingEfficiency returns the strong-scaling efficiency of the last
-// point of a curve: ideal speedup / achieved speedup ratio inverted,
-// i.e. achieved/(chips * base).
-func ScalingEfficiency(curve []Result) float64 {
-	if len(curve) < 2 {
-		return 1
-	}
-	base := curve[0].Latency
-	last := curve[len(curve)-1]
-	chips := float64(len(curve))
-	achieved := base / last.Latency
-	return achieved / chips
 }
