@@ -1,171 +1,30 @@
-// Package albireo_test is the benchmark harness that regenerates every
-// table and figure of the paper's evaluation (see DESIGN.md's
-// per-experiment index). Each benchmark measures the cost of
-// regenerating its experiment and reports the headline reproduced
-// numbers as custom metrics so `go test -bench=. -benchmem` doubles as
-// the reproduction log (EXPERIMENTS.md records paper-vs-measured).
+// Package albireo_test holds the host-performance benchmarks: the
+// functional simulator's hot paths (BenchmarkFunctional*, which feed
+// check.sh's allocation gate), whole tiny-network inference, the
+// serving fleet, the mapping scheduler and on-chip deployment of a
+// trained model. The paper's tables, figures and ablations are
+// experiments.All() entries (albireo-figures), gated through the
+// committed RESULTS.json.
 package albireo_test
 
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"testing"
 
-	"albireo/internal/baseline"
-	"albireo/internal/circuit"
-	"albireo/internal/control"
 	"albireo/internal/core"
-	"albireo/internal/device"
-	"albireo/internal/experiments"
 	"albireo/internal/fleet"
 	"albireo/internal/inference"
 	"albireo/internal/nn"
 	"albireo/internal/obs"
-	"albireo/internal/perf"
-	"albireo/internal/sim"
 	"albireo/internal/tensor"
 	"albireo/internal/train"
-	"albireo/internal/waveform"
 )
 
-// BenchmarkFig3NoisePrecision regenerates Figure 3: noise-limited
-// precision versus wavelength count across laser powers. Paper anchor:
-// 10 bits at 2 mW with ~20 wavelengths.
-func BenchmarkFig3NoisePrecision(b *testing.B) {
-	var rows []experiments.Fig3Row
-	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig3(experiments.DefaultFig3Params())
-	}
-	for _, r := range rows {
-		if r.LaserPower == 2e-3 && r.Wavelengths == 20 {
-			b.ReportMetric(r.Bits, "bits@2mW/20ch")
-		}
-	}
-}
-
-// BenchmarkFig4aDropSpectrum regenerates Figure 4a: MRR drop-port
-// spectra across k^2.
-func BenchmarkFig4aDropSpectrum(b *testing.B) {
-	k2s := []float64{0.02, 0.03, 0.05, 0.1}
-	var f experiments.Fig4aSpectra
-	for i := 0; i < b.N; i++ {
-		f = experiments.Fig4a(k2s, 4e-9, 401)
-	}
-	_ = f
-	ring := circuit.NewCrosstalkAnalysis(0.03, 21).Ring
-	b.ReportMetric(ring.FWHM()*1e9, "FWHM_nm@k2=0.03")
-}
-
-// BenchmarkFig4bTemporal regenerates Figure 4b: ring temporal
-// response. Paper observation: k^2 = 0.02 has poor temporal response
-// relative to 0.03.
-func BenchmarkFig4bTemporal(b *testing.B) {
-	var rows []experiments.Fig4bRow
-	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig4b([]float64{0.02, 0.03, 0.05}, []float64{5e9, 10e9, 20e9, 40e9})
-	}
-	for _, r := range rows {
-		if r.K2 == 0.02 && r.SymbolRate == 5e9 {
-			b.ReportMetric(r.RiseTimePS, "rise_ps@k2=0.02")
-		}
-	}
-}
-
-// BenchmarkFig4cCrosstalkPrecision regenerates Figure 4c. Paper
-// anchors: ~6 bits at k^2=0.03/20 wavelengths (7 differential), 8 bits
-// at small channel counts.
-func BenchmarkFig4cCrosstalkPrecision(b *testing.B) {
-	var rows []experiments.Fig4cRow
-	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig4c([]float64{0.02, 0.03, 0.05}, 40)
-	}
-	for _, r := range rows {
-		if r.K2 == 0.03 && r.Wavelengths == 20 {
-			b.ReportMetric(r.DiffBits, "diffbits@k2=0.03/20ch")
-		}
-	}
-}
-
-// BenchmarkFig8Photonic regenerates the Figure 8 comparison (latency,
-// energy, EDP for PIXEL, DEAP-CNN, Albireo-9, Albireo-27 on the four
-// CNNs at 60 W).
-func BenchmarkFig8Photonic(b *testing.B) {
-	var rows []experiments.Fig8Row
-	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig8()
-	}
-	for _, r := range rows {
-		if r.Model == "VGG16" && r.Design == "Albireo-27" {
-			b.ReportMetric(r.Latency*1e3, "alb27_vgg16_ms")
-		}
-	}
-}
-
-// BenchmarkFig9Area regenerates the Figure 9 area breakdown. Paper:
-// 124.6 mm^2 total, 72% AWG, 17% star coupler.
-func BenchmarkFig9Area(b *testing.B) {
-	var rows []experiments.Fig9Row
-	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig9(core.DefaultConfig())
-	}
-	var total float64
-	for _, r := range rows {
-		total += r.AreaMM2
-	}
-	b.ReportMetric(total, "chip_mm2")
-}
-
-// BenchmarkTable1Devices regenerates the Table I constants.
-func BenchmarkTable1Devices(b *testing.B) {
-	var rows []experiments.TableIRow
-	for i := 0; i < b.N; i++ {
-		rows = experiments.TableI()
-	}
-	b.ReportMetric(rows[0].Conservative*1e3, "mrr_mW_C")
-}
-
-// BenchmarkTable2Optics regenerates the Table II parameter report and
-// the derived FSR check.
-func BenchmarkTable2Optics(b *testing.B) {
-	var s string
-	for i := 0; i < b.N; i++ {
-		s = experiments.FormatTableII(device.Optics())
-	}
-	_ = s
-	b.ReportMetric(device.Optics().RingFSR*1e9, "fsr_nm")
-}
-
-// BenchmarkTable3Power regenerates the Table III chip power breakdown.
-// Paper: 22.7 / 6.19 / 1.64 W for C / M / A.
-func BenchmarkTable3Power(b *testing.B) {
-	var t experiments.TableIIIPower
-	for i := 0; i < b.N; i++ {
-		t = experiments.TableIII(core.DefaultConfig())
-	}
-	b.ReportMetric(t.Columns[0].Total(), "albireoC_W")
-	b.ReportMetric(t.Columns[1].Total(), "albireoM_W")
-	b.ReportMetric(t.Columns[2].Total(), "albireoA_W")
-}
-
-// BenchmarkTable4Electronic regenerates Table IV. Paper: VGG16 on
-// Albireo-C is 2.55 ms / 58.1 mJ.
-func BenchmarkTable4Electronic(b *testing.B) {
-	var rows []experiments.TableIVRow
-	for i := 0; i < b.N; i++ {
-		rows = experiments.TableIV()
-	}
-	for _, r := range rows {
-		if r.Model == "VGG16" && r.Design == "Albireo-C" {
-			b.ReportMetric(r.Latency*1e3, "vgg16_C_ms")
-			b.ReportMetric(r.Energy*1e3, "vgg16_C_mJ")
-		}
-	}
-}
-
 // BenchmarkMappingPerModel times the Algorithm 2 scheduler on each
-// benchmark network and reports its latency estimate.
+// benchmark network and reports its utilization (the fig8 entry
+// carries the latency).
 func BenchmarkMappingPerModel(b *testing.B) {
 	for _, m := range nn.Benchmarks() {
 		m := m
@@ -174,7 +33,6 @@ func BenchmarkMappingPerModel(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				mm = core.DefaultConfig().MapModel(m)
 			}
-			b.ReportMetric(mm.Latency()*1e3, "latency_ms")
 			b.ReportMetric(mm.Utilization()*100, "utilization_pct")
 		})
 	}
@@ -317,139 +175,6 @@ func BenchmarkFunctionalPLCUStep(b *testing.B) {
 	}
 }
 
-// --- Ablation benches: the design choices DESIGN.md calls out. ---
-
-// BenchmarkAblationNd sweeps the receptive-field parallelism.
-func BenchmarkAblationNd(b *testing.B) {
-	for _, nd := range []int{1, 3, 5, 7} {
-		nd := nd
-		b.Run(fmt.Sprintf("Nd=%d", nd), func(b *testing.B) {
-			cfg := core.DefaultConfig()
-			cfg.Nd = nd
-			var r perf.Result
-			for i := 0; i < b.N; i++ {
-				r = perf.Evaluate(cfg, nn.VGG16())
-			}
-			b.ReportMetric(float64(nd), "Nd")
-			b.ReportMetric(r.Latency*1e3, "latency_ms")
-			b.ReportMetric(float64(cfg.WavelengthsPerPLCU()), "lambda_per_plcu")
-		})
-	}
-}
-
-// BenchmarkAblationNg compares the 9- and 27-PLCG designs (the
-// paper's power-constrained scaling).
-func BenchmarkAblationNg(b *testing.B) {
-	for _, ng := range []int{9, 27} {
-		ng := ng
-		b.Run(fmt.Sprintf("Ng=%d", ng), func(b *testing.B) {
-			cfg := core.DefaultConfig()
-			cfg.Ng = ng
-			var r perf.Result
-			for i := 0; i < b.N; i++ {
-				r = perf.Evaluate(cfg, nn.VGG16())
-			}
-			b.ReportMetric(float64(ng), "Ng")
-			b.ReportMetric(r.Latency*1e3, "latency_ms")
-			b.ReportMetric(r.Power, "power_W")
-		})
-	}
-}
-
-// BenchmarkAblationFCMapping compares the wide and narrow
-// fully-connected mappings (see DESIGN.md).
-func BenchmarkAblationFCMapping(b *testing.B) {
-	for _, wide := range []bool{true, false} {
-		wide := wide
-		name := "narrow"
-		if wide {
-			name = "wide"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := core.DefaultConfig()
-			cfg.FCWide = wide
-			var r perf.Result
-			for i := 0; i < b.N; i++ {
-				r = perf.Evaluate(cfg, nn.AlexNet())
-			}
-			b.ReportMetric(r.Latency*1e3, "alexnet_ms")
-		})
-	}
-}
-
-// BenchmarkAblationK2 sweeps the ring coupling coefficient: precision
-// versus temporal response (the Section II-C trade).
-func BenchmarkAblationK2(b *testing.B) {
-	for _, k2 := range []float64{0.02, 0.03, 0.05} {
-		k2 := k2
-		b.Run(fmt.Sprintf("k2=%g", k2), func(b *testing.B) {
-			var xa circuit.CrosstalkAnalysis
-			for i := 0; i < b.N; i++ {
-				xa = circuit.NewCrosstalkAnalysis(k2, 21)
-			}
-			b.ReportMetric(k2, "k2")
-			b.ReportMetric(xa.DifferentialPrecisionBits(), "diff_bits")
-			b.ReportMetric(circuit.NewTemporalResponse(k2, 5e9).EyeOpening(), "eye@5GHz")
-		})
-	}
-}
-
-// BenchmarkAblationDifferential quantifies the "+1 bit" claim for
-// balanced positive/negative accumulation.
-func BenchmarkAblationDifferential(b *testing.B) {
-	var xa circuit.CrosstalkAnalysis
-	for i := 0; i < b.N; i++ {
-		xa = circuit.NewCrosstalkAnalysis(0.03, 21)
-	}
-	b.ReportMetric(xa.PrecisionBits(), "single_bits")
-	b.ReportMetric(xa.DifferentialPrecisionBits(), "diff_bits")
-}
-
-// --- Beyond-the-paper analyses (EXPERIMENTS.md). ---
-
-// BenchmarkDataflowAblation quantifies Section III-B's "no partial sum
-// writes" claim: depth-first vs weight-stationary SRAM movement energy.
-func BenchmarkDataflowAblation(b *testing.B) {
-	var df, ws sim.ModelStats
-	for i := 0; i < b.N; i++ {
-		df, ws = sim.Compare(core.DefaultConfig(), nn.VGG16())
-	}
-	b.ReportMetric(df.SRAMEnergy*1e6, "depthfirst_uJ")
-	b.ReportMetric(ws.SRAMEnergy*1e6, "weightstationary_uJ")
-}
-
-// BenchmarkEnergyRefinement measures the gating + traffic energy
-// refinement against the paper's flat accounting.
-func BenchmarkEnergyRefinement(b *testing.B) {
-	var eb perf.EnergyBreakdown
-	for i := 0; i < b.N; i++ {
-		eb = perf.EvaluateEnergy(core.DefaultConfig(), nn.VGG16())
-	}
-	b.ReportMetric(eb.Flat*1e3, "flat_mJ")
-	b.ReportMetric(eb.Total()*1e3, "refined_mJ")
-}
-
-// BenchmarkLinkBudget runs the channel-resolved 63-wavelength
-// distribution analysis.
-func BenchmarkLinkBudget(b *testing.B) {
-	var bd circuit.Budget
-	for i := 0; i < b.N; i++ {
-		bd = circuit.NewLink(9, 63, 2e-3).Analyze()
-	}
-	b.ReportMetric(bd.EndToEndLossDB, "worst_loss_dB")
-	b.ReportMetric(bd.SpreadDB, "spread_dB")
-}
-
-// BenchmarkFeasibility runs the memory-system fit analysis.
-func BenchmarkFeasibility(b *testing.B) {
-	var mf sim.ModelFeasibility
-	for i := 0; i < b.N; i++ {
-		mf = sim.CheckModel(core.DefaultConfig(), nn.VGG16())
-	}
-	b.ReportMetric(float64(mf.CacheMisfits), "cache_misfits")
-	b.ReportMetric(float64(mf.BufferMisfits), "buffer_misfits")
-}
-
 // BenchmarkEndToEndInference measures a full tiny-CNN inference
 // through the analog pipeline.
 func BenchmarkEndToEndInference(b *testing.B) {
@@ -525,44 +250,6 @@ func BenchmarkFleetInfer(b *testing.B) {
 	}
 }
 
-// BenchmarkISIPenalty runs the time-domain waveform simulator at the
-// two design symbol rates (5 GHz C/M, 8 GHz A) plus a stress rate.
-func BenchmarkISIPenalty(b *testing.B) {
-	for _, rate := range []float64{5e9, 8e9, 20e9} {
-		rate := rate
-		b.Run(fmt.Sprintf("%.0fGHz", rate/1e9), func(b *testing.B) {
-			var p float64
-			for i := 0; i < b.N; i++ {
-				p = waveform.ISIPenalty(9, rate, 0.03)
-			}
-			b.ReportMetric(p*100, "isi_pct_fullscale")
-		})
-	}
-}
-
-// BenchmarkTiling plans the off-chip tiling of VGG16's oversized
-// layers and reports the DRAM energy.
-func BenchmarkTiling(b *testing.B) {
-	var mt sim.ModelTiling
-	for i := 0; i < b.N; i++ {
-		mt = sim.PlanModel(core.DefaultConfig(), nn.VGG16())
-	}
-	b.ReportMetric(float64(mt.TiledLayers), "tiled_layers")
-	b.ReportMetric(mt.DRAMEnergy*1e3, "dram_mJ")
-}
-
-// BenchmarkRingLock runs the thermal lock servo through a drifting
-// environment and reports residual detune and heater power.
-func BenchmarkRingLock(b *testing.B) {
-	var rep control.LockReport
-	for i := 0; i < b.N; i++ {
-		lock := control.NewRingLock(int64(i) + 1)
-		rep = lock.Run(600, 2e-9, 2e-12, 20e-12)
-	}
-	b.ReportMetric(rep.SettledResidual*1e12, "residual_pm")
-	b.ReportMetric(rep.MeanHeaterPower*1e3, "heater_mW")
-}
-
 // BenchmarkTrainAndDeploy trains the small CNN and deploys it to the
 // analog chip, reporting both accuracies - the end-to-end accuracy
 // experiment.
@@ -580,68 +267,4 @@ func BenchmarkTrainAndDeploy(b *testing.B) {
 	}
 	b.ReportMetric(exactAcc*100, "exact_acc_pct")
 	b.ReportMetric(analogAcc*100, "analog_acc_pct")
-}
-
-// BenchmarkAblationDriveNonlinearity compares value-domain
-// (pre-distorted) versus raw voltage-domain weight quantization on a
-// functional convolution - the ablation behind photonics.MZMDrive.
-func BenchmarkAblationDriveNonlinearity(b *testing.B) {
-	a := tensor.RandomVolume(6, 10, 10, 501)
-	w := tensor.RandomKernels(4, 6, 3, 3, 502)
-	cc := tensor.ConvConfig{Stride: 1, Pad: 1}
-	want := tensor.Conv(a, w, cc)
-	rms := func(got *tensor.Volume) float64 {
-		var num, den float64
-		for i := range want.Data {
-			d := got.Data[i] - want.Data[i]
-			num += d * d
-			den += want.Data[i] * want.Data[i]
-		}
-		return math.Sqrt(num / den)
-	}
-	valueCfg := core.DefaultConfig()
-	valueCfg.DisableNoise = true
-	valueCfg.DisableCrosstalk = true
-	voltCfg := valueCfg
-	voltCfg.VoltageDomainWeights = true
-	var ev, eu float64
-	for i := 0; i < b.N; i++ {
-		ev = rms(core.NewChip(valueCfg).Conv(a, w, cc, false))
-		eu = rms(core.NewChip(voltCfg).Conv(a, w, cc, false))
-	}
-	b.ReportMetric(ev*100, "value_rms_pct")
-	b.ReportMetric(eu*100, "voltage_rms_pct")
-}
-
-// BenchmarkAblationBitwidth sweeps the converter resolution against
-// trained-model analog accuracy - the end-to-end form of the paper's
-// 8-bit argument.
-func BenchmarkAblationBitwidth(b *testing.B) {
-	var rows []experiments.BitwidthRow
-	for i := 0; i < b.N; i++ {
-		rows = experiments.BitwidthSweep([]int{4, 6, 8}, 30)
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.AccuracyPct, fmt.Sprintf("acc_pct_%db", r.Bits))
-	}
-}
-
-// BenchmarkBaselines times the PIXEL and DEAP-CNN analytic models.
-func BenchmarkBaselines(b *testing.B) {
-	b.Run("PIXEL", func(b *testing.B) {
-		px := baseline.NewPIXEL()
-		var r baseline.Result
-		for i := 0; i < b.N; i++ {
-			r = px.Evaluate(nn.VGG16())
-		}
-		b.ReportMetric(r.Latency*1e3, "vgg16_ms")
-	})
-	b.Run("DEAP-CNN", func(b *testing.B) {
-		dp := baseline.NewDEAPCNN()
-		var r baseline.Result
-		for i := 0; i < b.N; i++ {
-			r = dp.Evaluate(nn.VGG16())
-		}
-		b.ReportMetric(r.Latency*1e3, "vgg16_ms")
-	})
 }

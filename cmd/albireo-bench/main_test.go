@@ -15,7 +15,7 @@ cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
 BenchmarkFunctionalConv-4         	     300	   1377246 ns/op	    8248 B/op	       2 allocs/op
 BenchmarkFunctionalPLCUStep-4     	  936718	      1174 ns/op	      48 B/op	       1 allocs/op
 BenchmarkFleetInfer/pool2-4       	     300	   3482186 ns/op	   31897 B/op	      22 allocs/op
-BenchmarkFig9Area-4               	   10000	    100000 ns/op
+BenchmarkEndToEndInference-4      	   10000	    100000 ns/op
 PASS
 ok  	albireo	3.712s
 `
@@ -30,8 +30,8 @@ func TestParse(t *testing.T) {
 		t.Fatalf("got %d benchmarks, want 4: %+v", len(rep.Benchmarks), rep.Benchmarks)
 	}
 	// Sorted by name, proc suffix trimmed.
-	if rep.Benchmarks[0].Name != "BenchmarkFig9Area" {
-		t.Errorf("first benchmark = %q, want BenchmarkFig9Area", rep.Benchmarks[0].Name)
+	if rep.Benchmarks[0].Name != "BenchmarkEndToEndInference" {
+		t.Errorf("first benchmark = %q, want BenchmarkEndToEndInference", rep.Benchmarks[0].Name)
 	}
 	var conv *Result
 	for i := range rep.Benchmarks {

@@ -1,5 +1,5 @@
-// Command albireo-figures regenerates every table and figure of the
-// paper's evaluation, and the analyses beyond it, from the simulator.
+// Command albireo-figures regenerates every table, figure and ablation
+// of the paper's evaluation, and every study beyond it, from the simulator.
 // Text and JSON come from the same rows (experiments.All).
 //
 // Usage:

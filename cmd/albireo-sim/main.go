@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 
 	"albireo/internal/core"
 	"albireo/internal/device"
@@ -38,21 +36,8 @@ func run(args []string, out io.Writer) error {
 	estimate := fs.String("estimate", "C", "device estimate: C, M, or A")
 	ng := fs.Int("ng", 9, "number of PLCGs (9 or 27 in the paper)")
 	layers := fs.Bool("layers", false, "print the per-layer breakdown")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		defer pprof.StopCPUProfile()
 	}
 
 	model, ok := nn.ByName(*modelName)
@@ -100,25 +85,5 @@ func run(args []string, out io.Writer) error {
 				lr.Latency*1e6, lr.Energy*1e6, float64(lr.MACs)/1e6)
 		}
 	}
-	if *memprofile != "" {
-		if err := writeHeapProfile(*memprofile); err != nil {
-			return err
-		}
-	}
 	return nil
-}
-
-// writeHeapProfile snapshots the heap after a forced GC, so the
-// profile reflects live allocations rather than collectable garbage.
-func writeHeapProfile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("memprofile: %w", err)
-	}
-	defer f.Close()
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		return fmt.Errorf("memprofile: %w", err)
-	}
-	return f.Close()
 }

@@ -1,8 +1,6 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -34,33 +32,5 @@ func TestRunSmoke(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)
 		}
-	}
-}
-
-func TestRunWritesProfiles(t *testing.T) {
-	t.Parallel()
-	dir := t.TempDir()
-	cpu := filepath.Join(dir, "cpu.pprof")
-	mem := filepath.Join(dir, "mem.pprof")
-	var out strings.Builder
-	if err := run([]string{"-model", "AlexNet", "-cpuprofile", cpu, "-memprofile", mem}, &out); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	for _, path := range []string{cpu, mem} {
-		fi, err := os.Stat(path)
-		if err != nil {
-			t.Fatalf("profile not written: %v", err)
-		}
-		if fi.Size() == 0 {
-			t.Errorf("profile %s is empty", path)
-		}
-	}
-}
-
-func TestRunBadProfilePath(t *testing.T) {
-	t.Parallel()
-	var out strings.Builder
-	if err := run([]string{"-cpuprofile", filepath.Join(t.TempDir(), "no", "such", "dir", "p")}, &out); err == nil {
-		t.Fatal("want error for unwritable cpuprofile path, got nil")
 	}
 }

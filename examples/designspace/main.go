@@ -51,7 +51,8 @@ func main() {
 		xa := circuit.NewCrosstalkAnalysis(0.03, n)
 		fmt.Printf("  %2d channels -> %.2f bits\n", n, xa.DifferentialPrecisionBits())
 	}
-	fmt.Println("\nthe paper targets >= 7 bits, reached at ~21 channels with")
-	fmt.Println("k^2 = 0.03 - hence Nd = 5 receptive fields per PLCU and")
-	fmt.Println("Nu = 3 PLCUs inside the 64-wavelength distribution budget.")
+	fmt.Println("\nthe paper targets >= 7 bits with k^2 = 0.03; this model holds")
+	fmt.Println("them at 15 channels and falls short at 21, the channel count")
+	fmt.Println("of Nd = 5 receptive fields per PLCU, which lets Nu = 3 PLCUs")
+	fmt.Println("fit inside the 64-wavelength distribution budget.")
 }

@@ -51,11 +51,14 @@ type stage struct {
 // block view of their n-element kernels. The wide FC feeds each of the
 // Nd PD columns a 1/Nd slice of the input. A GEMM runs the sign
 // split's two passes; an LSTM is two GEMMs over x and h, one timestep
-// per row; attention the QK^T and AV products. Pooling has no stage.
+// per row; attention the QK^T product and the AV product, whose input
+// is the softmax scores: never negative, so one pass. Pooling has no
+// stage.
 //
 // The chip departs from the schedule in three places, by design: it
 // runs depthwise one channel per PLCG step, always runs FC narrow, and
-// skips the negative pass of a non-negative GEMM input.
+// skips the negative pass of a GEMM or LSTM input that happens to be
+// non-negative.
 func (c Config) schedule(l nn.Layer) []stage {
 	k, oy, ox, n := l.OutZ, l.OutY(), l.OutX(), l.InZ*l.InY*l.InX
 	// Each stage reads {lay, kernels, outY, outX, passes, pack, extends}.
@@ -82,7 +85,7 @@ func (c Config) schedule(l nn.Layer) []stage {
 			{c.blockView(k), 4 * k, l.InX, 1, 2, 1, true}}
 	case nn.AttentionBlock:
 		t, d := l.InX, l.InZ
-		return []stage{{c.blockView(d), t, 1, t, 2, 1, false}, {c.blockView(t), d, 1, t, 2, 1, false}}
+		return []stage{{c.blockView(d), t, 1, t, 2, 1, false}, {c.blockView(t), d, 1, t, 1, 1, false}}
 	}
 	return nil
 }

@@ -51,6 +51,32 @@ func FormatFig8(rows []Fig8Row) string {
 		fmt.Fprintf(&b, "%-10s  %-11s  %11.4f  %10.3f  %10.4f  %8.1f\n",
 			r.Model, r.Design, r.Latency*units.Kilo, r.Energy*units.Kilo, r.EDP*units.Mega, r.Power)
 	}
+	// The paper quotes Figure 8 as baseline/Albireo ratios averaged
+	// over the networks, whose rows run PIXEL, DEAP-CNN, Albireo-9,
+	// Albireo-27.
+	fmt.Fprintf(&b, "\n%-27s", "baseline/Albireo ratio")
+	for i := 0; i < len(rows); i += 4 {
+		fmt.Fprintf(&b, "  %9s", rows[i].Model)
+	}
+	fmt.Fprintln(&b, "    average")
+	for _, q := range []struct {
+		name           string
+		base, alb, col int // designs within a network's rows; 0 latency, 1 energy, 2 EDP
+	}{
+		{"PIXEL/Albireo-9 latency", 0, 2, 0}, {"DEAP-CNN/Albireo-9 latency", 1, 2, 0},
+		{"PIXEL/Albireo-27 latency", 0, 3, 0}, {"DEAP-CNN/Albireo-27 latency", 1, 3, 0},
+		{"PIXEL/Albireo-27 energy", 0, 3, 1}, {"PIXEL/Albireo-27 EDP", 0, 3, 2}, {"DEAP-CNN/Albireo-27 EDP", 1, 3, 2},
+	} {
+		fmt.Fprintf(&b, "%-27s", q.name)
+		var sum float64
+		for i := 0; i < len(rows); i += 4 {
+			base, alb := rows[i+q.base], rows[i+q.alb]
+			r := [3]float64{base.Latency / alb.Latency, base.Energy / alb.Energy, base.EDP / alb.EDP}[q.col]
+			sum += r
+			fmt.Fprintf(&b, "  %9.2f", r)
+		}
+		fmt.Fprintf(&b, "  %9.2f\n", sum/float64(len(rows)/4))
+	}
 	return b.String()
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 func TestFig3ShapeAndAnchor(t *testing.T) {
-	rows := Fig3(DefaultFig3Params())
+	rows := Fig3()
 	if len(rows) == 0 {
 		t.Fatal("Fig3 should produce rows")
 	}
@@ -213,7 +213,7 @@ func TestTableFormats(t *testing.T) {
 }
 
 func TestFig3Format(t *testing.T) {
-	out := FormatFig3(Fig3(Fig3Params{LaserPowers: []float64{1e-3}, MaxWavelengths: 8, PathLossDB: 5}))
+	out := FormatFig3(Fig3())
 	if !strings.Contains(out, "dominant") {
 		t.Error("Fig3 format")
 	}

@@ -1,11 +1,11 @@
 // Package experiments regenerates every table and figure of the
-// paper's evaluation (Section IV) from the simulator: Figure 3 (noise
-// precision), Figure 4 (MRR design space), Figure 8 (photonic
-// accelerator comparison), Figure 9 (area breakdown), and Tables I-IV.
-// Each experiment returns structured rows, and its Format function
-// renders the text table from those rows. All lists every experiment
-// once; it backs the albireo-figures CLI, whose JSON output is the
-// committed RESULTS.json that EXPERIMENTS.md quotes.
+// paper's evaluation (Section IV) from the simulator - Figures 3, 4, 8
+// and 9 and Tables I-IV - with its design ablations, the end-to-end
+// fidelity studies and the analyses beyond the paper. Each experiment
+// returns structured rows, and its Format function renders the text
+// table from those rows. All lists every experiment once; it backs the
+// albireo-figures CLI, whose JSON output is the committed RESULTS.json
+// that EXPERIMENTS.md quotes.
 package experiments
 
 import (
@@ -28,38 +28,19 @@ type Fig3Row struct {
 	Dominant    string
 }
 
-// Fig3Params configures the Figure 3 sweep.
-type Fig3Params struct {
-	// LaserPowers to sweep (paper shows increasing powers up to the
-	// RIN plateau).
-	LaserPowers []float64
-	// MaxWavelengths bounds the x axis.
-	MaxWavelengths int
-	// PathLossDB is the optical loss from laser to photodiode for the
-	// dot-product path (see DESIGN.md; ~5 dB reproduces the paper's
-	// 10-bit anchor at 2 mW / 20 wavelengths).
-	PathLossDB float64
-}
-
-// DefaultFig3Params returns the Section II-C sweep.
-func DefaultFig3Params() Fig3Params {
-	return Fig3Params{
-		LaserPowers:    []float64{0.5 * units.Milli, units.Milli, 2 * units.Milli, 4 * units.Milli},
-		MaxWavelengths: 64,
-		PathLossDB:     5,
-	}
-}
-
-// Fig3 runs the noise-only precision analysis (crosstalk excluded),
-// reproducing the shape of Figure 3: precision grows with laser power
-// with diminishing returns once RIN dominates.
-func Fig3(p Fig3Params) []Fig3Row {
+// Fig3 runs the noise-only precision analysis (crosstalk excluded) at
+// 0.5, 1, 2 and 4 mW of laser power over 2-64 wavelengths, reproducing
+// the shape of Figure 3: precision grows with laser power with
+// diminishing returns once RIN dominates. The dot-product path from
+// laser to photodiode loses 5 dB (DESIGN.md), which reproduces the
+// paper's 10-bit anchor at 2 mW / 20 wavelengths.
+func Fig3() []Fig3Row {
 	np := noise.DefaultParams()
 	pd := photonics.NewPhotodiode()
 	var rows []Fig3Row
-	for _, lp := range p.LaserPowers {
-		iPer := pd.Responsivity * lp * units.LossDBToTransmission(p.PathLossDB)
-		for n := 2; n <= p.MaxWavelengths; n += 2 {
+	for _, lp := range []float64{0.5 * units.Milli, units.Milli, 2 * units.Milli, 4 * units.Milli} {
+		iPer := pd.Responsivity * lp * units.LossDBToTransmission(5)
+		for n := 2; n <= 64; n += 2 {
 			rows = append(rows, Fig3Row{
 				LaserPower:  lp,
 				Wavelengths: n,

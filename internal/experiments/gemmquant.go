@@ -34,19 +34,21 @@ func GEMMQuantSweep(bits []int, batch int) []GEMMQuantRow {
 		got := nn.QuantizeMLP(m, b).Forward(x)
 		rows = append(rows, GEMMQuantRow{
 			Bits:         b,
-			RelRMS:       relRMSMat(got, want),
+			RelRMS:       relRMS(got.Data, want.Data),
 			AgreementPct: 100 * argmaxAgreement(got, want),
 		})
 	}
 	return rows
 }
 
-func relRMSMat(got, want *tensor.Matrix) float64 {
+// relRMS returns RMS(got - want) / RMS(want), or the root of the
+// summed squared error for an all-zero want.
+func relRMS(got, want []float64) float64 {
 	var num, den float64
-	for i := range got.Data {
-		d := got.Data[i] - want.Data[i]
+	for i := range got {
+		d := got[i] - want[i]
 		num += d * d
-		den += want.Data[i] * want.Data[i]
+		den += want[i] * want[i]
 	}
 	if den == 0 {
 		return math.Sqrt(num)

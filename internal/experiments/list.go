@@ -29,14 +29,15 @@ func entry[R any](name string, rows func() R, format func(R) string) Experiment 
 }
 
 // All lists every experiment in print order: the paper's tables and
-// figures, then the analyses beyond the paper (EXPERIMENTS.md).
+// figures, the analyses beyond the paper, then the design ablations
+// and the end-to-end fidelity studies (EXPERIMENTS.md).
 func All() []Experiment {
 	cfg := core.DefaultConfig()
 	k2s := []float64{0.02, 0.03, 0.05}
 	return []Experiment{
 		entry("table1", TableI, FormatTableI),
 		entry("table2", device.Optics, FormatTableII),
-		entry("fig3", func() []Fig3Row { return Fig3(DefaultFig3Params()) }, FormatFig3),
+		entry("fig3", Fig3, FormatFig3),
 		entry("fig4a", func() Fig4aSpectra { return Fig4a([]float64{0.02, 0.03, 0.05, 0.1}, 2*units.Nano, 41) }, FormatFig4a),
 		entry("fig4b", func() []Fig4bRow {
 			return Fig4b(k2s, []float64{5 * units.Giga, 10 * units.Giga, 20 * units.Giga, 40 * units.Giga})
@@ -66,6 +67,18 @@ func All() []Experiment {
 		}),
 		entry("bitwidth", func() []BitwidthRow { return BitwidthSweep([]int{3, 4, 5, 6, 8, 10}, 60) }, FormatBitwidth),
 		entry("gemmquant", func() []GEMMQuantRow { return GEMMQuantSweep([]int{2, 3, 4, 5, 6, 8, 10}, 64) }, FormatGEMMQuant),
+		entry("k2", K2Sweep, FormatK2),
+		entry("nd", NdSweep, formatSweep("Nd sweep (receptive-field parallelism) on VGG16:",
+			"larger Nd means more wavelengths per PLCU and lower crosstalk-\nlimited precision; the paper settles on Nd=5 (21 wavelengths).\n")),
+		entry("nu", NuSweep, formatSweep("Nu sweep (channels per PLCG) on VGG16:",
+			"* exceeds the 64-wavelength distribution budget (Section III-B).\n")),
+		entry("ng", NgSweep, formatSweep("Ng sweep (kernel parallelism / chip scaling) on VGG16:",
+			"the paper evaluates Ng=9 (22.7 W) and the 60 W-budget Ng=27.\n")),
+		entry("fc", FCSweep, formatSweep("FC mapping ablation on AlexNet:",
+			"the paper's prose describes the narrow mapping but its AlexNet\nlatency matches the wide one; see DESIGN.md and EXPERIMENTS.md.\n")),
+		entry("drive", DriveNonlinearity, FormatDrive),
+		entry("fidelity", Fidelity, FormatFidelity),
+		entry("faults", Faults, FormatFaults),
 	}
 }
 

@@ -3,6 +3,9 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -36,8 +39,8 @@ func TestAllNamesUnique(t *testing.T) {
 		}
 		seen[e.Name] = true
 	}
-	if len(seen) != 24 {
-		t.Errorf("All lists %d experiments, want 24", len(seen))
+	if len(seen) != 32 {
+		t.Errorf("All lists %d experiments, want 32", len(seen))
 	}
 }
 
@@ -57,4 +60,74 @@ func TestActivityEntryMatchesAnalyticModel(t *testing.T) {
 		return
 	}
 	t.Fatal("no activity entry")
+}
+
+// TestDocsQuoteEntries reads EXPERIMENTS.md. In every section that
+// names `albireo-figures -only <id>`, each number of a "Measured" or
+// "Ours" table cell must appear, with the same printed digits, in the
+// text of an entry the section names. An entry runs only when a
+// section with such a cell cites it.
+func TestDocsQuoteEntries(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	exps := map[string]Experiment{}
+	for _, e := range All() {
+		exps[e.Name] = e
+	}
+	cite := regexp.MustCompile("albireo-figures -only ([a-z0-9]+)")
+	number := regexp.MustCompile(`[0-9]+(\.[0-9]+)?`)
+	checked := 0
+	for _, section := range strings.Split(string(raw), "\n## ")[1:] {
+		heading, _, _ := strings.Cut(section, "\n")
+		var printed map[string]bool // the cited entries' numbers, on first need
+		var cols []int              // the current table's checked columns; nil outside a table
+		for _, line := range strings.Split(section, "\n") {
+			if !strings.HasPrefix(line, "|") {
+				cols = nil
+				continue
+			}
+			cells := strings.Split(line, "|")
+			if cols == nil {
+				cols = []int{}
+				for i, c := range cells {
+					if c = strings.TrimSpace(c); c == "Measured" || strings.HasPrefix(c, "Ours") {
+						cols = append(cols, i)
+					}
+				}
+				continue
+			}
+			if len(cols) > 0 && printed == nil {
+				printed = map[string]bool{}
+				for _, m := range cite.FindAllStringSubmatch(section, -1) {
+					if e, ok := exps[m[1]]; ok {
+						_, text := e.Run()
+						for _, n := range number.FindAllString(text, -1) {
+							printed[n] = true
+						}
+					}
+				}
+			}
+			if len(printed) == 0 {
+				continue // a section citing no entry
+			}
+			for _, i := range cols {
+				if i >= len(cells) {
+					t.Errorf("EXPERIMENTS.md %q: row %q has no column %d", heading, line, i)
+					continue
+				}
+				for _, n := range number.FindAllString(cells[i], -1) {
+					checked++
+					if !printed[n] {
+						t.Errorf("EXPERIMENTS.md %q, row %q: %s is printed by no entry the section cites",
+							heading, strings.TrimSpace(cells[1]), n)
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("EXPERIMENTS.md has no Measured or Ours cell to check")
+	}
 }

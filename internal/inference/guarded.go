@@ -2,6 +2,7 @@ package inference
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"albireo/internal/obs"
@@ -16,26 +17,29 @@ const (
 	// MetricGuardFallbacks counts layers rerouted to the reference
 	// because their divergence exceeded the budget.
 	MetricGuardFallbacks = "albireo_inference_guard_fallbacks_total"
+	// MetricLayerDivergence is the histogram of every checked layer's
+	// relative RMS divergence from the reference (the quantity the
+	// budget bounds).
+	MetricLayerDivergence = "albireo_inference_layer_divergence_rms"
 )
 
 // Guarded is an accuracy-guarded backend: layers execute on the analog
-// backend, and sampled layers are re-executed on a digital reference
-// and scored for RMS divergence. A layer over budget returns the
+// backend, and every layer is re-executed on a digital reference and
+// scored for RMS divergence. A layer over budget returns the
 // reference output instead - the network keeps computing correct
 // activations while the analog fabric degrades, at the energy cost of
 // the digital recompute. This is the last line of graceful
 // degradation: BIST + quarantine remove known-bad units, and the guard
 // catches whatever silent corruption remains.
 //
-// The guard is deterministic: sampling is layer-count-denominated (no
-// clocks, no randomness), and the analog backend still executes every
-// layer (its noise streams advance identically whether or not the
-// guard falls back), so guarded and unguarded runs of the same inputs
-// stay reproducible.
+// The guard is deterministic: it uses no clocks and no randomness, and
+// the analog backend still executes every layer (its noise streams
+// advance identically whether or not the guard falls back), so guarded
+// and unguarded runs of the same inputs stay reproducible.
 type Guarded struct {
 	// Backend executes every layer (typically Analog).
 	Backend Backend
-	// Ref is the digital reference (typically Exact) used for sampled
+	// Ref is the digital reference (typically Exact) used for the
 	// divergence checks and as the fallback output.
 	Ref Backend
 	// Budget is the maximum tolerated per-layer relative divergence:
@@ -45,9 +49,6 @@ type Guarded struct {
 	// analog output flows onward; over it the reference output does.
 	// Layers with an all-zero reference are scored on absolute RMS.
 	Budget float64
-	// SampleEvery checks every Nth layer (1 = every layer). Unchecked
-	// layers always pass the analog output through.
-	SampleEvery int
 	// FallbackHook, when non-nil, is called with the layer-op kind
 	// ("conv", "fc", or "gemm") each time a layer falls back to the
 	// reference.
@@ -58,15 +59,13 @@ type Guarded struct {
 
 	reg       *obs.Registry
 	trace     *obs.Trace
-	layers    atomic.Int64
 	checks    atomic.Int64
 	fallbacks atomic.Int64
 }
 
 // Guard wraps an analog backend with an accuracy guard against ref.
-// SampleEvery defaults to 1 (every layer checked).
 func Guard(b, ref Backend, budget float64) *Guarded {
-	return &Guarded{Backend: b, Ref: ref, Budget: budget, SampleEvery: 1}
+	return &Guarded{Backend: b, Ref: ref, Budget: budget}
 }
 
 // Instrument attaches an observability registry and/or trace and
@@ -84,18 +83,8 @@ func (g *Guarded) Name() string { return "guarded(" + g.Backend.Name() + ")" }
 // reference so far.
 func (g *Guarded) Fallbacks() int64 { return g.fallbacks.Load() }
 
-// Checks returns how many layers have been divergence-sampled.
+// Checks returns how many layers have been divergence-checked.
 func (g *Guarded) Checks() int64 { return g.checks.Load() }
-
-// sampled reports whether this layer call is divergence-checked.
-func (g *Guarded) sampled() bool {
-	n := g.layers.Add(1)
-	every := int64(g.SampleEvery)
-	if every <= 1 {
-		return true
-	}
-	return (n-1)%every == 0
-}
 
 // guard scores the analog output against the reference and picks the
 // survivor. Both slices must be equal length.
@@ -126,6 +115,20 @@ func (g *Guarded) guard(kind string, out, ref []float64) bool {
 	return true
 }
 
+// rms returns the root-mean-square difference of two equal-length
+// vectors (0 for degenerate input).
+func rms(a, b []float64) float64 {
+	if len(a) != len(b) || len(a) == 0 {
+		return 0
+	}
+	var sum float64
+	for i := range a {
+		d := a[i] - b[i]
+		sum += d * d
+	}
+	return math.Sqrt(sum / float64(len(a)))
+}
+
 // rmsMagnitude returns the root-mean-square of a vector (its signal
 // scale), 0 for empty input.
 func rmsMagnitude(v []float64) float64 {
@@ -135,9 +138,6 @@ func rmsMagnitude(v []float64) float64 {
 // Conv implements Backend.
 func (g *Guarded) Conv(a *tensor.Volume, w *tensor.Kernels, cfg tensor.ConvConfig, relu bool) *tensor.Volume {
 	out := g.Backend.Conv(a, w, cfg, relu)
-	if !g.sampled() {
-		return out
-	}
 	ref := g.Ref.Conv(a, w, cfg, relu)
 	if g.guard("conv", out.Data, ref.Data) {
 		return ref
@@ -148,9 +148,6 @@ func (g *Guarded) Conv(a *tensor.Volume, w *tensor.Kernels, cfg tensor.ConvConfi
 // FullyConnected implements Backend.
 func (g *Guarded) FullyConnected(a *tensor.Volume, w *tensor.Kernels, relu bool) []float64 {
 	out := g.Backend.FullyConnected(a, w, relu)
-	if !g.sampled() {
-		return out
-	}
 	ref := g.Ref.FullyConnected(a, w, relu)
 	if g.guard("fc", out, ref) {
 		return ref
@@ -161,9 +158,6 @@ func (g *Guarded) FullyConnected(a *tensor.Volume, w *tensor.Kernels, relu bool)
 // GEMM implements Backend.
 func (g *Guarded) GEMM(a, b *tensor.Matrix, relu bool) *tensor.Matrix {
 	out := g.Backend.GEMM(a, b, relu)
-	if !g.sampled() {
-		return out
-	}
 	ref := g.Ref.GEMM(a, b, relu)
 	if g.guard("gemm", out.Data, ref.Data) {
 		return ref
