@@ -79,7 +79,7 @@ func run(args []string, out io.Writer) error {
 	seed := fs.Int64("seed", 1, "arrival-process and workload seed")
 	queue := fs.Int("queue", 64, "admission queue depth; offered load past capacity sheds")
 	batch := fs.Int("batch", 8, "max requests coalesced into one micro-batch")
-	linger := fs.Int("linger", 2, "max ticks a partial batch lingers for more compatible requests")
+	linger := fs.Int("linger", 2, "max ticks a partial batch lingers for more compatible requests, only while every eligible worker is busy")
 	programTicks := fs.Int64("program-ticks", 2, "virtual service ticks charged once per batch (MZM weight programming)")
 	requestTicks := fs.Int64("request-ticks", 1, "virtual service ticks charged per request in a batch")
 	extraLatency := fs.Int64("extra-latency", 0, "extra per-request service ticks; injects a deliberate regression to prove the gate trips")

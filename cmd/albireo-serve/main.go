@@ -99,7 +99,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	pool := fs.Int("pool", 2, "number of chip workers in the fleet")
 	queue := fs.Int("queue", 64, "admission queue depth; submissions past it shed with 503")
 	batch := fs.Int("batch", 8, "max requests coalesced into one micro-batch")
-	linger := fs.Duration("linger", 2*time.Millisecond, "max time a partial batch waits for more compatible requests; 0 dispatches immediately")
+	linger := fs.Duration("linger", 2*time.Millisecond, "max time a partial batch waits for more compatible requests, only while every eligible chip is busy; 0 dispatches immediately")
 	sweeps := fs.Int("sweeps", 1, "load-generator sweeps to run through the fleet at startup")
 	sweepBatch := fs.Int("sweep-batch", 2, "inputs per load-generator sweep")
 	size := fs.Int("size", 12, "served model input spatial size")

@@ -108,3 +108,9 @@ func (tr TemporalResponse) SettledFraction() float64 {
 	tau := tr.Ring.PhotonLifetime()
 	return 1 - math.Exp(-1/(tr.SymbolRate*tau))
 }
+
+// RiseTime returns the drop-port envelope's 10-90% rise time in
+// seconds: ln(9) photon lifetimes for the first-order cavity response.
+func (tr TemporalResponse) RiseTime() float64 {
+	return math.Log(9) * tr.Ring.PhotonLifetime()
+}

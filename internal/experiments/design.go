@@ -21,7 +21,7 @@ import (
 type K2Row struct {
 	K2, Bits, DiffBits float64
 	Eye                float64 // eye opening at 5 GHz
-	RisePS             float64 // 2.2 photon lifetimes
+	RisePS             float64 // 10-90% rise time
 }
 
 // K2Sweep trades crosstalk-limited precision against temporal
@@ -32,7 +32,7 @@ func K2Sweep() []K2Row {
 		xa := circuit.NewCrosstalkAnalysis(k2, 21)
 		tr := circuit.NewTemporalResponse(k2, 5*units.Giga)
 		rows = append(rows, K2Row{k2, xa.PrecisionBits(), xa.DifferentialPrecisionBits(),
-			tr.EyeOpening(), 2.2 * tr.Ring.PhotonLifetime() * units.Tera})
+			tr.EyeOpening(), tr.RiseTime() * units.Tera})
 	}
 	return rows
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -65,6 +66,20 @@ func TestFig4aOrdering(t *testing.T) {
 	}
 	if len(f.Rings) != 3 || FormatFig4a(f) == "" {
 		t.Error("format")
+	}
+}
+
+// TestK2RiseMatchesFig4b: the k^2 design space and Figure 4b price a
+// ring's rise time with the one definition, so the rings both tables
+// share read the same bits.
+func TestK2RiseMatchesFig4b(t *testing.T) {
+	fig := Fig4b([]float64{0.02, 0.03}, []float64{5e9})
+	for _, r := range K2Sweep() {
+		for _, f := range fig {
+			if r.K2 == f.K2 && math.Float64bits(r.RisePS) != math.Float64bits(f.RiseTimePS) {
+				t.Errorf("k2 %g: k2 entry rise %v ps, fig4b %v ps", r.K2, r.RisePS, f.RiseTimePS)
+			}
+		}
 	}
 }
 

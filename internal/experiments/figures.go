@@ -10,7 +10,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"albireo/internal/circuit"
@@ -136,12 +135,10 @@ func Fig4b(k2s []float64, rates []float64) []Fig4bRow {
 	for _, k2 := range k2s {
 		for _, rate := range rates {
 			tr := circuit.NewTemporalResponse(k2, rate)
-			// 10-90% rise time of a first-order system is ln(9)*tau.
-			rise := math.Log(9) * tr.Ring.PhotonLifetime()
 			rows = append(rows, Fig4bRow{
 				K2:          k2,
 				SymbolRate:  rate,
-				RiseTimePS:  rise * units.Tera,
+				RiseTimePS:  tr.RiseTime() * units.Tera,
 				EyeOpening:  tr.EyeOpening(),
 				SettledFrac: tr.SettledFraction(),
 			})

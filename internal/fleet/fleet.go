@@ -10,17 +10,29 @@
 // health reports so a faulty chip is drained from the pool while the
 // rest keep serving.
 //
-// Determinism contract. The scheduler never reads a wall clock: the
-// micro-batcher's linger is denominated in ticks of an injected
-// logical clock (Tick is called by the cmd boundary on a wall timer in
-// production and directly by tests), and routing is a deterministic
-// weighted round-robin over the in-service workers. Given the same
-// request trace (the same sequence of Submit and Tick calls), the
-// fleet produces bit-identical results and bit-identical registry
-// snapshots across runs; and because a drained worker is never driven,
-// results are bit-identical to a healthy pool built from the surviving
-// workers only. Cancellation (ctx deadlines) is the one wall-driven
-// escape hatch and is excluded from the invariant.
+// Dispatch is work-conserving (the adaptive batching rule of Clipper,
+// Crankshaw et al., NSDI 2017): a partial batch lingers only while
+// every eligible worker is busy, which is when waiting for company can
+// save weight programming.
+//
+// Determinism contract. The scheduler never reads a wall clock: linger
+// is denominated in ticks of an injected logical clock (Tick is called
+// by the cmd boundary on a wall timer in production and directly by
+// tests), and routing is deterministic: the eligible worker that frees
+// up first, ties by weighted round-robin. In VirtualTime mode a
+// worker's idleness is its booked service, so batching, latency stamps
+// and shedding are a pure function of the request trace (the sequence
+// of Submit and Tick calls). In wall-time mode idleness is completion
+// progress, so batch composition depends on when work completes: a
+// closed-loop trace (each call waits on its result before the next
+// Submit or Tick) is reproducible, because a worker turns idle before
+// it delivers, but concurrent submitters or ticks racing execution are
+// not; replay is unaffected, because every deliver record names the
+// worker. A reproducible trace yields bit-identical results and
+// registry snapshots across runs, and because a drained worker is
+// never driven, results are bit-identical to a healthy pool built from
+// the surviving workers only. Cancellation (ctx deadlines) is the one
+// wall-driven escape hatch and is excluded from the invariant.
 package fleet
 
 import (
@@ -99,8 +111,11 @@ type Options struct {
 	// size is dispatched immediately (default 8).
 	MaxBatch int
 	// MaxLinger is how many Tick calls a partial batch may wait for
-	// more compatible requests before being dispatched anyway. 0 means
-	// no lingering: every request dispatches on submission.
+	// more compatible requests before being dispatched anyway. A batch
+	// lingers only while every eligible worker is busy (for a shard
+	// sub, its pinned worker): an idle worker takes it at once. 0 means
+	// no lingering: every request dispatches on submission, to the
+	// routing pick whether or not it is busy.
 	MaxLinger int
 	// QueueDepth bounds admitted-but-unfinished requests; submissions
 	// past it are shed with ErrOverloaded (default 64).
@@ -232,8 +247,8 @@ func keyOf(op *journal.Request, shard core.ShardSpec, aff int) batchKey {
 	return batchKey{op: op.Op, w: op.W, cfg: op.Cfg, relu: op.ReLU, mb: op.MB, shard: shard, aff: aff}
 }
 
-// pendingBatch accumulates compatible requests until it fills or its
-// linger expires.
+// pendingBatch accumulates compatible requests until it fills, its
+// linger expires, or an eligible worker turns idle.
 type pendingBatch struct {
 	key  batchKey
 	reqs []*request
@@ -249,6 +264,10 @@ type Scheduler struct {
 	workers []*worker
 	pending []*pendingBatch
 	byKey   map[batchKey]*pendingBatch
+	// npending mirrors len(pending) (written under mu) so a worker
+	// that turns idle takes mu to pull pending batches only when there
+	// are some; completion stays lock-free otherwise.
+	npending atomic.Int64
 	// queued counts admitted-but-unfinished requests. It is atomic so
 	// workers can release queue slots on completion without taking the
 	// scheduler mutex - on a busy pool the per-request completion lock
@@ -391,8 +410,9 @@ func (s *Scheduler) Start() error {
 }
 
 // Tick advances the linger clock by one tick: pending batches age,
-// those that reach MaxLinger dispatch, and in VirtualTime mode booked
-// batches whose virtual completion is due settle off the ledger. Every
+// and in VirtualTime mode booked batches whose virtual completion is
+// due settle off the ledger; then batches that reached MaxLinger, or
+// whose worker is now idle, dispatch. Every
 // ReprobeEvery ticks, drained workers are scheduled for a BIST
 // re-probe. In production a wall timer at the cmd boundary calls Tick;
 // tests call it directly, which is what keeps batching deterministic.
@@ -501,26 +521,15 @@ func (s *Scheduler) submit(ctx context.Context, req *request) *Future {
 			return fut
 		}
 	}
-	// No-linger fast path: with nothing pending (nothing could be
-	// stranded waiting for a route, so FIFO order is safe) the request
-	// is its own batch - route it directly and skip the coalescing
-	// map, the pendingBatch, and the one-element batch slice.
-	if s.opt.MaxLinger == 0 && len(s.pending) == 0 {
-		if best := s.pickWorkerLocked(false); best != nil {
-			best.assigned++
-			s.batchSize.Observe(1)
-			best.batches.Inc()
-			req.st.Dispatch = req.st.Arrive
-			if s.opt.VirtualTime {
-				s.bookLocked(best, []*request{req})
-			}
-			if s.trace != nil {
-				s.span.Event(obs.BatchDispatched, opName(req),
-					obs.Int("worker", int64(best.id)),
-					obs.Int("size", 1),
-					obs.Int("age_ticks", 0))
-			}
-			best.queue <- workItem{single: req}
+	// Direct path: with nothing pending (no older request is waiting
+	// for a route, so FIFO order holds) and a worker that can take the
+	// request now - any in-service worker when lingering is off, an
+	// idle one otherwise - the request is its own batch: route it
+	// directly and skip the coalescing map, the pendingBatch, and the
+	// one-element batch slice.
+	if len(s.pending) == 0 {
+		if w := s.pickWorkerLocked(false); w != nil && (s.opt.MaxLinger == 0 || s.backlogLocked(w) == 0) {
+			s.dispatchLocked(w, workItem{single: req}, 0)
 			s.mu.Unlock()
 			return &Future{req: req}
 		}
@@ -541,62 +550,76 @@ func (s *Scheduler) enqueueLocked(key batchKey, req *request) {
 		s.pending = append(s.pending, pb)
 	}
 	pb.reqs = append(pb.reqs, req)
+	s.npending.Store(int64(len(s.pending)))
 }
 
-// flushLocked dispatches every pending batch that is due - full, past
-// its linger, lingering disabled, or force (shutdown) - to a worker
-// chosen by the routing policy. Batches stay pending when no worker is
-// in service; they are retried on the next tick or restore.
+// flushLocked dispatches every pending batch that is due. A batch is
+// due when an eligible worker for its key is idle (lingering then
+// buys nothing), when it is full, when it has lingered MaxLinger
+// ticks, or on force (shutdown); it goes to the worker routeLocked
+// picks, which is idle whenever an eligible one is. Batches stay
+// pending when no worker is in service; they are retried on the next
+// tick, idle worker, or restore.
 func (s *Scheduler) flushLocked(force bool) {
 	kept := s.pending[:0]
 	for _, pb := range s.pending {
-		due := force || s.opt.MaxLinger == 0 ||
-			len(pb.reqs) >= s.opt.MaxBatch || pb.age >= s.opt.MaxLinger
-		if !due || !s.dispatchLocked(pb) {
+		w := s.routeLocked(pb)
+		due := w != nil && (force || len(pb.reqs) >= s.opt.MaxBatch ||
+			pb.age >= s.opt.MaxLinger || s.backlogLocked(w) == 0)
+		if !due {
 			kept = append(kept, pb)
 			continue
 		}
+		s.dispatchLocked(w, workItem{batch: pb.reqs}, pb.age)
 		delete(s.byKey, pb.key)
 	}
+	// Clear the vacated tail so dispatched batches do not stay reachable
+	// from the backing array.
+	clear(s.pending[len(kept):])
 	s.pending = kept
+	s.npending.Store(int64(len(kept)))
 }
 
-// dispatchLocked routes one batch to the in-service worker with the
-// smallest weighted backlog (deficit round-robin: the worker
-// minimizing assigned/weight, ties to the lowest id). Integer
-// cross-multiplication keeps the comparison exact and deterministic.
-// Shard sub-batches honor their placement affinity first and fall
-// back to the least-loaded shard-capable worker when the pinned one
-// has left service.
-func (s *Scheduler) dispatchLocked(pb *pendingBatch) bool {
-	best := s.routeLocked(pb)
-	if best == nil {
-		return false
+// dispatchLocked hands one routed item - a pending batch, or a lone
+// request on submit's direct path - to w and, in wall mode, marks w
+// busy until the item finishes. age is how many ticks the item
+// lingered.
+func (s *Scheduler) dispatchLocked(w *worker, item workItem, age int) {
+	first, n := item.single, 1
+	if first == nil {
+		first, n = item.batch[0], len(item.batch)
 	}
-	best.assigned++
-	s.batchSize.Observe(float64(len(pb.reqs)))
-	best.batches.Inc()
+	w.assigned++
+	if !s.opt.VirtualTime {
+		w.busy.Add(1)
+	}
+	s.batchSize.Observe(float64(n))
+	w.batches.Inc()
 	now := s.ticks.Load()
-	for _, req := range pb.reqs {
+	first.st.Dispatch = now
+	for _, req := range item.batch {
 		req.st.Dispatch = now
 	}
 	if s.opt.VirtualTime {
-		s.bookLocked(best, pb.reqs)
+		reqs := item.batch
+		if reqs == nil {
+			reqs = []*request{first}
+		}
+		s.bookLocked(w, reqs)
 	}
 	if s.trace != nil {
-		s.span.Event(obs.BatchDispatched, opName(pb.reqs[0]),
-			obs.Int("worker", int64(best.id)),
-			obs.Int("size", int64(len(pb.reqs))),
-			obs.Int("age_ticks", int64(pb.age)))
+		s.span.Event(obs.BatchDispatched, opName(first),
+			obs.Int("worker", int64(w.id)),
+			obs.Int("size", int64(n)),
+			obs.Int("age_ticks", int64(age)))
 	}
-	best.queue <- workItem{batch: pb.reqs}
-	return true
+	w.queue <- item
 }
 
 // routeLocked picks the worker for one pending batch: affinity for
-// shard sub-batches, deficit round-robin for whole requests. When the
-// pinned worker has left service, shard subs fall back to the
-// least-loaded shard-capable worker.
+// shard sub-batches, pickWorkerLocked for whole requests. When the
+// pinned worker has left service, shard subs fall back to the pick
+// among shard-capable workers. nil means no worker is eligible.
 func (s *Scheduler) routeLocked(pb *pendingBatch) *worker {
 	if pb.key.aff < 0 {
 		return s.pickWorkerLocked(false)
@@ -607,21 +630,44 @@ func (s *Scheduler) routeLocked(pb *pendingBatch) *worker {
 	return s.pickWorkerLocked(true)
 }
 
-// pickWorkerLocked returns the in-service worker with the smallest
-// weighted backlog, or nil when none is eligible. shard restricts the
-// pick to shard-capable workers: the fallback route for a sub-request
-// whose placement worker drained after fan-out.
+// pickWorkerLocked returns the eligible in-service worker that frees
+// up first - the least backlog (see backlogLocked) - with ties broken
+// by deficit round-robin: the worker minimizing assigned/weight, then
+// the lowest id. Integer cross-multiplication keeps the comparison
+// exact and deterministic. So the pick is idle whenever an eligible
+// worker is, and among idle workers it is plain deficit round-robin;
+// with lingering off, backlog is ignored and every pick is. shard
+// restricts the pick to shard-capable workers: the fallback route for
+// a sub-request whose placement worker drained after fan-out. nil
+// means no worker is eligible.
 func (s *Scheduler) pickWorkerLocked(shard bool) *worker {
 	var best *worker
+	var bestLoad int64
 	for _, w := range s.workers {
 		if !w.inService || w.weight <= 0 || shard && w.sb == nil {
 			continue
 		}
-		if best == nil || w.assigned*best.weight < best.assigned*w.weight {
-			best = w
+		var load int64
+		if s.opt.MaxLinger > 0 {
+			load = s.backlogLocked(w)
+		}
+		if best == nil || load < bestLoad ||
+			load == bestLoad && w.assigned*best.weight < best.assigned*w.weight {
+			best, bestLoad = w, load
 		}
 	}
 	return best
+}
+
+// backlogLocked is how far w is from idle (0 when idle). In wall mode
+// it counts dispatched but unfinished items; in VirtualTime mode it is
+// the booked service left past the current tick, so the ledger prices
+// the same rule the wall-mode pool runs.
+func (s *Scheduler) backlogLocked(w *worker) int64 {
+	if s.opt.VirtualTime {
+		return max(w.vBusyUntil-s.ticks.Load(), 0)
+	}
+	return w.busy.Load()
 }
 
 // inServiceLocked lists workers eligible for routing.
@@ -664,6 +710,7 @@ func (s *Scheduler) Close(ctx context.Context) error {
 		delete(s.byKey, pb.key)
 	}
 	s.pending = nil
+	s.npending.Store(0)
 	// Booked-but-unsettled virtual completions settle now so every
 	// admitted slot releases and every dispatched request finalizes.
 	s.settleLedgerLocked(s.ticks.Load(), true)

@@ -25,6 +25,56 @@ func analogUnit(seed int64) fleet.Unit {
 	return fleet.Unit{Backend: a, Chip: a.Chip}
 }
 
+// gateBackend is a chipless exact backend whose every op blocks until
+// the test opens the gate: it holds a worker busy for as long as a
+// scenario needs, so requests submitted meanwhile linger behind it.
+type gateBackend struct {
+	inference.Exact
+	entered chan struct{} // one send as each op starts
+	open    chan struct{} // closed by the test to let every op run
+}
+
+func newGate() *gateBackend {
+	return &gateBackend{entered: make(chan struct{}, 64), open: make(chan struct{})}
+}
+
+// wait blocks the calling worker until the gate opens.
+func (g *gateBackend) wait() {
+	g.entered <- struct{}{}
+	<-g.open
+}
+
+func (g *gateBackend) Conv(a *tensor.Volume, w *tensor.Kernels, cfg tensor.ConvConfig, relu bool) *tensor.Volume {
+	g.wait()
+	return g.Exact.Conv(a, w, cfg, relu)
+}
+
+func (g *gateBackend) FullyConnected(a *tensor.Volume, w *tensor.Kernels, relu bool) []float64 {
+	g.wait()
+	return g.Exact.FullyConnected(a, w, relu)
+}
+
+func (g *gateBackend) GEMM(a, b *tensor.Matrix, relu bool) *tensor.Matrix {
+	g.wait()
+	return g.Exact.GEMM(a, b, relu)
+}
+
+// startGated starts a one-worker scheduler on a gate backend, with
+// reg attached (reg may be nil).
+func startGated(t *testing.T, opt fleet.Options, reg *obs.Registry) (*fleet.Scheduler, *gateBackend) {
+	t.Helper()
+	gate := newGate()
+	s, err := fleet.New(opt, fleet.Unit{Backend: gate})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	s.Instrument(reg, nil)
+	if err := s.Start(); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	return s, gate
+}
+
 // detune injects a detuned-ring fault that a BIST scan localizes.
 func detune(t *testing.T, u fleet.Unit, group, unit int) {
 	t.Helper()
@@ -75,10 +125,11 @@ func runTrace(t *testing.T, seeds []int64, prep func([]fleet.Unit), inspect func
 	wfc := tensor.RandomKernels(6, 5, 10, 10, 72)
 	cfg3 := tensor.ConvConfig{Stride: 1, Pad: 1}
 
+	// Each pair dispatches at once to idle workers, and the ticks come
+	// only after both results: a tick racing execution would make the
+	// wall-mode stage stamps depend on timing.
 	f1 := s.ConvAsync(ctx, in1, w1, cfg3, true)
 	f2 := s.ConvAsync(ctx, in2, w1, cfg3, true)
-	s.Tick()
-	s.Tick()
 	v1, err := f1.Volume()
 	if err != nil {
 		t.Fatalf("conv 1: %v", err)
@@ -87,11 +138,11 @@ func runTrace(t *testing.T, seeds []int64, prep func([]fleet.Unit), inspect func
 	if err != nil {
 		t.Fatalf("conv 2: %v", err)
 	}
+	s.Tick()
+	s.Tick()
 
 	p1 := s.ConvAsync(ctx, v1, w2, tensor.ConvConfig{}, true)
 	p2 := s.ConvAsync(ctx, v2, w2, tensor.ConvConfig{}, true)
-	s.Tick()
-	s.Tick()
 	u1, err := p1.Volume()
 	if err != nil {
 		t.Fatalf("pointwise 1: %v", err)
@@ -100,11 +151,11 @@ func runTrace(t *testing.T, seeds []int64, prep func([]fleet.Unit), inspect func
 	if err != nil {
 		t.Fatalf("pointwise 2: %v", err)
 	}
+	s.Tick()
+	s.Tick()
 
 	g1 := s.FullyConnectedAsync(ctx, u1, wfc, false)
 	g2 := s.FullyConnectedAsync(ctx, u2, wfc, false)
-	s.Tick()
-	s.Tick()
 	l1, err := g1.Logits()
 	if err != nil {
 		t.Fatalf("fc 1: %v", err)
@@ -113,6 +164,8 @@ func runTrace(t *testing.T, seeds []int64, prep func([]fleet.Unit), inspect func
 	if err != nil {
 		t.Fatalf("fc 2: %v", err)
 	}
+	s.Tick()
+	s.Tick()
 
 	if err := s.Close(ctx); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -193,13 +246,63 @@ func TestFleetDrainedMatchesSmallerPool(t *testing.T) {
 	}
 }
 
-// TestFleetBatchCoalescing checks the micro-batcher: compatible
-// requests coalesce up to MaxBatch, incompatible ones do not, and
-// partial batches wait out MaxLinger ticks.
+// TestFleetBatchCoalescing checks the micro-batcher behind a busy
+// worker: compatible requests coalesce up to MaxBatch, incompatible
+// ones do not, and a partial batch waits out MaxLinger ticks while the
+// only worker stays busy.
 func TestFleetBatchCoalescing(t *testing.T) {
 	t.Parallel()
 	reg := obs.NewRegistry()
-	s, err := fleet.New(fleet.Options{MaxBatch: 2, MaxLinger: 5, QueueDepth: 16}, analogUnit(21))
+	s, gate := startGated(t, fleet.Options{MaxBatch: 2, MaxLinger: 5, QueueDepth: 16}, reg)
+	ctx := context.Background()
+	in := tensor.RandomVolume(3, 9, 9, 5)
+	wa := tensor.RandomKernels(4, 3, 3, 3, 50)
+	wb := tensor.RandomKernels(4, 3, 3, 3, 51)
+	cfg := tensor.ConvConfig{Stride: 1, Pad: 1}
+
+	// The idle worker takes the first request at once and stays busy
+	// on it until the gate opens.
+	busy := s.ConvAsync(ctx, in, wa, cfg, false)
+	<-gate.entered
+	base := reg.Snapshot()
+	// Two compatible requests: fills MaxBatch, dispatches immediately.
+	f1 := s.ConvAsync(ctx, in, wa, cfg, false)
+	f2 := s.ConvAsync(ctx, in, wa, cfg, false)
+	// A third on different weights: incompatible, lingers.
+	f3 := s.ConvAsync(ctx, in, wb, cfg, false)
+	for i := 0; i < 4; i++ {
+		s.Tick()
+	}
+	if got := reg.Snapshot().Delta(base).SumCounters(fleet.MetricBatches); got != 1 {
+		t.Fatalf("batches after full batch = %d, want 1 (lingering batch dispatched early?)", got)
+	}
+	s.Tick()
+	if got := reg.Snapshot().Delta(base).SumCounters(fleet.MetricBatches); got != 2 {
+		t.Fatalf("batches after MaxLinger ticks = %d, want 2", got)
+	}
+	close(gate.open)
+	for i, f := range []*fleet.Future{busy, f1, f2, f3} {
+		if _, err := f.Volume(); err != nil {
+			t.Fatalf("conv %d: %v", i, err)
+		}
+	}
+	if err := s.Close(ctx); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	h := reg.Snapshot().Delta(base).Histograms[fleet.MetricBatchSize]
+	if h.Count != 2 || math.Float64bits(h.Sum) != math.Float64bits(3) {
+		t.Fatalf("batch-size histogram count=%d sum=%g, want count=2 sum=3", h.Count, h.Sum)
+	}
+}
+
+// TestFleetClosedLoopNoTick checks work-conserving dispatch in wall
+// mode: with a long linger and no Tick, closed-loop requests never
+// wait for the clock - each finds a worker idle - and on a two-chip
+// pool consecutive requests alternate workers.
+func TestFleetClosedLoopNoTick(t *testing.T) {
+	t.Parallel()
+	reg := obs.NewRegistry()
+	s, err := fleet.New(fleet.Options{MaxBatch: 8, MaxLinger: 100, QueueDepth: 8}, analogUnit(41), analogUnit(42))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -207,38 +310,123 @@ func TestFleetBatchCoalescing(t *testing.T) {
 	if err := s.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
-	ctx := context.Background()
+	closedLoopAlternates(t, s, reg)
+	if got := s.Ticks(); got != 0 {
+		t.Fatalf("ticks = %d, want 0", got)
+	}
+	if err := s.Close(context.Background()); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
+// closedLoopAlternates sends 20 closed-loop convs to s without a Tick
+// and checks that each completes and that its two workers, idle and
+// unassigned at the start, serve them alternately.
+func closedLoopAlternates(t *testing.T, s *fleet.Scheduler, reg *obs.Registry) {
+	t.Helper()
+	served := []*obs.Counter{
+		reg.Counter(fleet.MetricRequests, obs.L("worker", "0")),
+		reg.Counter(fleet.MetricRequests, obs.L("worker", "1")),
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
 	in := tensor.RandomVolume(3, 9, 9, 5)
-	wa := tensor.RandomKernels(4, 3, 3, 3, 50)
-	wb := tensor.RandomKernels(4, 3, 3, 3, 51)
+	w := tensor.RandomKernels(4, 3, 3, 3, 50)
+	cfg := tensor.ConvConfig{Stride: 1, Pad: 1}
+	for i := 0; i < 20; i++ {
+		if _, err := s.ConvAsync(ctx, in, w, cfg, false).Volume(); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		want0, want1 := int64(i/2+1), int64((i+1)/2)
+		if got0, got1 := served[0].Value(), served[1].Value(); got0 != want0 || got1 != want1 {
+			t.Fatalf("after request %d: workers served %d/%d, want %d/%d", i, got0, got1, want0, want1)
+		}
+	}
+}
+
+// TestFleetConcurrentNoTick drives work-conserving dispatch from many
+// submitters at once with a linger that never expires: every request
+// still completes, because a worker that turns idle pulls whatever is
+// pending. A lost wake-up between a submitter parking a batch and a
+// worker turning idle would strand the batch and time the test out.
+func TestFleetConcurrentNoTick(t *testing.T) {
+	t.Parallel()
+	reg := obs.NewRegistry()
+	s, err := fleet.New(fleet.Options{MaxBatch: 4, MaxLinger: 1 << 30, QueueDepth: 64}, exactUnit(), exactUnit())
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	s.Instrument(reg, nil)
+	if err := s.Start(); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	const submitters, each = 8, 25
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			// Two weight sets, so some requests coalesce and some cannot.
+			in, w, cfg := smallConv(int64(g))
+			if g%2 == 1 {
+				w = tensor.RandomKernels(1, 1, 3, 3, 10)
+			}
+			for i := 0; i < each; i++ {
+				if _, err := s.ConvAsync(ctx, in, w, cfg, false).Volume(); err != nil {
+					t.Errorf("submitter %d request %d: %v", g, i, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if err := s.Close(context.Background()); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if got := reg.Snapshot().SumCounters(fleet.MetricCompleted); got != submitters*each {
+		t.Fatalf("completed = %d, want %d", got, submitters*each)
+	}
+	if got := s.Ticks(); got != 0 {
+		t.Fatalf("ticks = %d, want 0", got)
+	}
+}
+
+// TestFleetLingersBehindBusyWorker checks the other half of the rule:
+// a request submitted while the only worker is busy lingers, and
+// dispatches as soon as that worker frees up, with no Tick.
+func TestFleetLingersBehindBusyWorker(t *testing.T) {
+	t.Parallel()
+	reg := obs.NewRegistry()
+	s, gate := startGated(t, fleet.Options{MaxBatch: 8, MaxLinger: 100, QueueDepth: 8}, reg)
+	// Nothing ticks: a request nobody pulls times out instead of hanging.
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	in := tensor.RandomVolume(3, 9, 9, 5)
+	w := tensor.RandomKernels(4, 3, 3, 3, 50)
 	cfg := tensor.ConvConfig{Stride: 1, Pad: 1}
 
-	// Two compatible requests: fills MaxBatch, dispatches immediately.
-	f1 := s.ConvAsync(ctx, in, wa, cfg, false)
-	f2 := s.ConvAsync(ctx, in, wa, cfg, false)
-	// A third on different weights: incompatible, lingers.
-	f3 := s.ConvAsync(ctx, in, wb, cfg, false)
-	if _, err := f1.Volume(); err != nil {
-		t.Fatalf("conv 1: %v", err)
-	}
-	if _, err := f2.Volume(); err != nil {
-		t.Fatalf("conv 2: %v", err)
-	}
+	busy := s.ConvAsync(ctx, in, w, cfg, false)
+	<-gate.entered
+	f := s.ConvAsync(ctx, in, w, cfg, false)
 	if got := reg.Snapshot().SumCounters(fleet.MetricBatches); got != 1 {
-		t.Fatalf("batches after full batch = %d, want 1 (lingering batch dispatched early?)", got)
+		t.Fatalf("batches while the worker is busy = %d, want 1 (the second request must linger)", got)
 	}
-	for i := 0; i < 5; i++ {
-		s.Tick()
+	close(gate.open)
+	for i, fut := range []*fleet.Future{busy, f} {
+		if _, err := fut.Volume(); err != nil {
+			t.Fatalf("conv %d: %v", i, err)
+		}
 	}
-	if _, err := f3.Volume(); err != nil {
-		t.Fatalf("conv 3: %v", err)
+	if got := reg.Snapshot().SumCounters(fleet.MetricBatches); got != 2 {
+		t.Fatalf("batches = %d, want 2", got)
+	}
+	if got := s.Ticks(); got != 0 {
+		t.Fatalf("ticks = %d, want 0", got)
 	}
 	if err := s.Close(ctx); err != nil {
 		t.Fatalf("Close: %v", err)
-	}
-	h := reg.Snapshot().Histograms[fleet.MetricBatchSize]
-	if h.Count != 2 || math.Float64bits(h.Sum) != math.Float64bits(3) {
-		t.Fatalf("batch-size histogram count=%d sum=%g, want count=2 sum=3", h.Count, h.Sum)
 	}
 }
 
@@ -247,28 +435,21 @@ func TestFleetBatchCoalescing(t *testing.T) {
 func TestFleetOverloadSheds(t *testing.T) {
 	t.Parallel()
 	reg := obs.NewRegistry()
-	s, err := fleet.New(fleet.Options{MaxBatch: 8, MaxLinger: 10, QueueDepth: 2}, analogUnit(22))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	s.Instrument(reg, nil)
-	if err := s.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
+	s, gate := startGated(t, fleet.Options{MaxBatch: 8, MaxLinger: 10, QueueDepth: 2}, reg)
 	ctx := context.Background()
 	in := tensor.RandomVolume(3, 9, 9, 5)
 	w := tensor.RandomKernels(4, 3, 3, 3, 50)
 	cfg := tensor.ConvConfig{Stride: 1, Pad: 1}
 
+	// The worker holds the first request until the gate opens, so both
+	// admitted requests are still unfinished when the third arrives.
 	f1 := s.ConvAsync(ctx, in, w, cfg, false)
 	f2 := s.ConvAsync(ctx, in, w, cfg, false)
 	f3 := s.ConvAsync(ctx, in, w, cfg, false)
 	if _, err := f3.Volume(); !errors.Is(err, fleet.ErrOverloaded) {
 		t.Fatalf("third submission: err = %v, want ErrOverloaded", err)
 	}
-	for i := 0; i < 10; i++ {
-		s.Tick()
-	}
+	close(gate.open)
 	if _, err := f1.Volume(); err != nil {
 		t.Fatalf("conv 1: %v", err)
 	}
@@ -295,26 +476,26 @@ func TestFleetOverloadSheds(t *testing.T) {
 func TestFleetCancellation(t *testing.T) {
 	t.Parallel()
 	reg := obs.NewRegistry()
-	s, err := fleet.New(fleet.Options{MaxBatch: 8, MaxLinger: 3, QueueDepth: 8}, analogUnit(23))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	s.Instrument(reg, nil)
-	if err := s.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
+	s, gate := startGated(t, fleet.Options{MaxBatch: 8, MaxLinger: 3, QueueDepth: 8}, reg)
 	in := tensor.RandomVolume(3, 9, 9, 5)
 	w := tensor.RandomKernels(4, 3, 3, 3, 50)
 	cfg := tensor.ConvConfig{Stride: 1, Pad: 1}
 
+	// A busy worker keeps the request queued while its context ends.
+	busy := s.ConvAsync(context.Background(), in, w, cfg, false)
+	<-gate.entered
 	ctx, cancel := context.WithCancel(context.Background())
 	f := s.ConvAsync(ctx, in, w, cfg, false)
 	cancel()
 	for i := 0; i < 3; i++ {
 		s.Tick()
 	}
+	close(gate.open)
 	if _, err := f.Volume(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled request: err = %v, want context.Canceled", err)
+	}
+	if _, err := busy.Volume(); err != nil {
+		t.Fatalf("busy request: %v", err)
 	}
 	eventually(t, 2*time.Second, func() bool {
 		return reg.Snapshot().Counters[fleet.MetricCanceled] == 1
@@ -325,8 +506,8 @@ func TestFleetCancellation(t *testing.T) {
 	if _, err := f2.Volume(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled submission: err = %v, want context.Canceled", err)
 	}
-	if got := reg.Snapshot().Counters[fleet.MetricAdmitted]; got != 1 {
-		t.Fatalf("admitted counter = %d, want 1", got)
+	if got := reg.Snapshot().Counters[fleet.MetricAdmitted]; got != 2 {
+		t.Fatalf("admitted counter = %d, want 2", got)
 	}
 	if err := s.Close(context.Background()); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -352,7 +533,8 @@ func TestFleetShutdownDrains(t *testing.T) {
 	w := tensor.RandomKernels(4, 3, 3, 3, 50)
 	cfg := tensor.ConvConfig{Stride: 1, Pad: 1}
 
-	// Left pending by the long linger; Close must flush and run them.
+	// The first two dispatch to the idle workers; the third lingers
+	// behind them until a worker frees up or Close flushes it.
 	futs := []*fleet.Future{
 		s.ConvAsync(ctx, in, w, cfg, false),
 		s.ConvAsync(ctx, in, w, cfg, false),
@@ -377,13 +559,15 @@ func TestFleetShutdownDrains(t *testing.T) {
 
 // TestFleetReprobeRestores checks return-to-service: a worker drained
 // at startup is re-probed every ReprobeEvery ticks and rejoins the
-// pool once its fault clears.
+// pool once its fault clears. The restored worker then counts as idle
+// to work-conserving dispatch: with a long linger and no Tick,
+// closed-loop requests complete and alternate between the workers.
 func TestFleetReprobeRestores(t *testing.T) {
 	t.Parallel()
 	reg := obs.NewRegistry()
 	units := []fleet.Unit{analogUnit(26), analogUnit(27)}
 	detune(t, units[1], 2, 1)
-	s, err := fleet.New(fleet.Options{MaxBatch: 8, MaxLinger: 0, QueueDepth: 8, ReprobeEvery: 2}, units...)
+	s, err := fleet.New(fleet.Options{MaxBatch: 8, MaxLinger: 100, QueueDepth: 8, ReprobeEvery: 2}, units...)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -411,13 +595,8 @@ func TestFleetReprobeRestores(t *testing.T) {
 		t.Fatal("fleet still degraded after restore")
 	}
 
-	ctx := context.Background()
-	in := tensor.RandomVolume(3, 9, 9, 5)
-	w := tensor.RandomKernels(4, 3, 3, 3, 50)
-	if _, err := s.ConvAsync(ctx, in, w, tensor.ConvConfig{Stride: 1, Pad: 1}, false).Volume(); err != nil {
-		t.Fatalf("conv after restore: %v", err)
-	}
-	if err := s.Close(ctx); err != nil {
+	closedLoopAlternates(t, s, reg)
+	if err := s.Close(context.Background()); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 }

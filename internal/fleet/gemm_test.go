@@ -51,46 +51,40 @@ func TestFleetGEMMMatchesLocalChip(t *testing.T) {
 	}
 }
 
-// TestFleetGEMMCoalesces: two GEMMs against the same B matrix share a
-// batch (the weight program is the amortizable state); a GEMM against
-// different B does not.
+// TestFleetGEMMCoalesces: behind a busy worker, two GEMMs against the
+// same B matrix share a batch (the weight program is the amortizable
+// state); a GEMM against different B does not.
 func TestFleetGEMMCoalesces(t *testing.T) {
 	t.Parallel()
 	reg := obs.NewRegistry()
-	s, err := fleet.New(fleet.Options{MaxBatch: 2, MaxLinger: 5, QueueDepth: 16}, analogUnit(64))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	s.Instrument(reg, nil)
-	if err := s.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
+	s, gate := startGated(t, fleet.Options{MaxBatch: 2, MaxLinger: 5, QueueDepth: 16}, reg)
 	ctx := context.Background()
 	a := tensor.RandomMatrix(4, 10, 65)
 	wa := tensor.RandomMatrix(10, 6, 66)
 	wb := tensor.RandomMatrix(10, 6, 67)
 
+	busy := s.GEMMAsync(ctx, a, wa, false)
+	<-gate.entered
+	base := reg.Snapshot()
 	f1 := s.GEMMAsync(ctx, a, wa, false)
 	f2 := s.GEMMAsync(ctx, a, wa, false)
 	f3 := s.GEMMAsync(ctx, a, wb, false)
-	for i, f := range []*fleet.Future{f1, f2} {
-		if _, err := f.Matrix(); err != nil {
-			t.Fatalf("gemm %d: %v", i+1, err)
-		}
-	}
-	if got := reg.Snapshot().SumCounters(fleet.MetricBatches); got != 1 {
+	if got := reg.Snapshot().Delta(base).SumCounters(fleet.MetricBatches); got != 1 {
 		t.Fatalf("batches after same-B pair = %d, want 1", got)
 	}
 	for i := 0; i < 5; i++ {
 		s.Tick()
 	}
-	if _, err := f3.Matrix(); err != nil {
-		t.Fatalf("gemm 3: %v", err)
+	close(gate.open)
+	for i, f := range []*fleet.Future{busy, f1, f2, f3} {
+		if _, err := f.Matrix(); err != nil {
+			t.Fatalf("gemm %d: %v", i, err)
+		}
 	}
 	if err := s.Close(ctx); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	h := reg.Snapshot().Histograms[fleet.MetricBatchSize]
+	h := reg.Snapshot().Delta(base).Histograms[fleet.MetricBatchSize]
 	if h.Count != 2 || math.Float64bits(h.Sum) != math.Float64bits(3) {
 		t.Fatalf("batch-size histogram count=%d sum=%g, want count=2 sum=3", h.Count, h.Sum)
 	}

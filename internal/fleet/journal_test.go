@@ -195,11 +195,11 @@ func TestJournalRecordsTransitions(t *testing.T) {
 func TestJournalShedAndSeqs(t *testing.T) {
 	t.Parallel()
 	dir, a, _ := startJournal(t, journal.Header{Pool: 1, Seed: 40})
-	// A long linger with no ticks parks admitted requests in one
-	// partial batch (MaxBatch above the queue depth, so it never fills
-	// and no worker can drain it), so the two-deep queue fills and the
-	// third submission sheds.
-	s, err := fleet.New(fleet.Options{MaxBatch: 4, MaxLinger: 1000, QueueDepth: 2, Journal: a}, analogUnit(40))
+	// The gated worker holds the first request and the second lingers
+	// behind it (MaxBatch above the queue depth, so it never fills), so
+	// the two-deep queue fills and the third submission sheds.
+	gate := newGate()
+	s, err := fleet.New(fleet.Options{MaxBatch: 4, MaxLinger: 1000, QueueDepth: 2, Journal: a}, fleet.Unit{Backend: gate})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -219,6 +219,7 @@ func TestJournalShedAndSeqs(t *testing.T) {
 	if got := shed.JournalSeq(); got != -1 {
 		t.Fatalf("shed JournalSeq = %d, want -1", got)
 	}
+	close(gate.open)
 	if err := s.Close(ctx); err != nil {
 		t.Fatalf("Close: %v", err)
 	}

@@ -122,6 +122,57 @@ func TestLatencyStagesReconcile(t *testing.T) {
 	}
 }
 
+// TestVirtualTimeWorkConserving checks the dispatch rule on the
+// virtual clock: a request that arrives at an idle worker dispatches
+// on arrival (zero linger), and one that arrives while the worker's
+// booked service runs lingers until that service ends - before its
+// MaxLinger - and then starts at once.
+func TestVirtualTimeWorkConserving(t *testing.T) {
+	t.Parallel()
+	s, err := fleet.New(fleet.Options{
+		MaxBatch:    4,
+		MaxLinger:   5,
+		QueueDepth:  8,
+		VirtualTime: true,
+	}, exactUnit())
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	s.Instrument(obs.NewRegistry(), nil)
+	if err := s.Start(); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	ctx := context.Background()
+	in, w, cfg := smallConv(13)
+	first := s.ConvAsync(ctx, in, w, cfg, true)
+	second := s.ConvAsync(ctx, in, w, cfg, true)
+	for i := 0; s.InFlight() > 0; i++ {
+		if i > 100 {
+			t.Fatalf("drain did not converge: %d in flight", s.InFlight())
+		}
+		s.Tick()
+	}
+	a, ok := first.Stages()
+	if !ok {
+		t.Fatal("first request's stages not final")
+	}
+	b, ok := second.Stages()
+	if !ok {
+		t.Fatal("second request's stages not final")
+	}
+	// The default service model prices a one-request batch at 2 + 1
+	// ticks, so the worker is booked for ticks [0, 3).
+	if a.Linger() != 0 || a.QueueWait() != 0 || a.ExecEnd != 3 {
+		t.Fatalf("request at an idle worker: %+v, want zero linger and service [0, 3)", a)
+	}
+	if b.Linger() != 3 || b.QueueWait() != 0 || b.ExecStart != 3 {
+		t.Fatalf("request behind a busy worker: %+v, want linger 3 and start at tick 3", b)
+	}
+	if err := s.Close(ctx); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
 // TestVirtualTimeDeterministic re-runs the same scripted trace and
 // requires bit-identical registry snapshots - the property the
 // load-harness baseline gate stands on.

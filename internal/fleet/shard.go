@@ -157,8 +157,9 @@ func (s *Scheduler) tryShardLocked(req *request) (*Future, bool) {
 // record is emitted here on the worker goroutine - not at dispatch -
 // so the journal order of one worker's records (shards and delivers
 // alike) is that worker's execution order, the property replay needs
-// to reproduce per-chip noise and drift state.
-func (s *Scheduler) runShard(w *worker, req *request) int {
+// to reproduce per-chip noise and drift state. last marks the sub
+// that ends w's item (see runOne).
+func (s *Scheduler) runShard(w *worker, req *request, last bool) int {
 	sp := req.sp
 	pjseq := sp.req.jseq
 	if j := s.opt.Journal; j != nil && pjseq >= 0 {
@@ -183,7 +184,8 @@ func (s *Scheduler) runShard(w *worker, req *request) int {
 		req.st.Deliver = end
 		req.final.Store(true)
 	}
-	if last, minStart := sp.subDone(start); last {
+	s.finishItem(w, last)
+	if merged, minStart := sp.subDone(start); merged {
 		s.complete(sp.req, -1, minStart, sp.out)
 	}
 	return 1
