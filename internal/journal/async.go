@@ -39,8 +39,11 @@ type asyncEntry struct {
 
 // Async decouples journal appends from the serving path: producers
 // (the fleet scheduler, the HTTP front end) enqueue pre-encoded
-// records onto a bounded channel and a dedicated goroutine appends
-// them in order, so fsync latency never sits on an inference thread.
+// records onto a bounded channel, a dedicated goroutine writes them in
+// order, and a second one fsyncs behind it, so fsync latency never
+// sits on an inference thread nor holds up the queue: records that
+// arrive during a slow fsync are written (and their payloads freed)
+// while it runs, and the next fsync covers them all.
 //
 // Sequence numbers are assigned at enqueue time under a mutex, which
 // makes journal order exactly admission order - the property replay
@@ -51,8 +54,12 @@ type asyncEntry struct {
 // and the degraded gauge say exactly when the trace stopped being
 // faithful, and inference never blocks on the journal.
 type Async struct {
-	w  *Writer
-	ch chan asyncEntry
+	w    *Writer
+	ch   chan asyncEntry
+	kick chan struct{} // one pending sync request, coalescing
+
+	syncMu  sync.Mutex
+	counted uint64 // durable head the appended counter has reached
 
 	mu      sync.Mutex
 	nextSeq uint64
@@ -82,6 +89,8 @@ func NewAsync(w *Writer, queueDepth int) *Async {
 	return &Async{
 		w:       w,
 		ch:      make(chan asyncEntry, queueDepth),
+		kick:    make(chan struct{}, 1),
+		counted: last,
 		nextSeq: last + 1,
 		done:    make(chan struct{}),
 	}
@@ -101,21 +110,32 @@ func (a *Async) Instrument(reg *obs.Registry, trace *obs.Trace) *Async {
 	return a
 }
 
-// Start launches the writer goroutine; Close joins it through the
-// done channel closed here on exit.
+// Start launches the writer goroutine, which starts and joins the
+// syncer; Close joins the writer through the done channel closed here
+// on exit.
 func (a *Async) Start() {
 	go func() {
 		defer close(a.done)
+		synced := make(chan struct{})
+		go func() {
+			defer close(synced)
+			for range a.kick {
+				a.sync()
+			}
+		}()
 		a.serve()
+		close(a.kick)
+		<-synced
 	}()
 }
 
-// serve drains the queue, appending records in seq order. Each pass
-// takes everything already queued and group-commits it with one write
-// and one fsync (Writer.AppendBatch), so a burst of records pays for
-// one sync instead of one each - per-record fsync falls behind the
-// admission rate whenever the disk stalls. A Drain barrier commits the
-// records queued before it first, then acks.
+// serve drains the queue, writing records in seq order. Each pass
+// takes everything already queued and writes it with one write
+// (Writer.write), then asks the syncer for an fsync; requests that
+// arrive while one runs coalesce into the next, so a burst of records
+// pays for one sync instead of one each - per-record fsync falls
+// behind the admission rate whenever the disk stalls. A Drain barrier
+// writes and syncs the records queued before it first, then acks.
 func (a *Async) serve() {
 	var batch []asyncEntry
 	var pending []Entry
@@ -142,11 +162,12 @@ func (a *Async) serve() {
 				pending = append(pending, Entry{Kind: e.kind, Payload: e.payload})
 				continue
 			}
-			a.commit(first, pending)
+			a.write(first, pending)
 			pending = pending[:0]
+			a.sync()
 			close(e.ack)
 		}
-		a.commit(first, pending)
+		a.write(first, pending)
 		// Drop the payload references until the next burst.
 		clear(batch)
 		clear(pending)
@@ -154,13 +175,13 @@ func (a *Async) serve() {
 	}
 }
 
-// commit group-commits a run of queued records whose first assigned
-// sequence number is first.
-func (a *Async) commit(first uint64, entries []Entry) {
+// write writes a run of queued records whose first assigned sequence
+// number is first, and asks the syncer to make them durable.
+func (a *Async) write(first uint64, entries []Entry) {
 	if len(entries) == 0 {
 		return
 	}
-	seq, err := a.w.AppendBatch(entries)
+	seq, err := a.w.write(entries)
 	if err != nil || seq != first {
 		// An append failure (or a seq skew, which cannot happen
 		// while enqueue order is preserved) poisons the chain's
@@ -169,8 +190,26 @@ func (a *Async) commit(first uint64, entries []Entry) {
 		a.markDegraded("journal append failed")
 		return
 	}
-	a.appended.Add(int64(len(entries)))
-	a.headG.Set(float64(seq + uint64(len(entries)-1)))
+	select {
+	case a.kick <- struct{}{}:
+	default: // a sync not yet started will cover these records
+	}
+}
+
+// sync makes every written record durable and counts the records that
+// became so, by the syncer or by a segment rotation, as appended.
+func (a *Async) sync() {
+	a.syncMu.Lock()
+	defer a.syncMu.Unlock()
+	if err := a.w.sync(); err != nil {
+		a.errsC.Inc()
+		a.markDegraded("journal sync failed")
+		return
+	}
+	seq, _ := a.w.Head()
+	a.appended.Add(int64(seq - a.counted))
+	a.counted = seq
+	a.headG.Set(float64(seq))
 }
 
 // markDegraded latches degradation and emits one trace event.

@@ -88,9 +88,13 @@ type Writer struct {
 	f        *os.File
 	segIndex uint64
 	segSize  int64
-	nextSeq  uint64
-	head     [32]byte
-	closed   bool
+	nextSeq  uint64   // sequence number of the next record written
+	head     [32]byte // chain hash of the last record written
+	// Records below durable are synced; durableHead is the chain
+	// hash there. Head reports this point, not the written one.
+	durable     uint64
+	durableHead [32]byte
+	closed      bool
 }
 
 // segName renders a segment file name.
@@ -154,6 +158,7 @@ func OpenAppend(dir string, opt Options) (*Writer, Header, Recovery, error) {
 	w.segSize = sc.lastGoodOffset
 	w.nextSeq = sc.lastSeq + 1
 	w.head = sc.head
+	w.durable, w.durableHead = w.nextSeq, w.head
 	if _, err := w.Append(KindRestart, EncodeRestart(Restart{Recovered: rec.LastSeq, TruncatedBytes: rec.TruncatedBytes})); err != nil {
 		w.Close()
 		return nil, Header{}, Recovery{}, err
@@ -197,14 +202,28 @@ type Entry struct {
 }
 
 // AppendBatch appends entries in order as one group commit: the
-// frames bound for one segment go out in a single write followed by a
-// single fsync, so a burst of records pays for one sync instead of one
-// each. The segment bytes, rotation points and hash chain are exactly
-// those of appending the entries one at a time. Returns the first
-// entry's sequence number (an empty batch appends nothing). On error,
-// the frames of earlier segments stay durable and no later entry is
-// appended.
+// frames bound for one segment go out in a single write, and one fsync
+// makes them all durable, so a burst of records pays for one sync
+// instead of one each. The segment bytes, rotation points and hash
+// chain are exactly those of appending the entries one at a time.
+// Returns the first entry's sequence number (an empty batch appends
+// nothing). On error, the frames of earlier segments stay durable and
+// no later entry is appended.
 func (w *Writer) AppendBatch(entries []Entry) (uint64, error) {
+	first, err := w.write(entries)
+	if err != nil {
+		return 0, err
+	}
+	if err := w.sync(); err != nil {
+		return 0, err
+	}
+	return first, nil
+}
+
+// write is AppendBatch without the final fsync: the frames reach the
+// segment files (a segment that fills is synced as it is sealed), and
+// sync makes the rest durable.
+func (w *Writer) write(entries []Entry) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -216,18 +235,13 @@ func (w *Writer) AppendBatch(entries []Entry) (uint64, error) {
 		head = chainHash(head, seq, e.Kind, e.Payload)
 		buf = appendFrame(buf, seq, e.Kind, head, e.Payload)
 		seq++
-		// Commit at the end of the batch and wherever a record at a
+		// Write at the end of the batch and wherever a record at a
 		// time would have rotated the segment.
 		if i < len(entries)-1 && w.segSize+int64(len(buf)) < w.opt.SegmentBytes {
 			continue
 		}
 		if _, err := w.f.Write(buf); err != nil {
 			return 0, fmt.Errorf("journal: %w", err)
-		}
-		if !w.opt.NoSync {
-			if err := w.f.Sync(); err != nil {
-				return 0, fmt.Errorf("journal: %w", err)
-			}
 		}
 		w.segSize += int64(len(buf))
 		w.nextSeq, w.head = seq, head
@@ -239,6 +253,31 @@ func (w *Writer) AppendBatch(entries []Entry) (uint64, error) {
 		}
 	}
 	return first, nil
+}
+
+// sync makes every record written so far durable. The fsync runs
+// outside the mutex, so writes go on meanwhile. A segment that rotation
+// or Close sealed in the meantime was synced by them, and they moved
+// the durable point past it.
+func (w *Writer) sync() error {
+	w.mu.Lock()
+	f, seq, head := w.f, w.nextSeq, w.head
+	w.mu.Unlock()
+	if !w.opt.NoSync {
+		err := f.Sync()
+		if errors.Is(err, os.ErrClosed) {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("journal: %w", err)
+		}
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if seq > w.durable {
+		w.durable, w.durableHead = seq, head
+	}
+	return nil
 }
 
 // appendFrame appends one CRC-framed record to buf.
@@ -264,20 +303,22 @@ func (w *Writer) rotateLocked() error {
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
+	w.durable, w.durableHead = w.nextSeq, w.head
 	if err := w.f.Close(); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
 	return w.openSegmentLocked(w.segIndex+1, w.nextSeq, w.head)
 }
 
-// Head returns the last appended sequence number and its chain hash.
+// Head returns the last durably appended sequence number and its
+// chain hash.
 func (w *Writer) Head() (uint64, [32]byte) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.nextSeq == 0 {
-		return 0, w.head
+	if w.durable == 0 {
+		return 0, w.durableHead
 	}
-	return w.nextSeq - 1, w.head
+	return w.durable - 1, w.durableHead
 }
 
 // Dir returns the journal directory.
@@ -296,6 +337,9 @@ func (w *Writer) Close() error {
 		return nil
 	}
 	syncErr := w.f.Sync()
+	if syncErr == nil {
+		w.durable, w.durableHead = w.nextSeq, w.head
+	}
 	closeErr := w.f.Close()
 	if syncErr != nil {
 		return fmt.Errorf("journal: %w", syncErr)

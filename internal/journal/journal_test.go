@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"albireo/internal/obs"
 	"albireo/internal/tensor"
 )
 
@@ -796,5 +797,135 @@ func TestAsyncDrainAfterGroupCommit(t *testing.T) {
 	}
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWriterHeadIsDurable checks that write moves only the written
+// point: Head, the durable point, moves when sync runs, or when a
+// segment fills and rotation seals it.
+func TestWriterHeadIsDurable(t *testing.T) {
+	w, err := Create(t.TempDir(), testHeader(), Options{SegmentBytes: 700})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shed := Entry{Kind: KindShed, Payload: EncodeShed(Shed{Op: OpConv})}
+	if _, err := w.write([]Entry{shed, shed}); err != nil {
+		t.Fatal(err)
+	}
+	if seq, _ := w.Head(); seq != 0 {
+		t.Fatalf("head after an unsynced write = %d, want 0 (the header)", seq)
+	}
+	if err := w.sync(); err != nil {
+		t.Fatal(err)
+	}
+	if seq, _ := w.Head(); seq != 2 {
+		t.Fatalf("head after sync = %d, want 2", seq)
+	}
+	// A request frame overflows the 700-byte segment, so the write
+	// rotates after it: everything through it is synced.
+	if _, err := w.write([]Entry{{Kind: KindAdmit, Payload: EncodeRequest(sampleRequest())}, shed}); err != nil {
+		t.Fatal(err)
+	}
+	if seq, _ := w.Head(); seq != 3 {
+		t.Fatalf("head after a rotating write = %d, want 3", seq)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if seq, _ := w.Head(); seq != 4 {
+		t.Fatalf("head after Close = %d, want 4", seq)
+	}
+}
+
+// TestAsyncCountsEveryDurableRecord floods an instrumented async
+// journal whose segments rotate every few records: the appended
+// counter and the chain-head gauge must end exactly at the record
+// count, whether the syncer or a rotation made a record durable.
+func TestAsyncCountsEveryDurableRecord(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Create(dir, testHeader(), Options{SegmentBytes: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	a := NewAsync(w, 512).Instrument(reg, nil)
+	a.Start()
+	const n = 300
+	for i := 0; i < n; i++ {
+		p := EncodeShed(Shed{Op: OpConv, Queued: int64(i)})
+		if i%10 == 0 {
+			p = EncodeRequest(sampleRequest())
+		}
+		if a.Record(KindShed, p) < 0 {
+			t.Fatalf("record %d dropped", i)
+		}
+		if i == n/2 {
+			a.Drain()
+		}
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s := reg.Snapshot()
+	if got := s.Counters[MetricAppended]; got != n {
+		t.Fatalf("appended = %d, want %d", got, n)
+	}
+	if got := s.Gauges[MetricChainHead]; got != n {
+		t.Fatalf("chain head gauge = %v, want %d", got, n)
+	}
+	snap, err := Verify(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Count != n+1 {
+		t.Fatalf("journal holds %d records, want %d and the header", snap.Count, n)
+	}
+}
+
+// BenchmarkAsyncRecord measures the async journal's sustained record
+// rate: records go through Record as fast as the queue takes them, in
+// bursts of one queue's worth, each closed by a Drain that returns once
+// the burst is durable. Small records are sheds; request records are a
+// 13 KB convolution admit.
+func BenchmarkAsyncRecord(b *testing.B) {
+	req := EncodeRequest(&Request{
+		Op: OpConv, ReLU: true, Cfg: tensor.ConvConfig{Stride: 1, Pad: 1},
+		A: tensor.RandomVolume(8, 8, 8, 1), W: tensor.RandomKernels(16, 8, 3, 3, 2),
+	})
+	shed := EncodeShed(Shed{Op: OpConv, Queued: 1})
+	for _, bc := range []struct {
+		name    string
+		payload []byte
+		noSync  bool
+	}{
+		{"shed/nosync", shed, true},
+		{"shed/fsync", shed, false},
+		{"admit/nosync", req, true},
+		{"admit/fsync", req, false},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			w, err := Create(b.TempDir(), testHeader(), Options{NoSync: bc.noSync})
+			if err != nil {
+				b.Fatal(err)
+			}
+			const burst = 4096
+			a := NewAsync(w, burst)
+			a.Start()
+			b.SetBytes(int64(len(bc.payload)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if a.Record(KindShed, bc.payload) < 0 {
+					b.Fatal("record dropped")
+				}
+				if i%burst == burst-1 {
+					a.Drain()
+				}
+			}
+			a.Drain()
+			b.StopTimer()
+			if err := a.Close(); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }
