@@ -140,6 +140,27 @@ func BenchmarkFunctionalConvLiveTaps(b *testing.B) {
 	}
 }
 
+// BenchmarkFunctionalExactConv measures the exact reference
+// convolution (tensor.Conv), which the accuracy guard reruns on every
+// served layer: the two tiny-CNN serving layers and one ResNet-stage
+// 3x3 layer, alternating, so each op is one layer.
+func BenchmarkFunctionalExactConv(b *testing.B) {
+	cfg := tensor.ConvConfig{Pad: 1}
+	layers := []struct {
+		a *tensor.Volume
+		w *tensor.Kernels
+	}{
+		{tensor.RandomVolume(3, 12, 12, 11), tensor.RandomKernels(8, 3, 3, 3, 12)},
+		{tensor.RandomVolume(8, 6, 6, 13), tensor.RandomKernels(16, 8, 3, 3, 14)},
+		{tensor.RandomVolume(64, 16, 16, 15), tensor.RandomKernels(64, 64, 3, 3, 16)},
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l := &layers[i%len(layers)]
+		_ = tensor.Conv(l.a, l.w, cfg)
+	}
+}
+
 // BenchmarkFunctionalAttention measures one attention block
 // (QK^T -> digital softmax -> AV) on the analog chip: two chained
 // GEMMs with different cached weight programs plus the row softmax.

@@ -15,7 +15,10 @@
 #   fuzz       FuzzReplayRequest for 10 s: replay answers any journal
 #              admit payload and shard window with a result or an
 #              error, never a panic; FuzzRecordRoundTrip for 10 s:
-#              every journal record decodes back to its canonical bytes
+#              every journal record decodes back to its canonical bytes;
+#              FuzzConvMatchesPerMAC for 10 s: tensor.Conv equals the
+#              per-MAC Algorithm 1 loop bit for bit on any geometry
+#              (stride, pad, groups, depthwise, NaN/Inf weights)
 #   results    albireo-figures -json must reproduce the committed
 #              RESULTS.json byte for byte (the paper's numbers on
 #              linux/amd64); the diff prints which numbers moved.
@@ -86,6 +89,9 @@ go test -run '^$' -fuzz FuzzReplayRequest -fuzztime 10s ./internal/fleet
 
 echo "==> journal codec fuzz (FuzzRecordRoundTrip, 10 s)"
 go test -run '^$' -fuzz FuzzRecordRoundTrip -fuzztime 10s ./internal/journal
+
+echo "==> exact conv fuzz (FuzzConvMatchesPerMAC, 10 s)"
+go test -run '^$' -fuzz FuzzConvMatchesPerMAC -fuzztime 10s ./internal/tensor
 
 echo "==> results gate (albireo-figures -json vs committed RESULTS.json)"
 go run ./cmd/albireo-figures -json | diff -u RESULTS.json -

@@ -130,9 +130,17 @@ func rms(a, b []float64) float64 {
 }
 
 // rmsMagnitude returns the root-mean-square of a vector (its signal
-// scale), 0 for empty input.
+// scale), 0 for empty input: rms against a zero vector, bit for bit,
+// since x - 0 is x.
 func rmsMagnitude(v []float64) float64 {
-	return rms(v, make([]float64, len(v)))
+	if len(v) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, x := range v {
+		sum += x * x
+	}
+	return math.Sqrt(sum / float64(len(v)))
 }
 
 // Conv implements Backend.

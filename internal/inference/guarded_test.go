@@ -1,6 +1,8 @@
 package inference
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"albireo/internal/core"
@@ -83,5 +85,45 @@ func TestGuardIsDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("guarded runs diverged at %d", i)
 		}
+	}
+}
+
+// TestGuardDivergenceUnchanged pins the divergence the histogram
+// observes to its definition, RMS(out - ref) / RMS(ref - 0): the
+// allocation-free scale must give the same bits, including for
+// negative and signed-zero references and the all-zero reference
+// scored on absolute RMS.
+func TestGuardDivergenceUnchanged(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(300)
+		out, ref := make([]float64, n), make([]float64, n)
+		for i := range ref {
+			out[i] = rng.NormFloat64() * 3
+			switch {
+			case trial%10 == 0:
+				// all-zero reference
+			case rng.Intn(8) == 0:
+				ref[i] = math.Copysign(0, -1)
+			default:
+				ref[i] = rng.NormFloat64() * 3
+			}
+		}
+		want := rms(out, ref)
+		if scale := rms(ref, make([]float64, n)); scale > 0 {
+			want /= scale
+		}
+		reg := obs.NewRegistry()
+		g := Guard(Exact{}, Exact{}, math.Inf(1)).Instrument(reg, nil)
+		g.guard("conv", out, ref)
+		h := reg.Snapshot().Histograms[MetricLayerDivergence]
+		if h.Count != 1 || math.Float64bits(h.Sum) != math.Float64bits(want) {
+			t.Fatalf("trial %d: histogram observed %v (count %d), want %v", trial, h.Sum, h.Count, want)
+		}
+	}
+	v := make([]float64, 1152)
+	if allocs := testing.AllocsPerRun(10, func() { rmsMagnitude(v) }); allocs != 0 {
+		t.Errorf("rmsMagnitude allocates %v times per call", allocs)
 	}
 }

@@ -130,7 +130,7 @@ func (a *Async) Start() {
 }
 
 // serve drains the queue, writing records in seq order. Each pass
-// takes everything already queued and writes it with one write
+// takes everything already queued and writes it in 32 KB writes
 // (Writer.write), then asks the syncer for an fsync; requests that
 // arrive while one runs coalesce into the next, so a burst of records
 // pays for one sync instead of one each - per-record fsync falls

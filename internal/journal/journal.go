@@ -26,6 +26,9 @@ const (
 	maxBody = 1 << 30
 	// DefaultSegmentBytes is the rotation threshold.
 	DefaultSegmentBytes = 8 << 20
+	// writeChunk is how many bytes of frames a group commit buffers
+	// before it writes them out.
+	writeChunk = 32 << 10
 )
 
 // ErrClosed is returned for appends after Close.
@@ -202,13 +205,14 @@ type Entry struct {
 }
 
 // AppendBatch appends entries in order as one group commit: the
-// frames bound for one segment go out in a single write, and one fsync
-// makes them all durable, so a burst of records pays for one sync
-// instead of one each. The segment bytes, rotation points and hash
-// chain are exactly those of appending the entries one at a time.
-// Returns the first entry's sequence number (an empty batch appends
-// nothing). On error, the frames of earlier segments stay durable and
-// no later entry is appended.
+// frames go out in writes of about writeChunk bytes, split where a
+// segment ends, and one fsync makes them all durable, so a burst of
+// records pays for one sync instead of one each. The segment bytes,
+// rotation points and hash chain are exactly those of appending the
+// entries one at a time. Returns the first entry's sequence number (an
+// empty batch appends nothing). On error, the frames of earlier writes
+// stay in the chain (those of sealed segments durable) and no later
+// entry is appended.
 func (w *Writer) AppendBatch(entries []Entry) (uint64, error) {
 	first, err := w.write(entries)
 	if err != nil {
@@ -235,9 +239,10 @@ func (w *Writer) write(entries []Entry) (uint64, error) {
 		head = chainHash(head, seq, e.Kind, e.Payload)
 		buf = appendFrame(buf, seq, e.Kind, head, e.Payload)
 		seq++
-		// Write at the end of the batch and wherever a record at a
-		// time would have rotated the segment.
-		if i < len(entries)-1 && w.segSize+int64(len(buf)) < w.opt.SegmentBytes {
+		// Write at the end of the batch, wherever a record at a time
+		// would have rotated the segment, and once writeChunk bytes are
+		// buffered, so a long batch is never copied whole.
+		if i < len(entries)-1 && len(buf) < writeChunk && w.segSize+int64(len(buf)) < w.opt.SegmentBytes {
 			continue
 		}
 		if _, err := w.f.Write(buf); err != nil {

@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -761,6 +762,60 @@ func TestAppendBatchMatchesAppend(t *testing.T) {
 		if snap.LastSeq != uint64(len(entries)) {
 			t.Fatalf("batched journal ends at seq %d, want %d", snap.LastSeq, len(entries))
 		}
+	}
+}
+
+// TestAppendBatchWritesInChunks commits 64 13 KB admits (837 KB) as
+// one batch into one segment: the bytes must equal appending them one
+// at a time, and the batch must not copy itself whole onto the heap
+// (its frames go out writeChunk bytes at a time).
+func TestAppendBatchWritesInChunks(t *testing.T) {
+	payload := EncodeRequest(&Request{
+		Op: OpConv, ReLU: true, Cfg: tensor.ConvConfig{Stride: 1, Pad: 1},
+		A: tensor.RandomVolume(8, 8, 8, 1), W: tensor.RandomKernels(16, 8, 3, 3, 2),
+	})
+	entries := make([]Entry, 64)
+	for i := range entries {
+		entries[i] = Entry{Kind: KindAdmit, Payload: payload}
+	}
+	single, batched := t.TempDir(), t.TempDir()
+	w1, err := Create(single, testHeader(), Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if _, err := w1.Append(e.Kind, e.Payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w2, err := Create(batched, testHeader(), Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := w2.AppendBatch(entries); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4*writeChunk {
+		t.Errorf("AppendBatch of %d KB allocated %d KB, want at most %d KB", len(entries)*len(payload)>>10, got>>10, 4*writeChunk>>10)
+	}
+	for _, w := range []*Writer{w1, w2} {
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(filepath.Join(single, segName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(batched, segName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("chunked batch differs from the record-at-a-time segment")
 	}
 }
 

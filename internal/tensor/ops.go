@@ -50,68 +50,93 @@ func (c ConvConfig) normalize() ConvConfig {
 // padding, stride, groups and depthwise support). It returns the
 // output volume of shape [M][By][Bx] where By/Bx follow Eq. 1. No
 // activation is applied; compose with ReLU explicitly.
+//
+// Every output is the textbook per-MAC sum, bit for bit: starting from
+// +0, it adds the same input x weight products in (z, ky, kx) order,
+// the 0 x w products of padding taps included, so a NaN or Inf weight
+// reaches every output whose window covers it, padding or not (which
+// NaN payload survives a sum of two NaNs is the compiler's choice of
+// operand order, as for any add). Only the loop nest differs: the
+// padded input is built once, and each tap is added into a whole
+// output row at a time, so adjacent outputs are independent add chains
+// the CPU overlaps.
 func Conv(a *Volume, w *Kernels, cfg ConvConfig) *Volume {
 	cfg = cfg.normalize()
 	if cfg.Depthwise {
-		return convDepthwise(a, w, cfg)
-	}
-	if a.Z%cfg.Groups != 0 || w.M%cfg.Groups != 0 {
-		panic(fmt.Sprintf("tensor: groups %d do not divide channels %d/%d", cfg.Groups, a.Z, w.M)) //lint:ignore exit-hygiene group divisibility invariant; caller bug
-	}
-	if w.Z != a.Z/cfg.Groups {
-		panic(fmt.Sprintf("tensor: kernel depth %d != input channels per group %d", w.Z, a.Z/cfg.Groups)) //lint:ignore exit-hygiene kernel depth invariant; caller bug
+		if w.M != a.Z || w.Z != 1 {
+			panic(fmt.Sprintf("tensor: depthwise wants M=%d kernels of depth 1, got M=%d Z=%d", a.Z, w.M, w.Z)) //lint:ignore exit-hygiene depthwise shape invariant; caller bug
+		}
+		// Depthwise is the grouped conv with one channel per group.
+		cfg.Groups = a.Z
+	} else {
+		if a.Z%cfg.Groups != 0 || w.M%cfg.Groups != 0 {
+			panic(fmt.Sprintf("tensor: groups %d do not divide channels %d/%d", cfg.Groups, a.Z, w.M)) //lint:ignore exit-hygiene group divisibility invariant; caller bug
+		}
+		if w.Z != a.Z/cfg.Groups {
+			panic(fmt.Sprintf("tensor: kernel depth %d != input channels per group %d", w.Z, a.Z/cfg.Groups)) //lint:ignore exit-hygiene kernel depth invariant; caller bug
+		}
 	}
 	by := ConvOutputDim(a.Y, w.Y, cfg.Pad, cfg.Stride)
 	bx := ConvOutputDim(a.X, w.X, cfg.Pad, cfg.Stride)
 	out := NewVolume(w.M, by, bx)
-	mPerGroup := w.M / cfg.Groups
-	zPerGroup := a.Z / cfg.Groups
+	if len(out.Data) == 0 {
+		return out
+	}
+	// src is the input with its padding stored as zeros: padded row y,
+	// column x of channel z sits at src[(z*sy+y+off)*sx+x+off], where
+	// off skips the rows and columns a negative pad crops.
+	src, sy, sx, off := a.Data, a.Y, a.X, 0
+	if p := cfg.Pad; p > 0 {
+		sy, sx = a.Y+2*p, a.X+2*p
+		src = make([]float64, a.Z*sy*sx)
+		for z := 0; z < a.Z; z++ {
+			for y := 0; y < a.Y; y++ {
+				copy(src[(z*sy+y+p)*sx+p:], a.Data[(z*a.Y+y)*a.X:(z*a.Y+y+1)*a.X])
+			}
+		}
+	} else {
+		off = -cfg.Pad
+	}
+	s, plane := cfg.Stride, w.Y*w.X
+	mPerGroup, zPerGroup := w.M/cfg.Groups, a.Z/cfg.Groups
 	for m := 0; m < w.M; m++ {
-		g := m / mPerGroup
-		zBase := g * zPerGroup
+		zBase := m / mPerGroup * zPerGroup
 		for oy := 0; oy < by; oy++ {
-			for ox := 0; ox < bx; ox++ {
-				var sum float64
-				ay0 := oy*cfg.Stride - cfg.Pad
-				ax0 := ox*cfg.Stride - cfg.Pad
-				for z := 0; z < w.Z; z++ {
-					for ky := 0; ky < w.Y; ky++ {
-						for kx := 0; kx < w.X; kx++ {
-							sum += a.AtPadded(zBase+z, ay0+ky, ax0+kx) * w.At(m, z, ky, kx)
+			row := out.Data[(m*by+oy)*bx : (m*by+oy+1)*bx]
+			for z := 0; z < w.Z; z++ {
+				in := src[((zBase+z)*sy+oy*s+off)*sx+off:]
+				k := w.Data[(m*w.Z+z)*plane : (m*w.Z+z+1)*plane]
+				if s == 1 && w.Y == 3 && w.X == 3 {
+					accumulate3x3(row, in, sx, k)
+					continue
+				}
+				for ky := 0; ky < w.Y; ky++ {
+					line := in[ky*sx:]
+					for kx, wt := range k[ky*w.X : (ky+1)*w.X] {
+						for i := range row {
+							row[i] += line[i*s+kx] * wt
 						}
 					}
 				}
-				out.Set(m, oy, ox, sum)
 			}
 		}
 	}
 	return out
 }
 
-// convDepthwise applies one single-channel kernel per input channel.
-func convDepthwise(a *Volume, w *Kernels, cfg ConvConfig) *Volume {
-	if w.M != a.Z || w.Z != 1 {
-		panic(fmt.Sprintf("tensor: depthwise wants M=%d kernels of depth 1, got M=%d Z=%d", a.Z, w.M, w.Z)) //lint:ignore exit-hygiene depthwise shape invariant; caller bug
+// accumulate3x3 adds one channel's nine stride-1 taps into a whole
+// output row, each output's products in (ky, kx) order: in holds the
+// channel's padded input from the row's first tap on, with rows sx
+// apart.
+func accumulate3x3(row, in []float64, sx int, k []float64) {
+	n := len(row) + 2
+	l0, l1, l2 := in[:n], in[sx:sx+n], in[2*sx:2*sx+n]
+	k = k[:9]
+	for i := range row {
+		row[i] = row[i] + l0[i]*k[0] + l0[i+1]*k[1] + l0[i+2]*k[2] +
+			l1[i]*k[3] + l1[i+1]*k[4] + l1[i+2]*k[5] +
+			l2[i]*k[6] + l2[i+1]*k[7] + l2[i+2]*k[8]
 	}
-	by := ConvOutputDim(a.Y, w.Y, cfg.Pad, cfg.Stride)
-	bx := ConvOutputDim(a.X, w.X, cfg.Pad, cfg.Stride)
-	out := NewVolume(a.Z, by, bx)
-	for z := 0; z < a.Z; z++ {
-		for oy := 0; oy < by; oy++ {
-			for ox := 0; ox < bx; ox++ {
-				var sum float64
-				ay0 := oy*cfg.Stride - cfg.Pad
-				ax0 := ox*cfg.Stride - cfg.Pad
-				for ky := 0; ky < w.Y; ky++ {
-					for kx := 0; kx < w.X; kx++ {
-						sum += a.AtPadded(z, ay0+ky, ax0+kx) * w.At(z, 0, ky, kx)
-					}
-				}
-				out.Set(z, oy, ox, sum)
-			}
-		}
-	}
-	return out
 }
 
 // FullyConnected computes out[m] = sum over the whole input volume of

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -176,6 +177,163 @@ func TestConvLinearity(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// convPerMAC is Algorithm 1 read literally, one AtPadded and one
+// Kernels.At per MAC, each output summed from +0 in (z, ky, kx) order,
+// with depthwise as its own loop: the oracle Conv must match bit for
+// bit.
+func convPerMAC(a *Volume, w *Kernels, cfg ConvConfig) *Volume {
+	cfg = cfg.normalize()
+	by := ConvOutputDim(a.Y, w.Y, cfg.Pad, cfg.Stride)
+	bx := ConvOutputDim(a.X, w.X, cfg.Pad, cfg.Stride)
+	out := NewVolume(w.M, by, bx)
+	if cfg.Depthwise {
+		for z := 0; z < a.Z; z++ {
+			for oy := 0; oy < by; oy++ {
+				for ox := 0; ox < bx; ox++ {
+					var sum float64
+					ay0 := oy*cfg.Stride - cfg.Pad
+					ax0 := ox*cfg.Stride - cfg.Pad
+					for ky := 0; ky < w.Y; ky++ {
+						for kx := 0; kx < w.X; kx++ {
+							sum += a.AtPadded(z, ay0+ky, ax0+kx) * w.At(z, 0, ky, kx)
+						}
+					}
+					out.Set(z, oy, ox, sum)
+				}
+			}
+		}
+		return out
+	}
+	mPerGroup := w.M / cfg.Groups
+	zPerGroup := a.Z / cfg.Groups
+	for m := 0; m < w.M; m++ {
+		g := m / mPerGroup
+		zBase := g * zPerGroup
+		for oy := 0; oy < by; oy++ {
+			for ox := 0; ox < bx; ox++ {
+				var sum float64
+				ay0 := oy*cfg.Stride - cfg.Pad
+				ax0 := ox*cfg.Stride - cfg.Pad
+				for z := 0; z < w.Z; z++ {
+					for ky := 0; ky < w.Y; ky++ {
+						for kx := 0; kx < w.X; kx++ {
+							sum += a.AtPadded(zBase+z, ay0+ky, ax0+kx) * w.At(m, z, ky, kx)
+						}
+					}
+				}
+				out.Set(m, oy, ox, sum)
+			}
+		}
+	}
+	return out
+}
+
+// convCase is one conv geometry drawn from small fuzz-friendly
+// integers: every field is reduced into range (pad p is Pad p%6-1, so
+// 0 crops a border), so any input is a valid layer.
+type convCase struct {
+	z, y, x, m, ky, kx, stride, pad, groups uint8
+	depthwise                               bool
+	seed                                    int64
+}
+
+// build returns the case's input, kernels and config. Values mix
+// uniform activations with +-0 inputs and, now and then, a NaN or
+// +-Inf weight, which must reach every output whose window covers it
+// (padding taps included).
+func (c convCase) build() (*Volume, *Kernels, ConvConfig) {
+	rng := rand.New(rand.NewSource(c.seed))
+	groups := 1 + int(c.groups)%3
+	zc := groups * (1 + int(c.z)%3)
+	if c.depthwise {
+		zc = 1 + int(c.z)%6
+	}
+	a := NewVolume(zc, int(c.y)%9, int(c.x)%9)
+	for i := range a.Data {
+		switch r := rng.Intn(8); {
+		case r == 0:
+			a.Data[i] = math.Copysign(0, -1)
+		case r == 1:
+			a.Data[i] = 0
+		default:
+			a.Data[i] = rng.NormFloat64()
+		}
+	}
+	cfg := ConvConfig{Stride: 1 + int(c.stride)%3, Pad: int(c.pad)%6 - 1, Groups: groups, Depthwise: c.depthwise}
+	m, kz := groups*(1+int(c.m)%3), zc/groups
+	if c.depthwise {
+		m, kz, cfg.Groups = zc, 1, 0
+	}
+	w := NewKernels(m, kz, 1+int(c.ky)%4, 1+int(c.kx)%4)
+	for i := range w.Data {
+		w.Data[i] = rng.NormFloat64() * 0.3
+		if rng.Intn(64) == 0 {
+			w.Data[i] = []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}[rng.Intn(4)]
+		}
+	}
+	return a, w, cfg
+}
+
+// sameBits reports whether two floats have the same bits, or are both
+// NaN: which operand's payload a NaN sum keeps is the compiler's choice
+// of operand order for a commutative add, not the summation order.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+}
+
+// check fails t unless Conv equals the per-MAC oracle bit for bit.
+func (c convCase) check(t *testing.T) {
+	t.Helper()
+	a, w, cfg := c.build()
+	got, want := Conv(a, w, cfg), convPerMAC(a, w, cfg)
+	if got.Z != want.Z || got.Y != want.Y || got.X != want.X {
+		t.Fatalf("%+v: shape %dx%dx%d, oracle %dx%dx%d", c, got.Z, got.Y, got.X, want.Z, want.Y, want.X)
+	}
+	for i := range want.Data {
+		if !sameBits(got.Data[i], want.Data[i]) {
+			t.Fatalf("%+v: output %d = %v (%#x), oracle %v (%#x)", c, i,
+				got.Data[i], math.Float64bits(got.Data[i]), want.Data[i], math.Float64bits(want.Data[i]))
+		}
+	}
+}
+
+// TestConvMatchesPerMAC checks Conv against the per-MAC oracle, bit
+// for bit, on fixed edge geometries and random ones: strides 1-3,
+// pads -1 (a crop) to 4 (past the kernel), groups, depthwise, kernels
+// larger than the input, empty inputs and outputs, +-0 inputs and
+// NaN/Inf weights.
+func TestConvMatchesPerMAC(t *testing.T) {
+	for _, c := range []convCase{
+		{z: 2, y: 5, x: 5, ky: 2, kx: 2, pad: 5},                  // pad 4, past the 3x3 kernel
+		{z: 1, y: 2, x: 3, ky: 3, kx: 3, pad: 1},                  // 4x4 kernel on a 2x3 input: empty output
+		{z: 1, y: 0, x: 4, pad: 2},                                // empty input, padded
+		{z: 3, y: 7, x: 7, ky: 2, kx: 2, stride: 1, pad: 2},       // stride 2
+		{z: 5, y: 6, x: 6, ky: 2, kx: 2, pad: 2, depthwise: true}, // depthwise 3x3
+		{z: 1, y: 8, x: 8, m: 2, ky: 2, kx: 1, groups: 1, pad: 1}, // 2 groups, 3x2 kernel
+		{z: 2, y: 6, x: 5, ky: 1, kx: 2},                          // pad -1 crops the border
+	} {
+		c.check(t)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 3000; i++ {
+		b := make([]uint8, 9)
+		for j := range b {
+			b[j] = uint8(rng.Intn(256))
+		}
+		convCase{b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7], b[8], rng.Intn(4) == 0, rng.Int63()}.check(t)
+	}
+}
+
+// FuzzConvMatchesPerMAC is TestConvMatchesPerMAC's random geometry
+// driven by the fuzzer.
+func FuzzConvMatchesPerMAC(f *testing.F) {
+	f.Add(uint8(2), uint8(5), uint8(5), uint8(1), uint8(2), uint8(2), uint8(0), uint8(1), uint8(1), false, int64(1))
+	f.Add(uint8(4), uint8(6), uint8(7), uint8(0), uint8(2), uint8(1), uint8(1), uint8(4), uint8(0), true, int64(2))
+	f.Fuzz(func(t *testing.T, z, y, x, m, ky, kx, stride, pad, groups uint8, depthwise bool, seed int64) {
+		convCase{z, y, x, m, ky, kx, stride, pad, groups, depthwise, seed}.check(t)
+	})
 }
 
 func TestFullyConnected(t *testing.T) {
