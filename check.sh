@@ -53,7 +53,8 @@
 #              walkthrough (examples/faulttolerance)
 #   fleet      load-generator sweep through a 2-chip fleet with a
 #              detuned worker serving degraded (metrics in fleet.out,
-#              archived by CI)
+#              archived by CI); fails if fleet.out has an
+#              albireo_sim_, albireo_sram_ or albireo_cache_ series
 #   health     per-worker BIST scan of the default pool (report lands
 #              in health.out, archived by CI)
 #   journal    record a seeded sweep into a hash-chained journal, then
@@ -125,6 +126,12 @@ go run ./examples/faulttolerance
 
 echo "==> fleet serve smoke (degraded 2-chip pool, output in fleet.out)"
 go run ./cmd/albireo-serve -addr "" -sweeps 1 -sweep-batch 1 -size 8 -pool 2 -detune "0,0,4,2,0.4" | tee fleet.out
+# Metrics describe only what was served: no series from a dataflow
+# simulation of a network the pool never ran.
+if grep -E '^albireo_(sim|sram|cache)_' fleet.out; then
+	echo "fleet.out carries albireo_sim_/albireo_sram_/albireo_cache_ series" >&2
+	exit 1
+fi
 
 echo "==> sharded fleet smoke (kernel-group fan-out, journaled + replayed, output in shard.out)"
 # Every layer fans out across both chips and merges; the replay proves

@@ -41,7 +41,7 @@ func recordJournal(t *testing.T) string {
 		t.Fatalf("Start: %v", err)
 	}
 	ctx := context.Background()
-	if err := fleet.Sweep(ctx, obs.NewRegistry(), nil, s.Bind(ctx), 2, int(hdr.Size), 7); err != nil {
+	if err := fleet.Sweep(ctx, s.Bind(ctx), 2, int(hdr.Size), 7); err != nil {
 		t.Fatalf("Sweep: %v", err)
 	}
 	if err := s.Close(ctx); err != nil {

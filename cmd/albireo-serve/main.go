@@ -277,7 +277,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	// Load generation through the fleet: sequential, so stdout-mode
 	// telemetry is deterministic.
 	bound := sched.Bind(ctx)
-	if err := fleet.Sweeps(ctx, reg, trace, bound, *sweeps, *sweepBatch, *size, *seed); err != nil {
+	if err := fleet.Sweeps(ctx, bound, *sweeps, *sweepBatch, *size, *seed); err != nil {
 		stopTicker()
 		sched.Close(context.Background())
 		sealJournal()

@@ -46,7 +46,7 @@ func testState(t *testing.T, detune string) *serveState {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sched.Close(context.Background()) })
-	if err := fleet.Sweep(context.Background(), reg, trace, sched.Bind(context.Background()), 1, 8, 3); err != nil {
+	if err := fleet.Sweep(context.Background(), sched.Bind(context.Background()), 1, 8, 3); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
@@ -95,13 +95,17 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !promLine.MatchString(line) {
 			t.Errorf("invalid exposition line: %q", line)
 		}
+		// Metrics describe only what was served: no dataflow
+		// simulation of another network rides along.
+		for _, stale := range []string{"albireo_sim_", "albireo_sram_", "albireo_cache_"} {
+			if strings.HasPrefix(line, stale) {
+				t.Errorf("metrics carry an unserved series: %q", line)
+			}
+		}
 	}
 	for _, want := range []string{
 		"albireo_plcg_steps_total",
 		"albireo_mzm_program_events_total",
-		"albireo_sim_cycles_total",
-		"albireo_sram_read_bytes_total",
-		"albireo_cache_hits_total",
 		"albireo_inference_layers_total",
 		"albireo_bist_probes_total",
 		"albireo_bist_scans_total",

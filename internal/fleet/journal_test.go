@@ -63,7 +63,7 @@ func TestJournalReplayBitExact(t *testing.T) {
 	}
 	ctx := context.Background()
 	be := s.Bind(ctx)
-	if err := fleet.Sweeps(ctx, obs.NewRegistry(), nil, be, 2, 2, int(hdr.Size), 7); err != nil {
+	if err := fleet.Sweeps(ctx, be, 2, 2, int(hdr.Size), 7); err != nil {
 		t.Fatalf("Sweeps: %v", err)
 	}
 	if err := s.Close(ctx); err != nil {

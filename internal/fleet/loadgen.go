@@ -4,20 +4,16 @@ import (
 	"context"
 
 	"albireo/internal/inference"
-	"albireo/internal/nn"
-	"albireo/internal/obs"
-	"albireo/internal/sim"
 	"albireo/internal/tensor"
 )
 
-// Sweep is the reusable load generator albireo-serve runs at startup
-// (and what its historical self-sweep mode did inline): one seeded
-// batch of the tiny CNN through the given backend - exercising
-// device-activity counters, layer spans, and guard checks - followed
-// by a dataflow simulation of MobileNet for cycle, SRAM-traffic, and
-// kernel-cache-locality counters. Cancellation is honored between
-// iterations: a sweep never leaves a layer half-recorded.
-func Sweep(ctx context.Context, reg *obs.Registry, trace *obs.Trace, be inference.Backend, batch, size int, seed int64) error {
+// Sweep is the reusable load generator albireo-serve runs at startup:
+// one seeded batch of the tiny CNN through the given backend. Whatever
+// telemetry the backend records (device-activity counters, layer
+// spans, guard checks) describes only what was served. Cancellation is
+// honored between iterations: a sweep never leaves a layer
+// half-recorded.
+func Sweep(ctx context.Context, be inference.Backend, batch, size int, seed int64) error {
 	net := inference.TinyCNN(3, size, seed)
 	for i := 0; i < batch; i++ {
 		if err := ctx.Err(); err != nil {
@@ -26,21 +22,14 @@ func Sweep(ctx context.Context, reg *obs.Registry, trace *obs.Trace, be inferenc
 		in := tensor.RandomVolume(3, size, size, seed*1000+int64(i))
 		net.Run(be, in)
 	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	p := sim.DefaultParams()
-	p.Obs = reg
-	p.Trace = trace
-	sim.SimulateModel(p, nn.MobileNet())
-	return nil
+	return ctx.Err()
 }
 
 // Sweeps runs n consecutive sweeps with per-sweep seeds seed..seed+n-1,
 // stopping early (with the context error) on cancellation.
-func Sweeps(ctx context.Context, reg *obs.Registry, trace *obs.Trace, be inference.Backend, n, batch, size int, seed int64) error {
+func Sweeps(ctx context.Context, be inference.Backend, n, batch, size int, seed int64) error {
 	for i := 0; i < n; i++ {
-		if err := Sweep(ctx, reg, trace, be, batch, size, seed+int64(i)); err != nil {
+		if err := Sweep(ctx, be, batch, size, seed+int64(i)); err != nil {
 			return err
 		}
 	}

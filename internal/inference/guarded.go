@@ -57,10 +57,12 @@ type Guarded struct {
 	// synchronization.
 	FallbackHook func(kind string)
 
-	reg       *obs.Registry
-	trace     *obs.Trace
-	checks    atomic.Int64
-	fallbacks atomic.Int64
+	// Registry handles, resolved once by Instrument (nil: inert).
+	checksMetric, fallbacksMetric *obs.Counter
+	divergence                    *obs.Histogram
+	trace                         *obs.Trace
+	checks                        atomic.Int64
+	fallbacks                     atomic.Int64
 }
 
 // Guard wraps an analog backend with an accuracy guard against ref.
@@ -71,7 +73,9 @@ func Guard(b, ref Backend, budget float64) *Guarded {
 // Instrument attaches an observability registry and/or trace and
 // returns the backend for chaining. Either may be nil.
 func (g *Guarded) Instrument(reg *obs.Registry, trace *obs.Trace) *Guarded {
-	g.reg = reg
+	g.checksMetric = reg.Counter(MetricGuardChecks)
+	g.fallbacksMetric = reg.Counter(MetricGuardFallbacks)
+	g.divergence = reg.Histogram(MetricLayerDivergence, obs.DefaultBuckets)
 	g.trace = trace
 	return g
 }
@@ -90,17 +94,17 @@ func (g *Guarded) Checks() int64 { return g.checks.Load() }
 // survivor. Both slices must be equal length.
 func (g *Guarded) guard(kind string, out, ref []float64) bool {
 	g.checks.Add(1)
-	g.reg.Counter(MetricGuardChecks).Inc()
+	g.checksMetric.Inc()
 	d := rms(out, ref)
 	if scale := rmsMagnitude(ref); scale > 0 {
 		d /= scale
 	}
-	g.reg.Histogram(MetricLayerDivergence, obs.DefaultBuckets).Observe(d)
+	g.divergence.Observe(d)
 	if d <= g.Budget {
 		return false
 	}
 	g.fallbacks.Add(1)
-	g.reg.Counter(MetricGuardFallbacks).Inc()
+	g.fallbacksMetric.Inc()
 	if g.FallbackHook != nil {
 		g.FallbackHook(kind)
 	}

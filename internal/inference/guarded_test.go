@@ -127,3 +127,25 @@ func TestGuardDivergenceUnchanged(t *testing.T) {
 		t.Errorf("rmsMagnitude allocates %v times per call", allocs)
 	}
 }
+
+// TestGuardDoesNotAllocate checks that an instrumented guard scores a
+// layer, and falls one back, without allocating: Instrument resolves
+// the metric handles once, not per checked layer.
+func TestGuardDoesNotAllocate(t *testing.T) {
+	out, ref := make([]float64, 1152), make([]float64, 1152)
+	for i := range ref {
+		ref[i] = float64(i%7) - 3
+		out[i] = ref[i] + 0.01
+	}
+	for _, budget := range []float64{math.Inf(1), 0} {
+		reg := obs.NewRegistry()
+		g := Guard(Exact{}, Exact{}, budget).Instrument(reg, nil)
+		if allocs := testing.AllocsPerRun(10, func() { g.guard("conv", out, ref) }); allocs != 0 {
+			t.Errorf("budget %g: instrumented guard allocates %v times per layer", budget, allocs)
+		}
+		snap := reg.Snapshot()
+		if snap.SumCounters(MetricGuardChecks) != g.Checks() || snap.SumCounters(MetricGuardFallbacks) != g.Fallbacks() {
+			t.Errorf("budget %g: registry counters disagree with the guard's own", budget)
+		}
+	}
+}

@@ -234,7 +234,15 @@ func (w *Writer) write(entries []Entry) (uint64, error) {
 		return 0, ErrClosed
 	}
 	first, seq, head := w.nextSeq, w.nextSeq, w.head
-	var buf []byte
+	// A chunk holds under writeChunk bytes plus the frame that crosses
+	// it, so the buffer is sized once and never regrown.
+	total, largest := 0, 0
+	for _, e := range entries {
+		n := frameOverhead + minBody + len(e.Payload)
+		total += n
+		largest = max(largest, n)
+	}
+	buf := make([]byte, 0, min(total, writeChunk+largest))
 	for i, e := range entries {
 		head = chainHash(head, seq, e.Kind, e.Payload)
 		buf = appendFrame(buf, seq, e.Kind, head, e.Payload)

@@ -31,26 +31,28 @@ func TestAccessEnergyScaling(t *testing.T) {
 	// Larger arrays cost more per access (sqrt capacity scaling).
 	small := New(16<<10, 4, 0, 0)
 	big := New(256<<10, 4, 0, 0)
-	if big.AccessEnergy() <= small.AccessEnergy() {
+	smallWord, bigWord := small.ReadEnergy(small.WordBytes), big.ReadEnergy(big.WordBytes)
+	if bigWord <= smallWord {
 		t.Error("bigger arrays should cost more per access")
 	}
-	ratio := big.AccessEnergy() / small.AccessEnergy()
+	ratio := bigWord / smallWord
 	if math.Abs(ratio-4) > 0.01 { // sqrt(16x capacity)
 		t.Errorf("energy ratio = %g, want 4 (sqrt scaling)", ratio)
 	}
 	// Anchor: 16 kB at 4 B/word is 40 fJ/access.
-	if math.Abs(small.AccessEnergy()-40e-15) > 1e-18 {
-		t.Errorf("anchor access energy = %g, want 40 fJ", small.AccessEnergy())
+	if math.Abs(smallWord-40e-15) > 1e-18 {
+		t.Errorf("anchor access energy = %g, want 40 fJ", smallWord)
 	}
 }
 
 func TestReadWriteEnergy(t *testing.T) {
 	s := New(16<<10, 4, 0, 0)
+	word := s.ReadEnergy(s.WordBytes)
 	// 10 bytes needs 3 words.
-	if math.Abs(s.ReadEnergy(10)-3*s.AccessEnergy()) > 1e-20 {
+	if math.Abs(s.ReadEnergy(10)-3*word) > 1e-20 {
 		t.Error("read energy word rounding")
 	}
-	if math.Abs(s.WriteEnergy(4)-1.2*s.AccessEnergy()) > 1e-20 {
+	if math.Abs(s.WriteEnergy(4)-1.2*word) > 1e-20 {
 		t.Error("write energy should be 1.2x read")
 	}
 	if s.ReadEnergy(0) != 0 {
@@ -62,20 +64,6 @@ func TestBandwidth(t *testing.T) {
 	s := New(16<<10, 8, 0, 0)
 	if s.Bandwidth(1e9) != 8e9 {
 		t.Error("bandwidth should be word * clock")
-	}
-}
-
-func TestLayerTrafficEnergy(t *testing.T) {
-	tr := LayerTraffic{InputReads: 1 << 20, WeightReads: 1 << 16, OutputWrites: 1 << 20}
-	e := tr.Energy()
-	if e <= 0 {
-		t.Fatal("traffic energy must be positive")
-	}
-	// Doubling the traffic roughly doubles the energy.
-	tr2 := LayerTraffic{InputReads: 2 << 20, WeightReads: 2 << 16, OutputWrites: 2 << 20}
-	ratio := tr2.Energy() / e
-	if math.Abs(ratio-2) > 0.01 {
-		t.Errorf("traffic energy ratio = %g, want 2", ratio)
 	}
 }
 
@@ -92,32 +80,4 @@ func TestString(t *testing.T) {
 	if GlobalBuffer().String() == "" {
 		t.Error("String")
 	}
-}
-
-// No binary uses the declarations below; they live with the tests
-// that check them.
-
-// AccessEnergy returns the dynamic energy of one word access in
-// joules.
-func (s SRAM) AccessEnergy() float64 { return s.baseAccessEnergy }
-
-// LayerTraffic estimates the SRAM energy of one convolution layer's
-// data movement: each input element is read once per kernel pass (the
-// broadcast amortizes it across PLCGs), kernel weights are read once
-// per cache fill, and each output activation is written once - the
-// "no partial sum writes" property of the PLCG's stationary
-// accumulation (Section III-B).
-type LayerTraffic struct {
-	// InputReads, WeightReads, OutputWrites are byte counts.
-	InputReads, WeightReads, OutputWrites int64
-}
-
-// Energy returns the total SRAM energy for the traffic, with inputs
-// and outputs hitting the global buffer and weights the kernel caches.
-func (t LayerTraffic) Energy() float64 {
-	gb := GlobalBuffer()
-	kc := KernelCache()
-	return gb.ReadEnergy(int(t.InputReads)) +
-		kc.ReadEnergy(int(t.WeightReads)) +
-		gb.WriteEnergy(int(t.OutputWrites))
 }

@@ -16,8 +16,6 @@ const (
 	// TileScheduled marks one unit of work placed on a hardware block
 	// (a kernel assigned to a PLCG, an output tile issued).
 	TileScheduled
-	// DataMove marks bytes moved through a memory system.
-	DataMove
 	// FaultInjected marks a hardware defect being injected.
 	FaultInjected
 	// FaultDetected marks a BIST probe localizing a defect.
@@ -62,8 +60,6 @@ func (k EventKind) String() string {
 		return "span-end"
 	case TileScheduled:
 		return "tile-scheduled"
-	case DataMove:
-		return "data-move"
 	case FaultInjected:
 		return "fault-injected"
 	case FaultDetected:

@@ -42,7 +42,7 @@ func TestTraceJSON(t *testing.T) {
 	t.Parallel()
 	tr := NewTrace()
 	sp := tr.StartSpan("conv", String("shape", "6x10x10"))
-	sp.Event(DataMove, "input-stream", Int("bytes", 1024))
+	sp.Event(TileScheduled, "kernel3", Int("plcg", 1))
 	sp.End()
 
 	raw, err := tr.JSON()
@@ -60,7 +60,7 @@ func TestTraceJSON(t *testing.T) {
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatalf("trace JSON invalid: %v\n%s", err, raw)
 	}
-	if len(doc.Events) != 3 || doc.Events[1].Kind != "data-move" || doc.Events[1].Name != "input-stream" {
+	if len(doc.Events) != 3 || doc.Events[1].Kind != "tile-scheduled" || doc.Events[1].Name != "kernel3" {
 		t.Fatalf("unexpected trace: %s", raw)
 	}
 }
@@ -116,7 +116,7 @@ func TestCountByKindAndReset(t *testing.T) {
 
 func TestEventKindStrings(t *testing.T) {
 	t.Parallel()
-	kinds := []EventKind{SpanStart, SpanEnd, TileScheduled, DataMove, FaultInjected, Mark,
+	kinds := []EventKind{SpanStart, SpanEnd, TileScheduled, FaultInjected, Mark,
 		RequestShed, BatchDispatched, WorkerDrained, WorkerRestored, EventKind(99)}
 	seen := map[string]bool{}
 	for _, k := range kinds {

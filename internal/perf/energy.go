@@ -85,9 +85,7 @@ func EvaluateEnergy(cfg core.Config, model nn.Model) EnergyBreakdown {
 		gated += (floor + group*active) * t
 	}
 
-	p := sim.DefaultParams()
-	p.Config = cfg
-	traffic := sim.SimulateModel(p, model)
+	traffic := sim.SimulateModel(cfg, sim.DepthFirst, model)
 
 	return EnergyBreakdown{
 		Model:   model.Name,

@@ -67,9 +67,7 @@ func CheckLayer(cfg core.Config, l nn.Layer) Feasibility {
 
 	// Streaming rates: the per-cycle operand footprints of the
 	// dataflow simulator at the modulation rate.
-	p := DefaultParams()
-	p.Config = cfg
-	st := SimulateLayer(p, l)
+	st := SimulateLayer(cfg, DepthFirst, l)
 	if st.Cycles > 0 {
 		cycleTime := 1 / rate
 		f.InputBandwidth = float64(st.InputBytes) / (float64(st.Cycles) * cycleTime)

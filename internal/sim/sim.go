@@ -24,8 +24,8 @@ import (
 	"fmt"
 
 	"albireo/internal/core"
+	"albireo/internal/memory"
 	"albireo/internal/nn"
-	"albireo/internal/obs"
 	"albireo/internal/units"
 )
 
@@ -53,33 +53,13 @@ func (d Dataflow) String() string {
 	}
 }
 
-// Params configures a simulation.
-type Params struct {
-	Config   core.Config
-	Dataflow Dataflow
-	// ActivationBytes and WeightBytes are operand widths (1 each for
-	// the 8-bit pipeline); PsumBytes is the partial-sum width held
-	// between channel groups (wider than an operand).
-	ActivationBytes, WeightBytes, PsumBytes int
-	// Obs and Trace, when non-nil, receive cycle-denominated telemetry:
-	// schedule cycles, SRAM traffic through metered arrays,
-	// kernel-cache hit/miss counts, and per-layer dataflow spans. Both
-	// default to nil (no overhead beyond plain arithmetic).
-	Obs   *obs.Registry
-	Trace *obs.Trace
-}
-
-// DefaultParams returns the paper's configuration: 8-bit operands,
-// 24-bit partial sums, depth-first dataflow.
-func DefaultParams() Params {
-	return Params{
-		Config:          core.DefaultConfig(),
-		Dataflow:        DepthFirst,
-		ActivationBytes: 1,
-		WeightBytes:     1,
-		PsumBytes:       3,
-	}
-}
+// Operand widths in bytes: 8-bit activations and weights, and 24-bit
+// partial sums held between channel groups (wider than an operand).
+const (
+	activationBytes = 1
+	weightBytes     = 1
+	psumBytes       = 3
+)
 
 // LayerStats is the simulation result for one layer.
 type LayerStats struct {
@@ -105,20 +85,13 @@ func (s LayerStats) TotalTraffic() int64 {
 	return s.InputBytes + s.WeightBytes + s.PsumReadBytes + s.PsumWriteBytes + s.OutputBytes
 }
 
-// SimulateLayer walks one layer's schedule. Pooling layers return
-// zeroed stats (they ride the digital path).
-func SimulateLayer(p Params, l nn.Layer) LayerStats {
-	return simulateLayer(p, l, nil)
-}
-
-// simulateLayer is SimulateLayer with an optional parent span so that
-// SimulateModel can nest per-layer spans under one model span.
-func simulateLayer(p Params, l nn.Layer, parent *obs.Span) LayerStats {
+// SimulateLayer walks one layer's schedule under the given dataflow.
+// Pooling layers return zeroed stats (they ride the digital path).
+func SimulateLayer(cfg core.Config, df Dataflow, l nn.Layer) LayerStats {
 	st := LayerStats{Layer: l}
 	if !l.HasMACs() {
 		return st
 	}
-	cfg := p.Config
 	m := cfg.MapLayer(l)
 
 	// Active PLCGs this layer: kernel passes spread OutZ over Ng; the
@@ -129,16 +102,16 @@ func simulateLayer(p Params, l nn.Layer, parent *obs.Span) LayerStats {
 	}
 
 	// Per-cycle operand footprints.
-	inputPerCycle := int64(cfg.Nu) * int64(cfg.WavelengthsPerPLCU()) * int64(p.ActivationBytes)
+	inputPerCycle := int64(cfg.Nu) * int64(cfg.WavelengthsPerPLCU()) * activationBytes
 	if l.Kind == nn.FC || l.Kind == nn.Pointwise {
 		// These mappings stream Nu*Nm fresh elements per cycle per
 		// slot (no receptive-field overlap).
-		inputPerCycle = int64(cfg.Nu) * int64(cfg.Nm) * int64(p.ActivationBytes)
+		inputPerCycle = int64(cfg.Nu) * int64(cfg.Nm) * activationBytes
 		if l.Kind == nn.Pointwise {
 			inputPerCycle *= int64(cfg.Nd)
 		}
 	}
-	weightsPerCycle := int64(cfg.Nu) * int64(cfg.Nm) * int64(p.WeightBytes) * groupsActive
+	weightsPerCycle := int64(cfg.Nu) * int64(cfg.Nm) * weightBytes * groupsActive
 
 	st.Cycles = m.Cycles
 
@@ -147,13 +120,13 @@ func simulateLayer(p Params, l nn.Layer, parent *obs.Span) LayerStats {
 	if l.Kind == nn.FC {
 		outputs = int64(l.OutZ)
 	}
-	st.OutputBytes = outputs * int64(p.ActivationBytes)
+	st.OutputBytes = outputs * activationBytes
 
 	// Input stream: one broadcast serves every PLCG, re-streamed for
 	// each kernel pass and tap chunk.
 	st.InputBytes = m.KernelPasses * m.ColumnTiles * m.ChannelGroups * m.TapChunks * inputPerCycle
 
-	switch p.Dataflow {
+	switch df {
 	case DepthFirst:
 		// Weights retarget every cycle from the kernel caches.
 		st.WeightBytes = m.Cycles * weightsPerCycle
@@ -169,14 +142,19 @@ func simulateLayer(p Params, l nn.Layer, parent *obs.Span) LayerStats {
 		if steps < 0 {
 			steps = 0
 		}
-		perTile := int64(cfg.Nd) * int64(p.PsumBytes) * groupsActive
+		perTile := int64(cfg.Nd) * psumBytes * groupsActive
 		st.PsumWriteBytes = m.KernelPasses * m.ColumnTiles * steps * perTile
 		st.PsumReadBytes = st.PsumWriteBytes
 	}
 
-	st.SRAMEnergy = p.account(st)
-	p.observeLayer(parent, st)
-	p.replayKernelCache(m)
+	// Inputs, partial sums and outputs move through the global buffer;
+	// weights come from the kernel caches.
+	gb, kc := memory.GlobalBuffer(), memory.KernelCache()
+	st.SRAMEnergy = gb.ReadEnergy(int(st.InputBytes)) +
+		kc.ReadEnergy(int(st.WeightBytes)) +
+		gb.ReadEnergy(int(st.PsumReadBytes)) +
+		gb.WriteEnergy(int(st.PsumWriteBytes)) +
+		gb.WriteEnergy(int(st.OutputBytes))
 	return st
 }
 
@@ -190,21 +168,19 @@ type ModelStats struct {
 	SRAMEnergy float64
 }
 
-// SimulateModel runs every compute layer.
-func SimulateModel(p Params, m nn.Model) ModelStats {
+// SimulateModel runs every compute layer under the given dataflow.
+func SimulateModel(cfg core.Config, df Dataflow, m nn.Model) ModelStats {
 	ms := ModelStats{Model: m.Name}
-	root := p.Trace.StartSpan("sim/"+m.Name, obs.String("dataflow", p.Dataflow.String()))
 	for _, l := range m.Layers {
 		if !l.HasMACs() {
 			continue
 		}
-		st := simulateLayer(p, l, root)
+		st := SimulateLayer(cfg, df, l)
 		ms.Layers = append(ms.Layers, st)
 		ms.Cycles += st.Cycles
 		ms.Traffic += st.TotalTraffic()
 		ms.SRAMEnergy += st.SRAMEnergy
 	}
-	root.EndAt(ms.Cycles, obs.Int("cycles", ms.Cycles))
 	return ms
 }
 
@@ -217,10 +193,5 @@ func (ms ModelStats) String() string {
 // Compare runs both dataflows on a model and returns (depth-first,
 // weight-stationary) stats - the Section III-B ablation.
 func Compare(cfg core.Config, m nn.Model) (df, ws ModelStats) {
-	p := DefaultParams()
-	p.Config = cfg
-	df = SimulateModel(p, m)
-	p.Dataflow = WeightStationary
-	ws = SimulateModel(p, m)
-	return df, ws
+	return SimulateModel(cfg, DepthFirst, m), SimulateModel(cfg, WeightStationary, m)
 }

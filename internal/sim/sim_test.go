@@ -1,19 +1,21 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"albireo/internal/core"
+	"albireo/internal/memory"
 	"albireo/internal/nn"
 )
 
 func TestCyclesMatchAnalyticMapping(t *testing.T) {
 	// The schedule walker and the analytic mapping model must agree
 	// exactly on cycle counts for every benchmark layer.
-	p := DefaultParams()
+	cfg := core.DefaultConfig()
 	for _, m := range nn.Benchmarks() {
-		mapping := p.Config.MapModel(m)
-		stats := SimulateModel(p, m)
+		mapping := cfg.MapModel(m)
+		stats := SimulateModel(cfg, DepthFirst, m)
 		if stats.Cycles != mapping.TotalCycles {
 			t.Errorf("%s: sim %d cycles, mapping %d", m.Name, stats.Cycles, mapping.TotalCycles)
 		}
@@ -23,9 +25,8 @@ func TestCyclesMatchAnalyticMapping(t *testing.T) {
 func TestDepthFirstHasNoPsumTraffic(t *testing.T) {
 	// Section III-B: "This creates no partial sum writes back to
 	// memory".
-	p := DefaultParams()
 	for _, m := range nn.Benchmarks() {
-		for _, st := range SimulateModel(p, m).Layers {
+		for _, st := range SimulateModel(core.DefaultConfig(), DepthFirst, m).Layers {
 			if st.PsumReadBytes != 0 || st.PsumWriteBytes != 0 {
 				t.Fatalf("%s/%s: depth-first dataflow should carry no psum traffic",
 					m.Name, st.Layer.Name)
@@ -73,39 +74,35 @@ func TestWeightStationarySavesWeightTraffic(t *testing.T) {
 func TestSingleGroupLayerHasNoPsumEvenWS(t *testing.T) {
 	// A layer with one channel group and one tap chunk finishes in a
 	// single pass: nothing to spill even under weight-stationary.
-	p := DefaultParams()
-	p.Dataflow = WeightStationary
 	l := nn.Layer{Kind: nn.Conv, InZ: 3, InY: 8, InX: 8, OutZ: 4, KY: 3, KX: 3, Stride: 1, Pad: 1}
-	st := SimulateLayer(p, l)
+	st := SimulateLayer(core.DefaultConfig(), WeightStationary, l)
 	if st.PsumWriteBytes != 0 {
 		t.Error("single-group layer should not spill partials")
 	}
 }
 
 func TestPoolingLayersAreFree(t *testing.T) {
-	p := DefaultParams()
-	st := SimulateLayer(p, nn.Layer{Kind: nn.MaxPoolKind, InZ: 64, InY: 28, InX: 28, OutZ: 64, KY: 2, KX: 2, Stride: 2})
+	st := SimulateLayer(core.DefaultConfig(), DepthFirst, nn.Layer{Kind: nn.MaxPoolKind, InZ: 64, InY: 28, InX: 28, OutZ: 64, KY: 2, KX: 2, Stride: 2})
 	if st.Cycles != 0 || st.TotalTraffic() != 0 {
 		t.Error("pooling should cost neither cycles nor photonic-path traffic")
 	}
 }
 
 func TestOutputBytesMatchActivations(t *testing.T) {
-	p := DefaultParams()
+	cfg := core.DefaultConfig()
 	l := nn.Layer{Kind: nn.Conv, InZ: 16, InY: 14, InX: 14, OutZ: 32, KY: 3, KX: 3, Stride: 1, Pad: 1}
-	st := SimulateLayer(p, l)
+	st := SimulateLayer(cfg, DepthFirst, l)
 	if st.OutputBytes != 32*14*14 {
 		t.Errorf("output bytes = %d, want %d", st.OutputBytes, 32*14*14)
 	}
 	fc := nn.Layer{Kind: nn.FC, InZ: 512, InY: 1, InX: 1, OutZ: 1000, KY: 1, KX: 1}
-	if got := SimulateLayer(p, fc).OutputBytes; got != 1000 {
+	if got := SimulateLayer(cfg, DepthFirst, fc).OutputBytes; got != 1000 {
 		t.Errorf("FC output bytes = %d, want 1000", got)
 	}
 }
 
 func TestModelStatsAggregation(t *testing.T) {
-	p := DefaultParams()
-	ms := SimulateModel(p, nn.MobileNet())
+	ms := SimulateModel(core.DefaultConfig(), DepthFirst, nn.MobileNet())
 	var cyc, traffic int64
 	for _, st := range ms.Layers {
 		cyc += st.Cycles
@@ -133,5 +130,23 @@ func TestDataMovementDominanceClaim(t *testing.T) {
 	if psumEnergy < df.SRAMEnergy*0.2 {
 		t.Errorf("psum spill energy (%.3g J) should be a significant fraction of baseline traffic (%.3g J)",
 			psumEnergy, df.SRAMEnergy)
+	}
+}
+
+func TestSRAMEnergyPricesTraffic(t *testing.T) {
+	// Inputs, partial sums and outputs are priced at the global
+	// buffer, weights at the kernel caches, and writes as writes.
+	gb, kc := memory.GlobalBuffer(), memory.KernelCache()
+	for _, df := range []Dataflow{DepthFirst, WeightStationary} {
+		ms := SimulateModel(core.DefaultConfig(), df, nn.VGG16())
+		var want float64
+		for _, st := range ms.Layers {
+			want += gb.ReadEnergy(int(st.InputBytes+st.PsumReadBytes)) +
+				kc.ReadEnergy(int(st.WeightBytes)) +
+				gb.WriteEnergy(int(st.PsumWriteBytes+st.OutputBytes))
+		}
+		if math.Abs(ms.SRAMEnergy-want) > 1e-6*want {
+			t.Errorf("%s: SRAM energy %g J, traffic priced at %g J", df, ms.SRAMEnergy, want)
+		}
 	}
 }
