@@ -61,9 +61,13 @@
 #              albireo-replay verifies the chain and re-executes the
 #              history bit-for-bit (log in journal.out, archived by CI)
 #
+# The journals are recorded into a fresh temporary directory, removed
+# on exit, so concurrent runs in one checkout never share a chain.
 # CI runs exactly this script; run it locally before pushing.
 set -euo pipefail
 cd "$(dirname "$0")"
+jdir="$(mktemp -d)"
+trap 'rm -rf "${jdir}"' EXIT
 
 echo "==> go build ./..."
 go build ./...
@@ -136,11 +140,9 @@ fi
 echo "==> sharded fleet smoke (kernel-group fan-out, journaled + replayed, output in shard.out)"
 # Every layer fans out across both chips and merges; the replay proves
 # the sharded serving history is bit-exact end to end.
-rm -rf shardjournal.d
 go run ./cmd/albireo-serve -addr "" -sweeps 1 -sweep-batch 1 -size 8 -pool 2 \
-	-shard -journal shardjournal.d | tee shard.out
-go run ./cmd/albireo-replay -journal shardjournal.d | tee -a shard.out
-rm -rf shardjournal.d
+	-shard -journal "${jdir}/shard" | tee shard.out
+go run ./cmd/albireo-replay -journal "${jdir}/shard" | tee -a shard.out
 
 echo "==> BIST health report (output in health.out)"
 go run ./cmd/albireo-serve -addr "" -sweeps 0 -bist | tee health.out
@@ -149,11 +151,9 @@ echo "==> journal record/verify/replay gate (output in journal.out)"
 # Record a seeded degraded-pool sweep, then prove the chain verifies
 # and the whole serving history replays bit-for-bit on a pool rebuilt
 # from nothing but the journal header.
-rm -rf journal.d
 go run ./cmd/albireo-serve -addr "" -sweeps 1 -sweep-batch 1 -size 8 -pool 2 \
-	-detune "0,0,4,2,0.4" -journal journal.d | tee journal.out
-go run ./cmd/albireo-replay -journal journal.d -verify | tee -a journal.out
-go run ./cmd/albireo-replay -journal journal.d | tee -a journal.out
-rm -rf journal.d
+	-detune "0,0,4,2,0.4" -journal "${jdir}/journal" | tee journal.out
+go run ./cmd/albireo-replay -journal "${jdir}/journal" -verify | tee -a journal.out
+go run ./cmd/albireo-replay -journal "${jdir}/journal" | tee -a journal.out
 
 echo "check.sh: all gates passed"

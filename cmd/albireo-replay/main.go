@@ -32,7 +32,6 @@ import (
 	"os"
 
 	"albireo/internal/fleet"
-	"albireo/internal/health"
 	"albireo/internal/journal"
 	"albireo/internal/obs"
 )
@@ -98,7 +97,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fleet.StartupScan(units, health.Options{})
+	fleet.StartupScan(units)
 
 	res, err := journal.Replay(snap, &fleet.JournalExecutor{Units: units})
 	if d, ok := journal.AsDivergence(err); ok {

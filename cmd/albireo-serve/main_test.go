@@ -16,6 +16,7 @@ import (
 	"albireo/internal/core"
 	"albireo/internal/fleet"
 	"albireo/internal/inference"
+	"albireo/internal/load"
 	"albireo/internal/obs"
 	"albireo/internal/tensor"
 )
@@ -535,5 +536,45 @@ func TestEndToEndDegradedServe(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "fleet drained") {
 		t.Errorf("shutdown log: %q", out.String())
+	}
+}
+
+func TestLoadgenHTTPMatchesDefaultShape(t *testing.T) {
+	// albireo-loadgen -http posts bodies of the default served input
+	// shape: against a server with no -size flag none is rejected. Not
+	// parallel: its wall-time load stays off the timing-sensitive
+	// parallel serve tests.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close() // run() re-listens on the now-free port
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	var out strings.Builder
+	go func() { done <- run(ctx, []string{"-addr", addr, "-sweeps", "0", "-drain", "2s"}, &out) }()
+	base := "http://" + addr
+	waitReady(t, base)
+
+	res, err := load.RunHTTP(context.Background(), load.HTTPConfig{
+		URL: base + "/v1/infer", Rate: 40, Duration: 250 * time.Millisecond, Seed: 3, Clock: obs.WallClock{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Errors != 0 || res.Completed == 0 {
+		t.Errorf("default shape: %d completed, %d errors of %d issued", res.Completed, res.Errors, res.Issued)
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run returned %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run did not exit after cancel")
 	}
 }

@@ -366,7 +366,7 @@ func (c *Chip) depthwiseConv(a *tensor.Volume, w *tensor.Kernels, cfg tensor.Con
 	out := tensor.NewVolume(a.Z, tensor.ConvOutputDim(a.Y, w.Y, cfg.Pad, stride), tensor.ConvOutputDim(a.X, w.X, cfg.Pad, stride))
 	sp := c.ins.beginLayer("depthwise", w.M, w.Z, w.Y, w.X)
 	defer sp.End()
-	c.run(sp, layer{a: *a, out: *out, w: w, lay: layout{1, w.Y, w.X}, stride: stride, pad: cfg.Pad, relu: relu, own: true}, ShardSpec{})
+	c.run(sp, layer{a: *a, out: *out, w: w, lay: layout{z: 1, ky: w.Y, kx: w.X}, stride: stride, pad: cfg.Pad, relu: relu, own: true}, ShardSpec{})
 	return out
 }
 

@@ -261,7 +261,7 @@ func TestKernelsDoNotWriteRowViews(t *testing.T) {
 	receptive := func(a *tensor.Volume, w *tensor.Kernels, stride, pad int) func(*Chip) {
 		return func(c *Chip) {
 			out := tensor.NewVolume(w.M, tensor.ConvOutputDim(a.Y, w.Y, pad, stride), tensor.ConvOutputDim(a.X, w.X, pad, stride))
-			lay := layout{w.Z, w.Y, w.X}
+			lay := layout{z: w.Z, ky: w.Y, kx: w.X}
 			ph, pw := paddedDims(a, lay, pad, stride, out, c.cfg.Nd)
 			scale := c.padInput(a, ph, pw)
 			c.plan.receptive(&c.qaVol, lay, out, stride)

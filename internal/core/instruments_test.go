@@ -100,7 +100,7 @@ type activityCase struct {
 func activityOracle(cfg Config) (conv, others []activityCase) {
 	nm := cfg.Nm
 	ceil := func(a, b int) int { return (a + b - 1) / b }
-	block := func(n int) layout { return layout{ceil(n, nm), nm, 1} }
+	block := func(n int) layout { return layout{ceil(n, nm), nm, 1, true} }
 	vol := func(z, y, x int) *tensor.Volume { return tensor.RandomVolume(z, y, x, 861) }
 	ker := func(m, z, y, x int) *tensor.Kernels { return tensor.RandomKernels(m, z, y, x, 862) }
 	signed, b := tensor.RandomMatrix(11, 23, 863), tensor.RandomMatrix(23, 13, 864)
@@ -118,15 +118,15 @@ func activityOracle(cfg Config) (conv, others []activityCase) {
 	conv = []activityCase{
 		{"conv3x3-small", convLayer(3, 8, 8, 4, 3, 1, 1),
 			func(c *Chip) { c.Conv(vol(3, 8, 8), ker(4, 3, 3, 3), tensor.ConvConfig{Stride: 1, Pad: 1}, true) },
-			4, layout{3, 3, 3}, 8, 8, 1, false},
+			4, layout{3, 3, 3, false}, 8, 8, 1, false},
 		// z not divisible by Nu, outX not by Nd
 		{"conv3x3", convLayer(7, 12, 11, 11, 3, 1, 1),
 			func(c *Chip) { c.Conv(vol(7, 12, 11), ker(11, 7, 3, 3), tensor.ConvConfig{Pad: 1}, true) },
-			11, layout{7, 3, 3}, 12, 11, 1, false},
+			11, layout{7, 3, 3, false}, 12, 11, 1, false},
 		// taps > Nm: multiple chunks
 		{"conv5x5-s2", convLayer(4, 16, 16, 5, 5, 2, 2),
 			func(c *Chip) { c.Conv(vol(4, 16, 16), ker(5, 4, 5, 5), tensor.ConvConfig{Stride: 2, Pad: 2}, true) },
-			5, layout{4, 5, 5}, 8, 8, 1, false},
+			5, layout{4, 5, 5, false}, 8, 8, 1, false},
 		{"conv1x1-degenerate", convLayer(1, 6, 6, 1, 1, 1, 0),
 			func(c *Chip) { c.Conv(vol(1, 6, 6), ker(1, 1, 1, 1), tensor.ConvConfig{Stride: 1}, true) },
 			1, block(1), 1, 36, 1, false},
@@ -143,10 +143,10 @@ func activityOracle(cfg Config) (conv, others []activityCase) {
 			6, block(100), 1, 1, 1, false},
 		{"depthwise-s1", dw, func(c *Chip) {
 			c.Conv(vol(5, 9, 13), ker(5, 1, 3, 3), tensor.ConvConfig{Pad: 1, Depthwise: true}, true)
-		}, 5, layout{1, 3, 3}, 9, 13, 1, true},
+		}, 5, layout{1, 3, 3, false}, 9, 13, 1, true},
 		{"depthwise-s2", dw2, func(c *Chip) {
 			c.Conv(vol(5, 9, 13), ker(5, 1, 3, 3), tensor.ConvConfig{Stride: 2, Pad: 1, Depthwise: true}, true)
-		}, 5, layout{1, 3, 3}, 5, 7, 1, true},
+		}, 5, layout{1, 3, 3, false}, 5, 7, 1, true},
 		{"live-tap-1x1-s2", convLayer(12, 9, 9, 10, 1, 2, 0),
 			func(c *Chip) { c.Conv(vol(12, 9, 9), ker(10, 12, 1, 1), tensor.ConvConfig{Stride: 2}, true) },
 			10, block(12), 1, 25, 1, false},

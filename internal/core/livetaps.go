@@ -83,7 +83,7 @@ func (c *Chip) denseConv(a *tensor.Volume, w *tensor.Kernels, cfg tensor.ConvCon
 	if !block {
 		sp := c.ins.beginLayer("conv", w.M, w.Z, w.Y, w.X)
 		defer sp.End()
-		c.run(sp, layer{a: *a, out: *out, w: w, lay: layout{w.Z, w.Y, w.X}, stride: stride, pad: cfg.Pad, relu: relu}, shard)
+		c.run(sp, layer{a: *a, out: *out, w: w, lay: layout{z: w.Z, ky: w.Y, kx: w.X}, stride: stride, pad: cfg.Pad, relu: relu}, shard)
 		return
 	}
 	x, k := a, w

@@ -68,9 +68,9 @@ func (c Config) schedule(l nn.Layer) []stage {
 		if taps, block := c.denseLayout(l.InY, l.InX, l.KY, l.KX, l.Stride, l.Pad); block {
 			return []stage{{c.blockView(z * taps.count()), k, 1, oy * ox, 1, 1, false}}
 		}
-		return []stage{{layout{z, l.KY, l.KX}, k, oy, ox, 1, 1, false}}
+		return []stage{{layout{z: z, ky: l.KY, kx: l.KX}, k, oy, ox, 1, 1, false}}
 	case nn.Depthwise:
-		return []stage{{layout{1, l.KY, l.KX}, l.InZ, oy, ox, 1, c.Nu, false}}
+		return []stage{{layout{z: 1, ky: l.KY, kx: l.KX}, l.InZ, oy, ox, 1, c.Nu, false}}
 	case nn.Pointwise:
 		return []stage{{c.blockView(l.InZ), k, 1, oy * ox, 1, 1, false}}
 	case nn.FC:
@@ -98,6 +98,37 @@ func (s stage) loop(c Config) (rounds, tiles, groups, runs int64) {
 		int64(s.outY) * ceilDiv(int64(s.outX), int64(c.Nd)),
 		ceilDiv(int64(s.lay.z), int64(c.Nu)),
 		int64(s.lay.chunks(c.Nm) * s.passes)
+}
+
+// Stage is the read-only view of one stage of a layer's schedule: its
+// loop nest on the chip and the activations one step streams.
+type Stage struct {
+	// Kernels is the stage's kernel count; Pack kernels share a step.
+	Kernels, Pack int64
+	// Rounds, Tiles, Groups and Runs are the loop nest: kernel rounds,
+	// output tiles per kernel, channel groups of Nu, and tap-chunk
+	// passes per (tile, group). Their product is the stage's cycles.
+	Rounds, Tiles, Groups, Runs int64
+	// Inputs is the activation elements one step broadcasts to the
+	// PLCGs: per PLCU, the WavelengthsPerPLCU window a dense layout's
+	// Nd columns share, or Nm elements per column in use on the block
+	// layout.
+	Inputs int64
+}
+
+// Stages returns the view of every stage of l's schedule (none for
+// pooling).
+func (c Config) Stages(l nn.Layer) []Stage {
+	var v []Stage
+	for _, s := range c.schedule(l) {
+		rounds, tiles, groups, runs := s.loop(c)
+		perPLCU := int64(c.WavelengthsPerPLCU())
+		if s.lay.block {
+			perPLCU = int64(c.Nm) * int64(min(c.Nd, s.outX))
+		}
+		v = append(v, Stage{int64(s.kernels), int64(s.pack), rounds, tiles, groups, runs, int64(c.Nu) * perPLCU})
+	}
+	return v
 }
 
 // MapLayer schedules one layer and returns its cycle count. Pooling
@@ -135,17 +166,6 @@ func (c Config) ExpectedActivity(l nn.Layer) Activity {
 		a.ADCConversions += steps * nd
 	}
 	return a
-}
-
-// ActivePLCGs is the average number of PLCGs a layer's first stage
-// keeps busy over its kernel rounds, kernels/(rounds*pack), or 0 for
-// a layer without stages.
-func (c Config) ActivePLCGs(l nn.Layer) float64 {
-	if s := c.schedule(l); len(s) > 0 && s[0].kernels > 0 {
-		rounds, _, _, _ := s[0].loop(c)
-		return float64(s[0].kernels) / float64(rounds) / float64(s[0].pack)
-	}
-	return 0
 }
 
 // ModelMapping is the full schedule of a network.

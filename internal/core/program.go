@@ -34,8 +34,13 @@ import (
 // receptive-field layout (Algorithm 2): z channels per kernel, each a
 // ky x kx tap footprint. Dense conv runs {Z, KY, KX} and depthwise
 // {1, KY, KX}; the block layout (pointwise, FC, GEMM, live-tap conv)
-// runs its n-element kernels as {ceil(n/Nm), Nm, 1} (see blockView).
-type layout struct{ z, ky, kx int }
+// runs its n-element kernels as {ceil(n/Nm), Nm, 1} (see blockView),
+// marked block: its Nm taps are Nm distinct elements per column, not a
+// window the Nd columns share.
+type layout struct {
+	z, ky, kx int
+	block     bool
+}
 
 // chunks is the number of tap chunks per channel, ceil(ky*kx/Nm): the
 // "additional cycles" a kernel larger than the PLCU requires (Section

@@ -233,7 +233,7 @@ func (c *Chip) blockLayer(sp *obs.Span, data []float64, npix int, w *tensor.Kern
 // blockView is the block layout of n-element kernels: ceil(n/Nm)
 // channels of an Nm x 1 footprint.
 func (c Config) blockView(n int) layout {
-	return layout{z: (n + c.Nm - 1) / c.Nm, ky: c.Nm, kx: 1}
+	return layout{z: (n + c.Nm - 1) / c.Nm, ky: c.Nm, kx: 1, block: true}
 }
 
 // FullyConnectedShard executes the shard's neuron slice of an FC

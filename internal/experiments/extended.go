@@ -9,7 +9,6 @@ import (
 	"albireo/internal/nn"
 	"albireo/internal/obs"
 	"albireo/internal/perf"
-	"albireo/internal/sim"
 	"albireo/internal/tensor"
 	"albireo/internal/units"
 	"albireo/internal/waveform"
@@ -32,10 +31,10 @@ type DataflowRow struct {
 func DataflowComparison() []DataflowRow {
 	var rows []DataflowRow
 	for _, m := range nn.Benchmarks() {
-		df, ws := sim.Compare(core.DefaultConfig(), m)
+		df, ws := perf.Compare(core.DefaultConfig(), m)
 		rows = append(rows,
-			DataflowRow{m.Name, sim.DepthFirst.String(), df.Cycles, float64(df.Traffic) / units.Mega, df.SRAMEnergy * units.Mega},
-			DataflowRow{m.Name, sim.WeightStationary.String(), ws.Cycles, float64(ws.Traffic) / units.Mega, ws.SRAMEnergy * units.Mega},
+			DataflowRow{m.Name, perf.DepthFirst.String(), df.Cycles, float64(df.Traffic) / units.Mega, df.SRAMEnergy * units.Mega},
+			DataflowRow{m.Name, perf.WeightStationary.String(), ws.Cycles, float64(ws.Traffic) / units.Mega, ws.SRAMEnergy * units.Mega},
 		)
 	}
 	return rows
@@ -149,7 +148,7 @@ type FeasibilityRow struct {
 func FeasibilityReport() []FeasibilityRow {
 	var rows []FeasibilityRow
 	for _, m := range nn.Benchmarks() {
-		mf := sim.CheckModel(core.DefaultConfig(), m)
+		mf := perf.CheckModel(core.DefaultConfig(), m)
 		rows = append(rows, FeasibilityRow{
 			Model:         m.Name,
 			Layers:        len(mf.Layers),

@@ -9,7 +9,7 @@ import (
 	"albireo/internal/core"
 	"albireo/internal/device"
 	"albireo/internal/nn"
-	"albireo/internal/sim"
+	"albireo/internal/perf"
 	"albireo/internal/units"
 )
 
@@ -56,7 +56,7 @@ func All() []Experiment {
 		entry("workloads", func() []WorkloadRow { return WorkloadZoo(cfg) }, FormatWorkloads),
 		entry("link", LinkBudgets, FormatLink),
 		entry("feasibility", FeasibilityReport, FormatFeasibility),
-		entry("tiling", func() sim.ModelTiling { return sim.PlanModel(cfg, nn.VGG16()) }, func(t sim.ModelTiling) string {
+		entry("tiling", func() perf.ModelTiling { return perf.PlanModel(cfg, nn.VGG16()) }, func(t perf.ModelTiling) string {
 			return "Off-chip row-band tiling (20 pJ/B DRAM)\n" + t.String() + "\n"
 		}),
 		entry("isi", ISISweep, FormatISI),

@@ -129,9 +129,6 @@ type Options struct {
 	// reduced to the surviving PLCU count - instead of draining it.
 	// The default (false) drains the whole worker on any finding.
 	KeepDegraded bool
-	// Health tunes the BIST probes used for startup scans and
-	// re-probes (zero value: health.DefaultOptions).
-	Health health.Options
 	// Shard fans eligible requests (dense convolutions, fully-connected
 	// layers, and GEMM-family products) out across the in-service pool
 	// as kernel-group sub-requests: each worker programs and executes
@@ -340,7 +337,7 @@ func New(opt Options, units ...Unit) (*Scheduler, error) {
 			shardGroups: int64(core.DefaultConfig().Ng),
 		}
 		if u.Chip != nil {
-			w.eng = health.New(u.Chip, s.opt.Health)
+			w.eng = health.New(u.Chip, health.Options{})
 		}
 		s.workers = append(s.workers, w)
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"albireo/internal/fleet"
-	"albireo/internal/health"
 	"albireo/internal/inference"
 	"albireo/internal/journal"
 	"albireo/internal/nn"
@@ -39,7 +38,7 @@ func TestFleetGEMMMatchesLocalChip(t *testing.T) {
 	// stream before any request; the lone comparison chip needs the
 	// identical scan to stay bit-aligned.
 	lone := analogUnit(61)
-	fleet.StartupScan([]fleet.Unit{lone}, health.Options{})
+	fleet.StartupScan([]fleet.Unit{lone})
 	want := lone.Backend.GEMM(a, b, true)
 	if got.R != want.R || got.C != want.C {
 		t.Fatalf("shape %dx%d, want %dx%d", got.R, got.C, want.R, want.C)
@@ -162,7 +161,7 @@ func TestJournalReplayGEMMWorkloads(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildUnits (replay): %v", err)
 	}
-	fleet.StartupScan(rebuilt, health.Options{})
+	fleet.StartupScan(rebuilt)
 	res, err := journal.Replay(snap, &fleet.JournalExecutor{Units: rebuilt})
 	if err != nil {
 		t.Fatalf("Replay: %v", err)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"albireo/internal/fleet"
-	"albireo/internal/health"
 	"albireo/internal/journal"
 	"albireo/internal/obs"
 	"albireo/internal/tensor"
@@ -92,7 +91,7 @@ func TestJournalReplayBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildUnits (replay): %v", err)
 	}
-	fleet.StartupScan(rebuilt, health.Options{})
+	fleet.StartupScan(rebuilt)
 	res, err := journal.Replay(snap, &fleet.JournalExecutor{Units: rebuilt})
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
@@ -108,7 +107,7 @@ func TestJournalReplayBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildUnits (diverged): %v", err)
 	}
-	fleet.StartupScan(units3, health.Options{})
+	fleet.StartupScan(units3)
 	res, err = journal.Replay(snap, &fleet.JournalExecutor{Units: units3})
 	d, ok := journal.AsDivergence(err)
 	if !ok {

@@ -123,12 +123,12 @@ func InjectFaultSpecs(chip *core.Chip, cfg core.Config, specs string) error {
 // of the routing verdict). albireo-replay runs it before re-executing
 // journaled work so the rebuilt chips carry the same cycle, drift, and
 // quarantine state the recorded pool started serving with.
-func StartupScan(units []Unit, opt health.Options) {
+func StartupScan(units []Unit) {
 	for _, u := range units {
 		if u.Chip == nil {
 			continue
 		}
-		eng := health.New(u.Chip, opt)
+		eng := health.New(u.Chip, health.Options{})
 		if rep := eng.Scan(); !rep.Healthy() {
 			eng.QuarantineFindings(rep)
 		}
@@ -139,12 +139,12 @@ func StartupScan(units []Unit, opt health.Options) {
 // side effects) on a unit: clear quarantine so the scan sees every
 // PLCU, scan, and re-quarantine whatever is still faulty. Replay
 // invokes it for each journaled probe-driven drain/restore transition.
-func ProbeUnit(u Unit, opt health.Options) {
+func ProbeUnit(u Unit) {
 	if u.Chip == nil {
 		return
 	}
 	u.Chip.ClearQuarantine()
-	eng := health.New(u.Chip, opt)
+	eng := health.New(u.Chip, health.Options{})
 	if rep := eng.Scan(); !rep.Healthy() {
 		eng.QuarantineFindings(rep)
 	}
@@ -161,9 +161,6 @@ func ProbeUnit(u Unit, opt health.Options) {
 type JournalExecutor struct {
 	// Units is the rebuilt pool (BuildUnits output, after StartupScan).
 	Units []Unit
-	// Health tunes the replayed re-probe scans; the zero value matches
-	// a scheduler built with zero Options.Health.
-	Health health.Options
 	// merges holds the in-progress merge buffers of sharded requests,
 	// keyed by admit sequence (lazily initialized).
 	merges map[uint64]output
@@ -238,6 +235,6 @@ func (p *JournalExecutor) Probe(worker int) error {
 	if err != nil {
 		return err
 	}
-	ProbeUnit(u, p.Health)
+	ProbeUnit(u)
 	return nil
 }

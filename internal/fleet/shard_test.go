@@ -7,7 +7,6 @@ import (
 
 	"albireo/internal/core"
 	"albireo/internal/fleet"
-	"albireo/internal/health"
 	"albireo/internal/journal"
 	"albireo/internal/load"
 	"albireo/internal/obs"
@@ -378,7 +377,7 @@ func TestFleetShardedJournalReplay(t *testing.T) {
 	// ones fanned out over both workers.
 	replay := func(snap *journal.Snapshot, rebuilt []fleet.Unit) {
 		t.Helper()
-		fleet.StartupScan(rebuilt, health.Options{})
+		fleet.StartupScan(rebuilt)
 		res, err := journal.Replay(snap, &fleet.JournalExecutor{Units: rebuilt})
 		if err != nil {
 			t.Fatalf("Replay: %v", err)
@@ -414,7 +413,7 @@ func TestFleetShardedJournalReplay(t *testing.T) {
 	// worker 1 owns residues [5,9), so its kernels run on groups 5-8,
 	// and a fault in group 6 must diverge the merged hash.
 	perturbed := cloneUnits(2, 65, nil)
-	fleet.StartupScan(perturbed, health.Options{})
+	fleet.StartupScan(perturbed)
 	f := core.Fault{Kind: core.DetunedRing, Tap: 4, Column: 2, Value: 0.3}
 	if err := perturbed[1].Chip.InjectFault(6, 1, f); err != nil {
 		t.Fatalf("InjectFault: %v", err)

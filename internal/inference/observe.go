@@ -20,26 +20,25 @@ const MetricInferenceLayers = "albireo_inference_layers_total"
 // digital reference is the accuracy guard's (Guarded).
 type Observed struct {
 	Backend Backend
-	Reg     *obs.Registry
 	Trace   *obs.Trace
+	// Layer counters by kind, resolved once by Observe (nil: inert).
+	convs, fcs, gemms *obs.Counter
 }
 
 // Observe wraps b with the given instruments. Either may be nil.
 func Observe(b Backend, reg *obs.Registry, trace *obs.Trace) *Observed {
-	return &Observed{Backend: b, Reg: reg, Trace: trace}
+	counter := func(kind string) *obs.Counter {
+		return reg.Counter(MetricInferenceLayers, obs.L("kind", kind), obs.L("backend", b.Name()))
+	}
+	return &Observed{Backend: b, Trace: trace, convs: counter("conv"), fcs: counter("fc"), gemms: counter("gemm")}
 }
 
 // Name implements Backend.
 func (o *Observed) Name() string { return o.Backend.Name() }
 
-func (o *Observed) count(kind string) {
-	o.Reg.Counter(MetricInferenceLayers,
-		obs.L("kind", kind), obs.L("backend", o.Backend.Name())).Inc()
-}
-
 // Conv implements Backend.
 func (o *Observed) Conv(a *tensor.Volume, w *tensor.Kernels, cfg tensor.ConvConfig, relu bool) *tensor.Volume {
-	o.count("conv")
+	o.convs.Inc()
 	sp := o.Trace.StartSpan("inference/conv",
 		obs.String("backend", o.Backend.Name()),
 		obs.String("input", fmt.Sprintf("%dx%dx%d", a.Z, a.Y, a.X)),
@@ -51,7 +50,7 @@ func (o *Observed) Conv(a *tensor.Volume, w *tensor.Kernels, cfg tensor.ConvConf
 
 // FullyConnected implements Backend.
 func (o *Observed) FullyConnected(a *tensor.Volume, w *tensor.Kernels, relu bool) []float64 {
-	o.count("fc")
+	o.fcs.Inc()
 	sp := o.Trace.StartSpan("inference/fc",
 		obs.String("backend", o.Backend.Name()),
 		obs.String("input", fmt.Sprintf("%dx%dx%d", a.Z, a.Y, a.X)),
@@ -63,7 +62,7 @@ func (o *Observed) FullyConnected(a *tensor.Volume, w *tensor.Kernels, relu bool
 
 // GEMM implements Backend.
 func (o *Observed) GEMM(a, b *tensor.Matrix, relu bool) *tensor.Matrix {
-	o.count("gemm")
+	o.gemms.Inc()
 	sp := o.Trace.StartSpan("inference/gemm",
 		obs.String("backend", o.Backend.Name()),
 		obs.String("a", fmt.Sprintf("%dx%d", a.R, a.C)),

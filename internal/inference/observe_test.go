@@ -75,6 +75,25 @@ func TestObservedNilInstruments(t *testing.T) {
 	}
 }
 
+func TestObservedCountersDoNotAllocate(t *testing.T) {
+	t.Parallel()
+	// Observe resolves one counter per kind, so counting a served
+	// layer neither looks the series up nor builds the guarded name.
+	reg := obs.NewRegistry()
+	ob := Observe(Guard(Exact{}, Exact{}, 0), reg, nil)
+	const runs = 10
+	if allocs := testing.AllocsPerRun(runs, func() { ob.convs.Inc(); ob.fcs.Inc(); ob.gemms.Inc() }); allocs != 0 {
+		t.Errorf("counting a layer allocates %v times", allocs)
+	}
+	s := reg.Snapshot()
+	for _, kind := range []string{"conv", "fc", "gemm"} {
+		// AllocsPerRun adds one warm-up call.
+		if got := s.Counters[MetricInferenceLayers+`{backend="guarded(exact)",kind="`+kind+`"}`]; got != runs+1 {
+			t.Errorf("%s layer count = %d, want %d: %v", kind, got, runs+1, s.Counters)
+		}
+	}
+}
+
 func TestRMS(t *testing.T) {
 	t.Parallel()
 	if rms(nil, nil) != 0 || rms([]float64{1}, []float64{1, 2}) != 0 {

@@ -60,7 +60,7 @@ func TestDeterminismOutOfScope(t *testing.T) {
 
 func TestObsDeterminismGolden(t *testing.T) {
 	t.Parallel()
-	got := fixture(t, "obsdeterminism.go", "internal/sim/fixture.go", []*Rule{ObsDeterminism()})
+	got := fixture(t, "obsdeterminism.go", "internal/perf/fixture.go", []*Rule{ObsDeterminism()})
 	assertFindings(t, got, []string{
 		"11: [obs-determinism] time.Now() at an instrumentation site; record simulation cycles or event counts, and take wall time only from an injected obs.Clock at the cmd boundary",
 		"12: [obs-determinism] time.Since() reads the wall clock; telemetry must be cycle-denominated (use obs.Span.EndAt with a cycle stamp, or an injected obs.Clock at the cmd boundary)",
@@ -76,7 +76,7 @@ func TestObsDeterminismOutOfScope(t *testing.T) {
 	for _, rel := range []string{
 		"cmd/albireo-serve/main.go",
 		"internal/obs/clock.go",
-		"internal/sim/fixture_test.go",
+		"internal/perf/fixture_test.go",
 		"internal/lint/fixture.go",
 	} {
 		if got := fixture(t, "obsdeterminism.go", rel, []*Rule{ObsDeterminism()}); len(got) != 0 {

@@ -79,7 +79,6 @@ var physicsPackages = []string{
 	"internal/memory",
 	"internal/perf",
 	"internal/baseline",
-	"internal/sim",
 	"internal/control",
 	"internal/core",
 	"internal/experiments",

@@ -32,41 +32,34 @@ type HTTPConfig struct {
 	Duration time.Duration
 	// Seed seeds the arrival process.
 	Seed int64
-	// InZ and InSize must match the served model's input shape
-	// (defaults 3 and 8, the albireo-serve defaults).
-	InZ, InSize int
 	// Clock supplies wall time; required.
 	Clock obs.Clock
-	// Client issues the requests (default: a fresh http.Client).
-	Client *http.Client
 	// MaxRetries bounds per-request retries of transient transport
 	// errors - dials refused or connections reset while a server
-	// restarts - with capped exponential backoff. 0 uses
-	// DefaultMaxRetries; negative disables retrying. Application
-	// responses (including 503 sheds) are never retried: the server
-	// answered.
+	// restarts - with capped exponential backoff: attempt k waits
+	// RetryBase<<k, capped at RetryCap. 0 uses DefaultMaxRetries;
+	// negative disables retrying. Application responses (including 503
+	// sheds) are never retried: the server answered.
 	MaxRetries int
-	// RetryBase is the first backoff interval (default
-	// DefaultRetryBase); attempt k waits RetryBase<<k, capped at
-	// RetryCap.
-	RetryBase time.Duration
-	// RetryCap caps the backoff interval (default DefaultRetryCap).
-	RetryCap time.Duration
 	// Sleep pauses between retry attempts (default time.Sleep).
 	// Injected so tests drive the backoff deterministically without
 	// waiting it out.
 	Sleep func(time.Duration)
 }
 
-// Retry-policy defaults.
+// The retry policy.
 const (
 	// DefaultMaxRetries is the per-request transient-error retry bound.
 	DefaultMaxRetries = 3
-	// DefaultRetryBase is the first backoff interval.
-	DefaultRetryBase = 10 * time.Millisecond
-	// DefaultRetryCap bounds the exponential backoff.
-	DefaultRetryCap = 200 * time.Millisecond
+	// RetryBase is the first backoff interval.
+	RetryBase = 10 * time.Millisecond
+	// RetryCap bounds the exponential backoff.
+	RetryCap = 200 * time.Millisecond
 )
+
+// The request body is one zero volume of albireo-serve's default
+// input shape, serveZ x serveSize x serveSize.
+const serveZ, serveSize = 3, 12
 
 // HTTPResult aggregates one HTTP run.
 type HTTPResult struct {
@@ -99,29 +92,12 @@ func RunHTTP(ctx context.Context, cfg HTTPConfig) (HTTPResult, error) {
 	if cfg.Clock == nil {
 		return HTTPResult{}, errors.New("load: HTTPConfig.Clock is required")
 	}
-	if cfg.InZ <= 0 {
-		cfg.InZ = 3
-	}
-	if cfg.InSize <= 0 {
-		cfg.InSize = 8
-	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{}
-	}
+	client := &http.Client{}
 	maxRetries := cfg.MaxRetries
 	if maxRetries == 0 {
 		maxRetries = DefaultMaxRetries
 	} else if maxRetries < 0 {
 		maxRetries = 0
-	}
-	retryBase := cfg.RetryBase
-	if retryBase <= 0 {
-		retryBase = DefaultRetryBase
-	}
-	retryCap := cfg.RetryCap
-	if retryCap <= 0 {
-		retryCap = DefaultRetryCap
 	}
 	sleep := cfg.Sleep
 	if sleep == nil {
@@ -129,8 +105,8 @@ func RunHTTP(ctx context.Context, cfg HTTPConfig) (HTTPResult, error) {
 	}
 
 	body, err := json.Marshal(map[string]any{
-		"z": cfg.InZ, "y": cfg.InSize, "x": cfg.InSize,
-		"data": make([]float64, cfg.InZ*cfg.InSize*cfg.InSize),
+		"z": serveZ, "y": serveSize, "x": serveSize,
+		"data": make([]float64, serveZ*serveSize*serveSize),
 	})
 	if err != nil {
 		return HTTPResult{}, err
@@ -194,11 +170,7 @@ func RunHTTP(ctx context.Context, cfg HTTPConfig) (HTTPResult, error) {
 					return
 				}
 				retries.Add(1)
-				d := retryBase << attempt
-				if d > retryCap {
-					d = retryCap
-				}
-				sleep(d)
+				sleep(min(RetryBase<<attempt, RetryCap))
 			}
 		}(i, sched)
 	}

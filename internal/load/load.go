@@ -37,18 +37,8 @@ type Config struct {
 	Ticks int
 	// Seed seeds the arrival process and the workload tensors.
 	Seed int64
-	// MaxDrainTicks bounds the post-window drain (default 100000);
-	// exceeding it is an error, not a hang.
-	MaxDrainTicks int
-	// InZ and InSize shape the input volume (default 3 and 8).
-	InZ, InSize int
-	// KernelM and KernelSpatial shape the conv weights (default 4 and
-	// 3): KernelM output channels, KernelSpatial x KernelSpatial taps.
-	KernelM, KernelSpatial int
-	// Mix is how many distinct weight banks requests rotate through
-	// (default 2). Distinct banks cannot coalesce, so Mix > 1 keeps
-	// the micro-batcher honest instead of feeding it one giant key.
-	Mix int
+	// KernelM is the conv's output channel count (default 4).
+	KernelM int
 	// Shard turns on kernel-group fan-out: each conv splits across the
 	// pool at the residue-class boundary and merges, so a point
 	// measures single-inference scale-out latency instead of
@@ -56,28 +46,15 @@ type Config struct {
 	Shard bool
 }
 
-// withDefaults fills unset fields.
-func (c Config) withDefaults() Config {
-	if c.MaxDrainTicks <= 0 {
-		c.MaxDrainTicks = 100000
-	}
-	if c.InZ <= 0 {
-		c.InZ = 3
-	}
-	if c.InSize <= 0 {
-		c.InSize = 8
-	}
-	if c.KernelM <= 0 {
-		c.KernelM = 4
-	}
-	if c.KernelSpatial <= 0 {
-		c.KernelSpatial = 3
-	}
-	if c.Mix <= 0 {
-		c.Mix = 2
-	}
-	return c
-}
+// A point convolves one inZ x inSize x inSize input with taps x taps
+// kernels from mix weight banks that requests rotate through. Distinct
+// banks cannot coalesce, so mix > 1 keeps the micro-batcher honest
+// instead of feeding it one giant key. The post-window drain is
+// bounded by maxDrainTicks: exceeding it is an error, not a hang.
+const (
+	inZ, inSize, taps, mix = 3, 8, 3, 2
+	maxDrainTicks          = 100000
+)
 
 // Result is the raw outcome of one measurement point.
 type Result struct {
@@ -103,7 +80,9 @@ type Result struct {
 // seed-reproducible numbers - and the scheduler is private to the
 // point, so consecutive points never share queue state.
 func RunPoint(cfg Config, opt fleet.Options, units ...fleet.Unit) (Result, error) {
-	cfg = cfg.withDefaults()
+	if cfg.KernelM <= 0 {
+		cfg.KernelM = 4
+	}
 	if cfg.Rate <= 0 || cfg.Ticks <= 0 {
 		return Result{}, fmt.Errorf("load: need positive rate and ticks, got %g and %d", cfg.Rate, cfg.Ticks)
 	}
@@ -121,11 +100,10 @@ func RunPoint(cfg Config, opt fleet.Options, units ...fleet.Unit) (Result, error
 		return Result{}, err
 	}
 
-	in := tensor.RandomVolume(cfg.InZ, cfg.InSize, cfg.InSize, cfg.Seed)
-	weights := make([]*tensor.Kernels, cfg.Mix)
+	in := tensor.RandomVolume(inZ, inSize, inSize, cfg.Seed)
+	weights := make([]*tensor.Kernels, mix)
 	for i := range weights {
-		weights[i] = tensor.RandomKernels(cfg.KernelM, cfg.InZ,
-			cfg.KernelSpatial, cfg.KernelSpatial, cfg.Seed*100+int64(i))
+		weights[i] = tensor.RandomKernels(cfg.KernelM, inZ, taps, taps, cfg.Seed*100+int64(i))
 	}
 	conv := tensor.ConvConfig{Stride: 1, Pad: 1}
 
@@ -135,14 +113,14 @@ func RunPoint(cfg Config, opt fleet.Options, units ...fleet.Unit) (Result, error
 	var futures []*fleet.Future
 	for _, n := range arrivals {
 		for i := 0; i < n; i++ {
-			futures = append(futures, s.ConvAsync(ctx, in, weights[res.Issued%int64(cfg.Mix)], conv, true))
+			futures = append(futures, s.ConvAsync(ctx, in, weights[res.Issued%mix], conv, true))
 			res.Issued++
 		}
 		s.Tick()
 	}
 	for drained := 0; s.InFlight() > 0; drained++ {
-		if drained >= cfg.MaxDrainTicks {
-			return Result{}, fmt.Errorf("load: drain exceeded %d ticks with %d in flight", cfg.MaxDrainTicks, s.InFlight())
+		if drained >= maxDrainTicks {
+			return Result{}, fmt.Errorf("load: drain exceeded %d ticks with %d in flight", maxDrainTicks, s.InFlight())
 		}
 		s.Tick()
 	}

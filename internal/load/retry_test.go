@@ -60,10 +60,6 @@ func TestRunHTTPRetriesTransient(t *testing.T) {
 		Duration: 60 * time.Millisecond,
 		Seed:     9,
 		Clock:    obs.WallClock{},
-		// Connection reuse would let one good conn serve every request,
-		// hiding the flaky phase from later arrivals; a fresh dial per
-		// request keeps the fault injection honest.
-		Client: &http.Client{Transport: &http.Transport{DisableKeepAlives: true}},
 		Sleep: func(d time.Duration) {
 			mu.Lock()
 			slept = append(slept, d)
@@ -88,8 +84,8 @@ func TestRunHTTPRetriesTransient(t *testing.T) {
 		t.Fatalf("backoff sleeps = %d, want one per retry (%d)", len(slept), res.Retries)
 	}
 	for _, d := range slept {
-		if d < load.DefaultRetryBase || d > load.DefaultRetryCap {
-			t.Fatalf("backoff %v outside [%v, %v]", d, load.DefaultRetryBase, load.DefaultRetryCap)
+		if d < load.RetryBase || d > load.RetryCap {
+			t.Fatalf("backoff %v outside [%v, %v]", d, load.RetryBase, load.RetryCap)
 		}
 	}
 }
@@ -117,7 +113,6 @@ func TestRunHTTPRetryDisabled(t *testing.T) {
 		Seed:       9,
 		Clock:      obs.WallClock{},
 		MaxRetries: -1,
-		Client:     &http.Client{Transport: &http.Transport{DisableKeepAlives: true}},
 		Sleep: func(time.Duration) {
 			t.Error("Sleep called with retries disabled")
 		},

@@ -1,7 +1,9 @@
 // Package perf does the accounting of the Albireo evaluation (paper
 // Section IV): device census, chip power breakdown (Table III), area
 // breakdown (Figure 9), and per-model latency/energy/EDP/throughput
-// reporting (Table IV and Figure 8).
+// reporting (Table IV and Figure 8), and the memory side of the
+// schedule: SRAM traffic per dataflow, memory-system feasibility and
+// off-chip tiling.
 package perf
 
 import (

@@ -4,7 +4,6 @@ import (
 	"albireo/internal/core"
 	"albireo/internal/device"
 	"albireo/internal/nn"
-	"albireo/internal/sim"
 )
 
 // EnergyBreakdown refines the paper's flat energy accounting
@@ -14,7 +13,7 @@ import (
 //   - power gating: a layer whose final kernel pass fills only part of
 //     the Ng PLCGs (or whose depthwise schedule idles units) does not
 //     draw the idle groups' MRR/MZM/TIA/ADC power; and
-//   - data movement: SRAM traffic energy from the dataflow simulator is
+//   - data movement: SRAM traffic energy from the traffic model is
 //     added explicitly (the paper buries it in the 0.03 W cache row).
 //
 // The flat model remains the reproduction target for Table IV; this
@@ -76,16 +75,14 @@ func EvaluateEnergy(cfg core.Config, model nn.Model) EnergyBreakdown {
 		latency += t
 		flat += flatPower * t
 
-		// Average active PLCGs over the layer's kernel passes: full
-		// passes use all Ng, the last the kernel remainder.
-		active := cfg.ActivePLCGs(l)
-		if active <= 0 || active > float64(cfg.Ng) {
-			active = float64(cfg.Ng)
-		}
+		// Average active PLCGs over the first stage's kernel rounds:
+		// full rounds use all Ng, the last the kernel remainder.
+		s := cfg.Stages(l)[0]
+		active := float64(s.Kernels) / float64(s.Rounds) / float64(s.Pack)
 		gated += (floor + group*active) * t
 	}
 
-	traffic := sim.SimulateModel(cfg, sim.DepthFirst, model)
+	traffic := SimulateModel(cfg, DepthFirst, model)
 
 	return EnergyBreakdown{
 		Model:   model.Name,

@@ -1,4 +1,4 @@
-package sim
+package perf
 
 import (
 	"fmt"
@@ -16,8 +16,8 @@ import (
 // architecture needs.
 type Feasibility struct {
 	Layer nn.Layer
-	// KernelBytes is the largest single-kernel working set a PLCG must
-	// hold (one kernel per PLCG at a time).
+	// KernelBytes is the weights a PLCG holds at a time: one kernel, or
+	// the Nu kernels a depthwise step packs.
 	KernelBytes int64
 	// KernelCacheFits reports whether it fits the 16 kB cache.
 	KernelCacheFits bool
@@ -50,23 +50,14 @@ func CheckLayer(cfg core.Config, l nn.Layer) Feasibility {
 	gb := memory.GlobalBuffer()
 	kc := memory.KernelCache()
 
-	// One kernel's weights (8-bit) per PLCG.
-	switch l.Kind {
-	case nn.Depthwise:
-		f.KernelBytes = int64(l.KY) * int64(l.KX) * int64(cfg.Nu)
-	case nn.FC:
-		f.KernelBytes = int64(l.InZ) * int64(l.InY) * int64(l.InX)
-	default:
-		depth := int64(l.InZ)
-		if l.Groups > 1 {
-			depth /= int64(l.Groups)
-		}
-		f.KernelBytes = int64(l.KY) * int64(l.KX) * depth
-	}
+	// A step's kernels: the first stage packs Pack kernels of
+	// Params/Kernels 8-bit weights each.
+	first := cfg.Stages(l)[0]
+	f.KernelBytes = l.Params() / first.Kernels * first.Pack * weightBytes
 	f.KernelCacheFits = f.KernelBytes <= int64(kc.CapacityBytes)
 
-	// Streaming rates: the per-cycle operand footprints of the
-	// dataflow simulator at the modulation rate.
+	// Streaming rates: the traffic model's per-step operand footprints
+	// at the modulation rate.
 	st := SimulateLayer(cfg, DepthFirst, l)
 	if st.Cycles > 0 {
 		cycleTime := 1 / rate

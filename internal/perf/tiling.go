@@ -1,4 +1,4 @@
-package sim
+package perf
 
 import (
 	"fmt"
@@ -41,10 +41,10 @@ func (p TilingPlan) Fits() bool { return p.Tiles <= 1 && p.DRAMReadBytes == 0 }
 // PlanTiling computes the row-band tiling of one layer against the
 // global buffer (double-buffered: half the capacity holds the live
 // input band). Layers that fit keep everything on chip and incur no
-// DRAM traffic; FC layers never tile (their activations are small).
+// DRAM traffic.
 func PlanTiling(cfg core.Config, l nn.Layer) TilingPlan {
 	p := TilingPlan{Layer: l, Tiles: 1, TileRows: l.OutY()}
-	if !l.HasMACs() || l.Kind == nn.FC {
+	if !l.HasMACs() {
 		return p
 	}
 	buffer := int64(memory.GlobalBuffer().CapacityBytes)

@@ -1,4 +1,4 @@
-package sim
+package perf
 
 import (
 	"math"
@@ -10,14 +10,14 @@ import (
 )
 
 func TestCyclesMatchAnalyticMapping(t *testing.T) {
-	// The schedule walker and the analytic mapping model must agree
-	// exactly on cycle counts for every benchmark layer.
+	// The traffic model walks the schedule MapLayer prices: the two
+	// agree exactly on cycle counts for every benchmark layer.
 	cfg := core.DefaultConfig()
 	for _, m := range nn.Benchmarks() {
 		mapping := cfg.MapModel(m)
 		stats := SimulateModel(cfg, DepthFirst, m)
 		if stats.Cycles != mapping.TotalCycles {
-			t.Errorf("%s: sim %d cycles, mapping %d", m.Name, stats.Cycles, mapping.TotalCycles)
+			t.Errorf("%s: traffic model %d cycles, mapping %d", m.Name, stats.Cycles, mapping.TotalCycles)
 		}
 	}
 }
@@ -98,6 +98,30 @@ func TestOutputBytesMatchActivations(t *testing.T) {
 	fc := nn.Layer{Kind: nn.FC, InZ: 512, InY: 1, InX: 1, OutZ: 1000, KY: 1, KX: 1}
 	if got := SimulateLayer(cfg, DepthFirst, fc).OutputBytes; got != 1000 {
 		t.Errorf("FC output bytes = %d, want 1000", got)
+	}
+}
+
+func TestInputBytesCountEveryStage(t *testing.T) {
+	// An LSTM streams x and then h; attention streams Q/K and then the
+	// softmax scores. Each stage's steps broadcast Nu*Nm elements per
+	// column in use (default design: Nu=3, Nm=9, Nd=5, Ng=9).
+	cfg := core.DefaultConfig()
+	for _, c := range []struct {
+		name string
+		l    nn.Layer
+		want int64
+	}{
+		// 18 inputs, 9 cells, 4 timesteps: each stage is 36 kernels in
+		// 4 rounds x 4 one-column tiles x 1 group x 2 sign passes = 32
+		// steps of 27 elements.
+		{"lstm", nn.Layer{Kind: nn.LSTMCell, InZ: 18, InY: 1, InX: 4, OutZ: 9, KY: 1, KX: 1}, 2 * 32 * 27},
+		// d=9, t=5: QK^T runs 2 sign passes and AV 1, each one step of
+		// 5 columns, 135 elements.
+		{"attention", nn.Layer{Kind: nn.AttentionBlock, InZ: 9, InY: 1, InX: 5, OutZ: 9, KY: 1, KX: 1}, (2 + 1) * 135},
+	} {
+		if got := SimulateLayer(cfg, DepthFirst, c.l).InputBytes; got != c.want {
+			t.Errorf("%s: input bytes %d, want %d", c.name, got, c.want)
+		}
 	}
 }
 

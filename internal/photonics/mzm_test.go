@@ -70,41 +70,6 @@ func TestMZMMultiplyMonotone(t *testing.T) {
 	}
 }
 
-func TestMZMMultiplyWDM(t *testing.T) {
-	// One MZM multiplies every wavelength by the same weight
-	// (Figure 2b) - the parameter-sharing primitive.
-	m := NewMZM()
-	in := []float64{1e-3, 2e-3, 0, 5e-4}
-	out := m.MultiplyWDM(in, 0.5)
-	if len(out) != len(in) {
-		t.Fatal("WDM output length mismatch")
-	}
-	scale := out[0] / in[0]
-	for i := range in {
-		if in[i] == 0 {
-			if out[i] != 0 {
-				t.Error("zero channel should stay zero")
-			}
-			continue
-		}
-		if math.Abs(out[i]/in[i]-scale) > 1e-12 {
-			t.Error("all channels must see the identical weight")
-		}
-	}
-}
-
-func TestYBranchSplit(t *testing.T) {
-	y := NewYBranch()
-	a, b := y.Split(1e-3)
-	if a != b {
-		t.Error("Y-branch arms should be balanced")
-	}
-	want := 0.5e-3 * units.LossDBToTransmission(0.3)
-	if math.Abs(a-want) > 1e-15 {
-		t.Errorf("split power %g, want %g", a, want)
-	}
-}
-
 func TestBroadcastTree(t *testing.T) {
 	y := NewYBranch()
 	// One output: passthrough.
@@ -122,28 +87,9 @@ func TestBroadcastTree(t *testing.T) {
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("9-way broadcast per-output power = %g, want %g", got, want)
 	}
-	// 2-way equals a single split.
-	a, _ := y.Split(1)
-	if math.Abs(y.BroadcastTree(1, 2)-a) > 1e-15 {
-		t.Error("2-way tree should equal one Y-branch")
-	}
-}
-
-func TestStarCouplerMulticast(t *testing.T) {
-	s := NewStarCoupler(7, 3)
-	in := []float64{1, 2, 3, 4, 5, 6, 7}
-	out := s.Multicast(in)
-	if len(out) != 3 {
-		t.Fatal("should have Out rows")
-	}
-	per := units.LossDBToTransmission(1.3) / 3
-	for o := range out {
-		for i := range in {
-			want := in[i] * per
-			if math.Abs(out[o][i]-want) > 1e-12 {
-				t.Errorf("out[%d][%d] = %g, want %g", o, i, out[o][i], want)
-			}
-		}
+	// 2-way is a single split: half the power, one excess loss.
+	if want := 0.5 * units.LossDBToTransmission(0.3); math.Abs(y.BroadcastTree(1, 2)-want) > 1e-15 {
+		t.Errorf("2-way broadcast per-output power = %g, want %g", y.BroadcastTree(1, 2), want)
 	}
 }
 
@@ -195,41 +141,6 @@ func TestWaveguideAmplitudeVsPower(t *testing.T) {
 
 // No binary uses the declarations below; they live with the tests
 // that check them.
-
-// MultiplyWDM multiplies every channel power in pins by the same weight
-// w, writing results into a new slice. This models the MZM's
-// wavelength-independent operation across a WDM bundle (Figure 2b).
-func (m MZM) MultiplyWDM(pins []float64, w float64) []float64 {
-	out := make([]float64, len(pins))
-	loss := units.LossDBToTransmission(m.InsertionLossDB)
-	tf := m.Transfer(m.PhaseForWeight(w)) * loss
-	for i, p := range pins {
-		out[i] = p * tf
-	}
-	return out
-}
-
-// Split returns the power on each of the two output arms.
-func (y YBranch) Split(pin float64) (a, b float64) {
-	out := pin / 2 * units.LossDBToTransmission(y.ExcessLossDB)
-	return out, out
-}
-
-// Multicast distributes each input channel to every output port. The
-// result is indexed [output][input] and contains the per-port power of
-// each wavelength after the split. All inputs carry distinct
-// wavelengths, so powers never interfere.
-func (s StarCoupler) Multicast(pins []float64) [][]float64 {
-	out := make([][]float64, s.Out)
-	for o := range out {
-		row := make([]float64, len(pins))
-		for i, p := range pins {
-			row[i] = s.PerOutputPower(p)
-		}
-		out[o] = row
-	}
-	return out
-}
 
 // StraightWaveguide returns the Table II straight waveguide
 // (500x220 nm, 1.5 dB/cm).
