@@ -55,6 +55,9 @@
 #              detuned worker serving degraded (metrics in fleet.out,
 #              archived by CI); fails if fleet.out has an
 #              albireo_sim_, albireo_sram_ or albireo_cache_ series
+#   shard      the same sweep with every layer sharded across both
+#              chips, journaled and replayed bit-for-bit (log in
+#              shard.out, archived by CI)
 #   health     per-worker BIST scan of the default pool (report lands
 #              in health.out, archived by CI)
 #   journal    record a seeded sweep into a hash-chained journal, then

@@ -132,18 +132,26 @@ func TestEndToEndJournalServe(t *testing.T) {
 		t.Fatalf("X-Albireo-Seq = %q (%v), want a positive admit seq", resp.Header.Get("X-Albireo-Seq"), err)
 	}
 
-	jresp, err := http.Get(base + "/journal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	jbody, _ := io.ReadAll(jresp.Body)
-	jresp.Body.Close()
-	if jresp.StatusCode != http.StatusOK {
-		t.Fatalf("/journal: %d %s", jresp.StatusCode, jbody)
-	}
+	// The journal writes behind the response, so poll /journal until
+	// its durable head reaches the admit seq.
 	var st journal.Status
-	if err := json.Unmarshal(jbody, &st); err != nil {
-		t.Fatalf("/journal JSON: %v\n%s", err, jbody)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		jresp, err := http.Get(base + "/journal")
+		if err != nil {
+			t.Fatal(err)
+		}
+		jbody, _ := io.ReadAll(jresp.Body)
+		jresp.Body.Close()
+		if jresp.StatusCode != http.StatusOK {
+			t.Fatalf("/journal: %d %s", jresp.StatusCode, jbody)
+		}
+		st = journal.Status{}
+		if err := json.Unmarshal(jbody, &st); err != nil {
+			t.Fatalf("/journal JSON: %v\n%s", err, jbody)
+		}
+		if st.Degraded || st.HeadSeq >= uint64(seq) || time.Now().After(deadline) {
+			break
+		}
 	}
 	if st.Degraded || st.HeadSeq < uint64(seq) {
 		t.Fatalf("journal status = %+v, want healthy head at or past seq %d", st, seq)

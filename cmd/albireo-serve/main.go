@@ -190,7 +190,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 				case "gemm":
 					op = journal.OpGEMM
 				}
-				jrn.Record(journal.KindFallback, journal.EncodeFallback(journal.Fallback{Worker: worker, Op: op}))
+				jrn.Record(journal.KindFallback, journal.Encode(journal.Fallback{Worker: worker, Op: op}))
 			}
 		}
 	}

@@ -491,7 +491,7 @@ func (s *Scheduler) submit(ctx context.Context, req *request) *Future {
 	if s.queued.Load() >= int64(s.opt.QueueDepth) {
 		s.shed.Inc()
 		if j := s.opt.Journal; j != nil {
-			j.Record(journal.KindShed, journal.EncodeShed(journal.Shed{
+			j.Record(journal.KindShed, journal.Encode(journal.Shed{
 				Op: req.op.Op, Queued: s.queued.Load(),
 			}))
 		}
@@ -756,8 +756,8 @@ func opName(req *request) string {
 	return req.op.Op.String()
 }
 
-// Future is a pending submission. Exactly one of Volume or Logits
-// matches the submitted op kind.
+// Future is a pending submission. Exactly one of Volume, Logits or
+// Matrix matches the submitted op kind.
 type Future struct {
 	req *request
 	err error // admission failure; set instead of req

@@ -160,13 +160,13 @@ func TestJournalRecordsTransitions(t *testing.T) {
 	for _, rec := range snap.Records {
 		switch rec.Kind {
 		case journal.KindDrain:
-			tr, err := journal.DecodeTransition(rec.Payload)
+			tr, err := journal.Decode[journal.Transition](rec.Payload)
 			if err != nil {
 				t.Fatalf("drain payload: %v", err)
 			}
 			drains = append(drains, tr)
 		case journal.KindRestore:
-			tr, err := journal.DecodeTransition(rec.Payload)
+			tr, err := journal.Decode[journal.Transition](rec.Payload)
 			if err != nil {
 				t.Fatalf("restore payload: %v", err)
 			}
@@ -240,7 +240,7 @@ func TestJournalShedAndSeqs(t *testing.T) {
 	var sheds []journal.Shed
 	for _, rec := range snap.Records {
 		if rec.Kind == journal.KindShed {
-			sh, err := journal.DecodeShed(rec.Payload)
+			sh, err := journal.Decode[journal.Shed](rec.Payload)
 			if err != nil {
 				t.Fatalf("shed payload: %v", err)
 			}

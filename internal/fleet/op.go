@@ -74,11 +74,11 @@ func runWindow(sb ShardBackend, op *journal.Request, spec core.ShardSpec, out ou
 func (o output) hash() [32]byte {
 	switch {
 	case o.vol != nil:
-		return journal.HashVolume(o.vol)
+		return journal.Hash(o.vol.Data, o.vol.Z, o.vol.Y, o.vol.X)
 	case o.mat != nil:
-		return journal.HashMatrix(o.mat)
+		return journal.Hash(o.mat.Data, o.mat.R, o.mat.C)
 	default:
-		return journal.HashVector(o.vec)
+		return journal.Hash(o.vec, len(o.vec))
 	}
 }
 

@@ -67,12 +67,12 @@ func replayAdmit(units []Unit, payload []byte, window *core.ShardSpec) error {
 	worker := int64(0)
 	if window != nil {
 		worker = -1
-		recs = append(recs, journal.Record{Seq: 2, Kind: journal.KindShard, Payload: journal.EncodeShard(journal.ShardRec{
+		recs = append(recs, journal.Record{Seq: 2, Kind: journal.KindShard, Payload: journal.Encode(journal.ShardRec{
 			Admit: 1, Pos: int64(window.Pos), Count: int64(window.Count), Of: int64(window.Of),
 		})})
 	}
 	recs = append(recs, journal.Record{Seq: uint64(len(recs) + 1), Kind: journal.KindDeliver,
-		Payload: journal.EncodeDeliver(journal.Deliver{Admit: 1, Worker: worker})})
+		Payload: journal.Encode(journal.Deliver{Admit: 1, Worker: worker})})
 	_, err := journal.Replay(&journal.Snapshot{Records: recs}, &JournalExecutor{Units: units})
 	return err
 }

@@ -163,7 +163,7 @@ func (s *Scheduler) runShard(w *worker, req *request, last bool) int {
 	sp := req.sp
 	pjseq := sp.req.jseq
 	if j := s.opt.Journal; j != nil && pjseq >= 0 {
-		j.Record(journal.KindShard, journal.EncodeShard(journal.ShardRec{
+		j.Record(journal.KindShard, journal.Encode(journal.ShardRec{
 			Admit:  uint64(pjseq),
 			Worker: int64(w.id),
 			Pos:    int64(req.shard.Pos),

@@ -226,7 +226,7 @@ func TestFleetShardedDegradedPlacement(t *testing.T) {
 		if rec.Kind != journal.KindShard {
 			continue
 		}
-		sr, err := journal.DecodeShard(rec.Payload)
+		sr, err := journal.Decode[journal.ShardRec](rec.Payload)
 		if err != nil {
 			t.Fatalf("shard payload: %v", err)
 		}
@@ -396,7 +396,7 @@ func TestFleetShardedJournalReplay(t *testing.T) {
 		if rec.Kind != journal.KindDeliver {
 			continue
 		}
-		d, err := journal.DecodeDeliver(rec.Payload)
+		d, err := journal.Decode[journal.Deliver](rec.Payload)
 		if err != nil {
 			t.Fatalf("deliver payload: %v", err)
 		}

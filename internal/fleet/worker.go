@@ -176,7 +176,7 @@ func (s *Scheduler) runOne(w *worker, req *request, last bool) int {
 	if err := req.ctx.Err(); err != nil {
 		s.canceled.Inc()
 		if j := s.opt.Journal; j != nil && req.jseq >= 0 {
-			j.Record(journal.KindCancel, journal.EncodeCancel(journal.Cancel{Admit: uint64(req.jseq)}))
+			j.Record(journal.KindCancel, journal.Encode(journal.Cancel{Admit: uint64(req.jseq)}))
 		}
 		s.finishItem(w, last)
 		s.deliver(req, result{err: err})
@@ -210,7 +210,7 @@ func (s *Scheduler) finishItem(w *worker, last bool) {
 func (s *Scheduler) complete(req *request, worker, start int64, out output) {
 	s.completed.Inc()
 	if j := s.opt.Journal; j != nil && req.jseq >= 0 {
-		j.Record(journal.KindDeliver, journal.EncodeDeliver(journal.Deliver{
+		j.Record(journal.KindDeliver, journal.Encode(journal.Deliver{
 			Admit:  uint64(req.jseq),
 			Worker: worker,
 			Hash:   out.hash(),
@@ -299,7 +299,7 @@ func (s *Scheduler) applyReportLocked(w *worker, rep health.Report, probe bool) 
 // journalTransition records one drain/restore on the journal.
 func (s *Scheduler) journalTransition(kind journal.Kind, w *worker, findings int, probe bool) {
 	if j := s.opt.Journal; j != nil {
-		j.Record(kind, journal.EncodeTransition(journal.Transition{
+		j.Record(kind, journal.Encode(journal.Transition{
 			Worker:   int64(w.id),
 			Findings: int64(findings),
 			Probe:    probe,

@@ -29,7 +29,7 @@
 //     level-independence signature that distinguishes a stuck modulator
 //     from a ring fault.
 //
-// Probes are averaged over Options.Repeats cycles to ride out the
+// Probes are averaged over 16 cycles (repeats) to ride out the
 // shot/RIN/thermal noise of the receiver model; thresholds below are
 // calibrated against the default noise configuration. Probing drives
 // the real unit, so it advances the unit's modulation-cycle count and
@@ -57,41 +57,33 @@ const (
 	MetricFaultsDetected = "albireo_bist_faults_detected_total"
 )
 
-// Options tunes the probe schedule and classification thresholds.
-type Options struct {
-	// LevelHigh and LevelLow are the two probe weight amplitudes. They
-	// must be distinct so stuck modulators are separable from ring
-	// faults; the defaults probe at full scale and half scale.
-	LevelHigh, LevelLow float64
-	// Repeats averages each (tap, column, level) probe over this many
+// Options is the BIST engine's option set. It has no fields: the probe
+// schedule and classification thresholds are the constants below.
+type Options struct{}
+
+// The probe schedule and classification thresholds, calibrated for the
+// default noise configuration: 16-cycle averaging puts the probe noise
+// floor well under the 0.12/0.2 decision margins.
+const (
+	// levelHigh and levelLow are the two probe weight amplitudes, full
+	// and half scale. They must be distinct so stuck modulators are
+	// separable from ring faults.
+	levelHigh, levelLow = 1.0, 0.5
+	// repeats averages each (tap, column, level) probe over this many
 	// modulation cycles to suppress receiver noise.
-	Repeats int
-	// DeadThreshold is the normalized response at or below which a ring
+	repeats = 16
+	// deadThreshold is the normalized response at or below which a ring
 	// is classified dead.
-	DeadThreshold float64
-	// HealthyTolerance is the allowed |response - 1| of a normalized
+	deadThreshold = 0.12
+	// healthyTolerance is the allowed |response - 1| of a normalized
 	// high-level probe before a ring is classified detuned.
-	HealthyTolerance float64
-	// StuckRatioTolerance is the allowed deviation of the low/high
+	healthyTolerance = 0.2
+	// stuckRatioTolerance is the allowed deviation of the low/high
 	// normalized response ratio from the stuck-modulator signature
 	// (QuantizeWeight(high)/QuantizeWeight(low)) before the
 	// level-independence test rejects the stuck classification.
-	StuckRatioTolerance float64
-}
-
-// DefaultOptions returns thresholds calibrated for the default noise
-// configuration: 16-cycle averaging puts the probe noise floor well
-// under the 0.12/0.2 decision margins.
-func DefaultOptions() Options {
-	return Options{
-		LevelHigh:           1.0,
-		LevelLow:            0.5,
-		Repeats:             16,
-		DeadThreshold:       0.12,
-		HealthyTolerance:    0.2,
-		StuckRatioTolerance: 0.25,
-	}
-}
+	stuckRatioTolerance = 0.25
+)
 
 // Finding is one localized fault: the exact device coordinate, the
 // classified defect kind, and the estimated transfer parameter.
@@ -160,7 +152,6 @@ func (r Report) JSON() ([]byte, error) {
 // Engine drives BIST scans over one chip.
 type Engine struct {
 	chip *core.Chip
-	opt  Options
 
 	reg      *obs.Registry
 	trace    *obs.Trace
@@ -169,29 +160,9 @@ type Engine struct {
 	detected map[core.FaultKind]*obs.Counter
 }
 
-// New builds a BIST engine for the chip. Zero-valued options fall back
-// to DefaultOptions field by field.
-func New(chip *core.Chip, opt Options) *Engine {
-	def := DefaultOptions()
-	if opt.LevelHigh <= 0 {
-		opt.LevelHigh = def.LevelHigh
-	}
-	if opt.LevelLow <= 0 {
-		opt.LevelLow = def.LevelLow
-	}
-	if opt.Repeats <= 0 {
-		opt.Repeats = def.Repeats
-	}
-	if opt.DeadThreshold <= 0 {
-		opt.DeadThreshold = def.DeadThreshold
-	}
-	if opt.HealthyTolerance <= 0 {
-		opt.HealthyTolerance = def.HealthyTolerance
-	}
-	if opt.StuckRatioTolerance <= 0 {
-		opt.StuckRatioTolerance = def.StuckRatioTolerance
-	}
-	return &Engine{chip: chip, opt: opt}
+// New builds a BIST engine for the chip.
+func New(chip *core.Chip, _ Options) *Engine {
+	return &Engine{chip: chip}
 }
 
 // Instrument attaches an observability registry and/or trace. Either
@@ -262,29 +233,29 @@ func (e *Engine) scanUnit(cfg core.Config, ref core.UnitRef, unit *core.PLCU) ([
 		weights[tap] = level
 		avals[tap][col] = 1
 		var sum float64
-		for r := 0; r < e.opt.Repeats; r++ {
+		for r := 0; r < repeats; r++ {
 			sum += unit.DotInto(out, weights, avals)[col]
 			probes++
 		}
 		weights[tap] = 0
 		avals[tap][col] = 0
-		return sum / float64(e.opt.Repeats) / unit.QuantizeWeight(level)
+		return sum / float64(repeats) / unit.QuantizeWeight(level)
 	}
 
 	var findings []Finding
 	// stuckRatio is the low/high normalized response ratio a stuck
 	// modulator produces: the absolute response is level-independent,
 	// so dividing by the smaller quantized level inflates it.
-	stuckRatio := unit.QuantizeWeight(e.opt.LevelHigh) / unit.QuantizeWeight(e.opt.LevelLow)
+	stuckRatio := unit.QuantizeWeight(levelHigh) / unit.QuantizeWeight(levelLow)
 	hi := make([]float64, cfg.Nd)
 	lo := make([]float64, cfg.Nd)
 	for tap := 0; tap < cfg.Nm; tap++ {
 		var hiSum, loSum float64
 		lit := 0
 		for col := 0; col < cfg.Nd; col++ {
-			hi[col] = probe(tap, col, e.opt.LevelHigh)
-			lo[col] = probe(tap, col, e.opt.LevelLow)
-			if hi[col] > e.opt.DeadThreshold {
+			hi[col] = probe(tap, col, levelHigh)
+			lo[col] = probe(tap, col, levelLow)
+			if hi[col] > deadThreshold {
 				lit++
 				hiSum += hi[col]
 				loSum += lo[col]
@@ -302,25 +273,25 @@ func (e *Engine) scanUnit(cfg core.Config, ref core.UnitRef, unit *core.PLCU) ([
 			continue
 		}
 		ratio := loSum / hiSum
-		if ratio > stuckRatio-e.opt.StuckRatioTolerance && ratio < stuckRatio+e.opt.StuckRatioTolerance {
+		if ratio > stuckRatio-stuckRatioTolerance && ratio < stuckRatio+stuckRatioTolerance {
 			// Level-independent response across the lit columns: the tap's
 			// modulator is stuck. Its transfer is the mean absolute
 			// high-level response.
 			findings = append(findings, Finding{
 				Unit: ref, Kind: core.StuckMZM, KindName: core.StuckMZM.String(),
 				Tap: tap, Column: -1,
-				Value: clampUnit(hiSum / float64(lit) * unit.QuantizeWeight(e.opt.LevelHigh)),
+				Value: clampUnit(hiSum / float64(lit) * unit.QuantizeWeight(levelHigh)),
 			})
 			continue
 		}
 		for col := 0; col < cfg.Nd; col++ {
 			switch {
-			case hi[col] <= e.opt.DeadThreshold:
+			case hi[col] <= deadThreshold:
 				findings = append(findings, Finding{
 					Unit: ref, Kind: core.DeadRing, KindName: core.DeadRing.String(),
 					Tap: tap, Column: col, Value: 0,
 				})
-			case hi[col] < 1-e.opt.HealthyTolerance || hi[col] > 1+e.opt.HealthyTolerance:
+			case hi[col] < 1-healthyTolerance || hi[col] > 1+healthyTolerance:
 				findings = append(findings, Finding{
 					Unit: ref, Kind: core.DetunedRing, KindName: core.DetunedRing.String(),
 					Tap: tap, Column: col, Value: clampUnit(hi[col]),

@@ -23,6 +23,8 @@ type Observed struct {
 	Trace   *obs.Trace
 	// Layer counters by kind, resolved once by Observe (nil: inert).
 	convs, fcs, gemms *obs.Counter
+	// name is Backend.Name(), resolved once by Observe.
+	name string
 }
 
 // Observe wraps b with the given instruments. Either may be nil.
@@ -30,19 +32,22 @@ func Observe(b Backend, reg *obs.Registry, trace *obs.Trace) *Observed {
 	counter := func(kind string) *obs.Counter {
 		return reg.Counter(MetricInferenceLayers, obs.L("kind", kind), obs.L("backend", b.Name()))
 	}
-	return &Observed{Backend: b, Trace: trace, convs: counter("conv"), fcs: counter("fc"), gemms: counter("gemm")}
+	return &Observed{Backend: b, Trace: trace, convs: counter("conv"), fcs: counter("fc"), gemms: counter("gemm"), name: b.Name()}
 }
 
 // Name implements Backend.
-func (o *Observed) Name() string { return o.Backend.Name() }
+func (o *Observed) Name() string { return o.name }
 
 // Conv implements Backend.
 func (o *Observed) Conv(a *tensor.Volume, w *tensor.Kernels, cfg tensor.ConvConfig, relu bool) *tensor.Volume {
 	o.convs.Inc()
-	sp := o.Trace.StartSpan("inference/conv",
-		obs.String("backend", o.Backend.Name()),
-		obs.String("input", fmt.Sprintf("%dx%dx%d", a.Z, a.Y, a.X)),
-		obs.String("kernels", fmt.Sprintf("%dx%dx%dx%d", w.M, w.Z, w.Y, w.X)))
+	var sp *obs.Span
+	if o.Trace != nil {
+		sp = o.Trace.StartSpan("inference/conv",
+			obs.String("backend", o.name),
+			obs.String("input", fmt.Sprintf("%dx%dx%d", a.Z, a.Y, a.X)),
+			obs.String("kernels", fmt.Sprintf("%dx%dx%dx%d", w.M, w.Z, w.Y, w.X)))
+	}
 	out := o.Backend.Conv(a, w, cfg, relu)
 	sp.End()
 	return out
@@ -51,10 +56,13 @@ func (o *Observed) Conv(a *tensor.Volume, w *tensor.Kernels, cfg tensor.ConvConf
 // FullyConnected implements Backend.
 func (o *Observed) FullyConnected(a *tensor.Volume, w *tensor.Kernels, relu bool) []float64 {
 	o.fcs.Inc()
-	sp := o.Trace.StartSpan("inference/fc",
-		obs.String("backend", o.Backend.Name()),
-		obs.String("input", fmt.Sprintf("%dx%dx%d", a.Z, a.Y, a.X)),
-		obs.String("kernels", fmt.Sprintf("%dx%dx%dx%d", w.M, w.Z, w.Y, w.X)))
+	var sp *obs.Span
+	if o.Trace != nil {
+		sp = o.Trace.StartSpan("inference/fc",
+			obs.String("backend", o.name),
+			obs.String("input", fmt.Sprintf("%dx%dx%d", a.Z, a.Y, a.X)),
+			obs.String("kernels", fmt.Sprintf("%dx%dx%dx%d", w.M, w.Z, w.Y, w.X)))
+	}
 	out := o.Backend.FullyConnected(a, w, relu)
 	sp.End()
 	return out
@@ -63,10 +71,13 @@ func (o *Observed) FullyConnected(a *tensor.Volume, w *tensor.Kernels, relu bool
 // GEMM implements Backend.
 func (o *Observed) GEMM(a, b *tensor.Matrix, relu bool) *tensor.Matrix {
 	o.gemms.Inc()
-	sp := o.Trace.StartSpan("inference/gemm",
-		obs.String("backend", o.Backend.Name()),
-		obs.String("a", fmt.Sprintf("%dx%d", a.R, a.C)),
-		obs.String("b", fmt.Sprintf("%dx%d", b.R, b.C)))
+	var sp *obs.Span
+	if o.Trace != nil {
+		sp = o.Trace.StartSpan("inference/gemm",
+			obs.String("backend", o.name),
+			obs.String("a", fmt.Sprintf("%dx%d", a.R, a.C)),
+			obs.String("b", fmt.Sprintf("%dx%d", b.R, b.C)))
+	}
 	out := o.Backend.GEMM(a, b, relu)
 	sp.End()
 	return out

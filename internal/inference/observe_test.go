@@ -94,6 +94,26 @@ func TestObservedCountersDoNotAllocate(t *testing.T) {
 	}
 }
 
+func TestObservedUntracedAddsNoAllocations(t *testing.T) {
+	t.Parallel()
+	// With no trace attached, the wrapper formats no span attributes:
+	// each layer allocates exactly what the wrapped backend does.
+	a, w := tensor.RandomVolume(2, 4, 4, 1), tensor.RandomKernels(2, 2, 3, 3, 2)
+	ma, mb := tensor.RandomMatrix(2, 3, 3), tensor.RandomMatrix(3, 2, 4)
+	fw := tensor.RandomKernels(3, 2, 4, 4, 5)
+	layers := func(b Backend) func() {
+		return func() {
+			b.Conv(a, w, tensor.ConvConfig{Stride: 1, Pad: 1}, true)
+			b.FullyConnected(a, fw, false)
+			b.GEMM(ma, mb, false)
+		}
+	}
+	want := testing.AllocsPerRun(10, layers(Exact{}))
+	if got := testing.AllocsPerRun(10, layers(Observe(Exact{}, nil, nil))); got != want {
+		t.Errorf("untraced Observe(Exact{}) allocates %v times per conv+fc+gemm, Exact{} %v", got, want)
+	}
+}
+
 func TestRMS(t *testing.T) {
 	t.Parallel()
 	if rms(nil, nil) != 0 || rms([]float64{1}, []float64{1, 2}) != 0 {

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"encoding/hex"
 	"sync"
 	"sync/atomic"
 
@@ -324,22 +325,13 @@ type Status struct {
 	Degraded bool `json:"degraded"`
 }
 
-// hexDigits renders a hash nibble-by-nibble (avoiding fmt on this
-// path is not load-bearing; it just keeps the encoding canonical).
-const hexDigits = "0123456789abcdef"
-
 // Status snapshots the journal state.
 func (a *Async) Status() Status {
 	seq, hash := a.w.Head()
-	hh := make([]byte, 64)
-	for i, b := range hash {
-		hh[2*i] = hexDigits[b>>4]
-		hh[2*i+1] = hexDigits[b&0x0f]
-	}
 	return Status{
 		Dir:      a.w.Dir(),
 		HeadSeq:  seq,
-		HeadHash: string(hh),
+		HeadHash: hex.EncodeToString(hash[:]),
 		Enqueued: a.enqueued.Load(),
 		Dropped:  a.dropped.Load(),
 		Degraded: a.degraded.Load(),

@@ -29,6 +29,7 @@
 package journal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -288,15 +289,8 @@ func (e *encoder) bool(v bool) {
 	}
 }
 
-func (e *encoder) u32(v uint32) {
-	e.buf = append(e.buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func (e *encoder) u64(v uint64) {
-	e.buf = append(e.buf,
-		byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
+func (e *encoder) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
+func (e *encoder) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
 
 func (e *encoder) i64(v int64)   { e.u64(uint64(v)) }
 func (e *encoder) f64(v float64) { e.u64(math.Float64bits(v)) }
@@ -353,7 +347,7 @@ func (d *decoder) u32() uint32 {
 	if b == nil {
 		return 0
 	}
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
+	return binary.LittleEndian.Uint32(b)
 }
 
 func (d *decoder) u64() uint64 {
@@ -361,8 +355,7 @@ func (d *decoder) u64() uint64 {
 	if b == nil {
 		return 0
 	}
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+	return binary.LittleEndian.Uint64(b)
 }
 
 func (d *decoder) i64() int64   { return int64(d.u64()) }
@@ -385,9 +378,7 @@ func (d *decoder) f64s(n int) []float64 {
 	}
 	out := make([]float64, n)
 	for i := range out {
-		v := uint64(b[8*i]) | uint64(b[8*i+1])<<8 | uint64(b[8*i+2])<<16 | uint64(b[8*i+3])<<24 |
-			uint64(b[8*i+4])<<32 | uint64(b[8*i+5])<<40 | uint64(b[8*i+6])<<48 | uint64(b[8*i+7])<<56
-		out[i] = math.Float64frombits(v)
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -162,7 +163,7 @@ func OpenAppend(dir string, opt Options) (*Writer, Header, Recovery, error) {
 	w.nextSeq = sc.lastSeq + 1
 	w.head = sc.head
 	w.durable, w.durableHead = w.nextSeq, w.head
-	if _, err := w.Append(KindRestart, EncodeRestart(Restart{Recovered: rec.LastSeq, TruncatedBytes: rec.TruncatedBytes})); err != nil {
+	if _, err := w.Append(KindRestart, Encode(Restart{Recovered: rec.LastSeq, TruncatedBytes: rec.TruncatedBytes})); err != nil {
 		w.Close()
 		return nil, Header{}, Recovery{}, err
 	}
@@ -303,11 +304,7 @@ func appendFrame(buf []byte, seq uint64, kind Kind, chain [32]byte, payload []by
 	e.u8(uint8(kind))
 	e.buf = append(e.buf, chain[:]...)
 	e.buf = append(e.buf, payload...)
-	crc := crc32.ChecksumIEEE(e.buf[start+frameOverhead:])
-	e.buf[start+4] = byte(crc)
-	e.buf[start+5] = byte(crc >> 8)
-	e.buf[start+6] = byte(crc >> 16)
-	e.buf[start+7] = byte(crc >> 24)
+	binary.LittleEndian.PutUint32(e.buf[start+4:], crc32.ChecksumIEEE(e.buf[start+frameOverhead:]))
 	return e.buf
 }
 

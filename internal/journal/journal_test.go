@@ -47,12 +47,12 @@ func buildJournal(t *testing.T, opt Options) (string, uint64, [32]byte) {
 		payload []byte
 	}{
 		{KindAdmit, EncodeRequest(sampleRequest())},
-		{KindDeliver, EncodeDeliver(Deliver{Admit: 1, Worker: 0, Hash: HashVector([]float64{1, 2})})},
-		{KindShed, EncodeShed(Shed{Op: OpFC, Queued: 16})},
-		{KindDrain, EncodeTransition(Transition{Worker: 1, Findings: 2})},
-		{KindRestore, EncodeTransition(Transition{Worker: 1, Probe: true})},
-		{KindFallback, EncodeFallback(Fallback{Worker: 0, Op: OpConv})},
-		{KindCancel, EncodeCancel(Cancel{Admit: 1})},
+		{KindDeliver, Encode(Deliver{Admit: 1, Worker: 0, Hash: Hash([]float64{1, 2}, 2)})},
+		{KindShed, Encode(Shed{Op: OpFC, Queued: 16})},
+		{KindDrain, Encode(Transition{Worker: 1, Findings: 2})},
+		{KindRestore, Encode(Transition{Worker: 1, Probe: true})},
+		{KindFallback, Encode(Fallback{Worker: 0, Op: OpConv})},
+		{KindCancel, Encode(Cancel{Admit: 1})},
 	}
 	for i, r := range records {
 		seq, err := w.Append(r.kind, r.payload)
@@ -95,11 +95,11 @@ func TestCreateReadRoundTrip(t *testing.T) {
 		}
 	}
 	// Spot-check payload decoding survives the disk round trip.
-	sh, err := DecodeShed(snap.Records[3].Payload)
+	sh, err := Decode[Shed](snap.Records[3].Payload)
 	if err != nil || sh.Op != OpFC || sh.Queued != 16 {
 		t.Fatalf("shed payload = %+v, %v", sh, err)
 	}
-	tr, err := DecodeTransition(snap.Records[5].Payload)
+	tr, err := Decode[Transition](snap.Records[5].Payload)
 	if err != nil || tr.Worker != 1 || !tr.Probe {
 		t.Fatalf("restore payload = %+v, %v", tr, err)
 	}
@@ -215,7 +215,7 @@ func TestSegmentRotation(t *testing.T) {
 	}
 	const n = 64
 	for i := 0; i < n; i++ {
-		if _, err := w.Append(KindShed, EncodeShed(Shed{Op: OpConv, Queued: int64(i)})); err != nil {
+		if _, err := w.Append(KindShed, Encode(Shed{Op: OpConv, Queued: int64(i)})); err != nil {
 			t.Fatalf("Append %d: %v", i, err)
 		}
 	}
@@ -251,7 +251,7 @@ func TestOpenAppendCleanReopen(t *testing.T) {
 	if seq, _ := w.Head(); seq != lastSeq+1 {
 		t.Fatalf("head after reopen = %d, want restart at %d", seq, lastSeq+1)
 	}
-	if _, err := w.Append(KindShed, EncodeShed(Shed{Op: OpConv, Queued: 1})); err != nil {
+	if _, err := w.Append(KindShed, Encode(Shed{Op: OpConv, Queued: 1})); err != nil {
 		t.Fatalf("Append after reopen: %v", err)
 	}
 	if err := w.Close(); err != nil {
@@ -265,11 +265,11 @@ func TestOpenAppendCleanReopen(t *testing.T) {
 	if restart.Kind != KindRestart {
 		t.Fatalf("record %d kind = %v, want restart", lastSeq+1, restart.Kind)
 	}
-	r, err := DecodeRestart(restart.Payload)
+	r, err := Decode[Restart](restart.Payload)
 	if err != nil || r.Recovered != lastSeq || r.TruncatedBytes != 0 {
 		t.Fatalf("restart payload = %+v, %v", r, err)
 	}
-	ex := &replayExec{hashes: map[int]map[string][32]byte{0: {sampleRequest().Op.String(): HashVector([]float64{1, 2})}}}
+	ex := &replayExec{hashes: map[int]map[string][32]byte{0: {sampleRequest().Op.String(): Hash([]float64{1, 2}, 2)}}}
 	if res, err := Replay(snap, ex); err != nil || res.Restarts != 1 {
 		t.Fatalf("replay of the reopened journal: %+v, %v", res, err)
 	}
@@ -317,7 +317,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 	if rec.LastSeq != lastSeq-1 || rec.TruncatedBytes == 0 {
 		t.Fatalf("recovery = %+v, want last %d with a truncated tail", rec, lastSeq-1)
 	}
-	if _, err := w.Append(KindShed, EncodeShed(Shed{Op: OpConv, Queued: 3})); err != nil {
+	if _, err := w.Append(KindShed, Encode(Shed{Op: OpConv, Queued: 3})); err != nil {
 		t.Fatalf("Append after recovery: %v", err)
 	}
 	if err := w.Close(); err != nil {
@@ -334,7 +334,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 	if got := snap.Records[lastSeq].Kind; got != KindRestart {
 		t.Fatalf("record %d kind = %v, want restart", lastSeq, got)
 	}
-	r, err := DecodeRestart(snap.Records[lastSeq].Payload)
+	r, err := Decode[Restart](snap.Records[lastSeq].Payload)
 	if err != nil || r.Recovered != lastSeq-1 || r.TruncatedBytes == 0 {
 		t.Fatalf("restart payload = %+v, %v", r, err)
 	}
@@ -436,7 +436,7 @@ func TestAsyncAssignsSeqsAndDrains(t *testing.T) {
 	a := NewAsync(w, 8)
 	a.Start()
 	for i := 0; i < 5; i++ {
-		if seq := a.Record(KindShed, EncodeShed(Shed{Op: OpConv, Queued: int64(i)})); seq != int64(i+1) {
+		if seq := a.Record(KindShed, Encode(Shed{Op: OpConv, Queued: int64(i)})); seq != int64(i+1) {
 			t.Fatalf("Record %d: seq = %d, want %d", i, seq, i+1)
 		}
 	}
@@ -472,10 +472,10 @@ func TestAsyncBackpressureDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := NewAsync(w, 1) // writer goroutine deliberately not started
-	if seq := a.Record(KindShed, EncodeShed(Shed{})); seq != 1 {
+	if seq := a.Record(KindShed, Encode(Shed{})); seq != 1 {
 		t.Fatalf("first record seq = %d, want 1", seq)
 	}
-	if seq := a.Record(KindShed, EncodeShed(Shed{})); seq != -1 {
+	if seq := a.Record(KindShed, Encode(Shed{})); seq != -1 {
 		t.Fatalf("overflow record seq = %d, want -1 (dropped)", seq)
 	}
 	if !a.Degraded() {
@@ -484,7 +484,7 @@ func TestAsyncBackpressureDegrades(t *testing.T) {
 	// Degradation latches: capacity freeing up does not resume.
 	a.Start()
 	a.Drain()
-	if seq := a.Record(KindShed, EncodeShed(Shed{})); seq != -1 {
+	if seq := a.Record(KindShed, Encode(Shed{})); seq != -1 {
 		t.Fatalf("post-degradation record seq = %d, want -1", seq)
 	}
 	st := a.Status()
@@ -527,7 +527,7 @@ func (e *replayExec) FinishShard(admit uint64) ([32]byte, error) {
 }
 
 func TestReplayVerifiesAndDiverges(t *testing.T) {
-	okHash := HashVector([]float64{3, 1, 4})
+	okHash := Hash([]float64{3, 1, 4}, 3)
 	dir := t.TempDir()
 	w, err := Create(dir, testHeader(), Options{NoSync: true})
 	if err != nil {
@@ -543,11 +543,11 @@ func TestReplayVerifiesAndDiverges(t *testing.T) {
 		return seq
 	}
 	admit := mustAppend(KindAdmit, EncodeRequest(fc))
-	mustAppend(KindDeliver, EncodeDeliver(Deliver{Admit: admit, Worker: 1, Hash: okHash}))
-	mustAppend(KindDrain, EncodeTransition(Transition{Worker: 0, Findings: 1, Probe: true}))
-	mustAppend(KindRestore, EncodeTransition(Transition{Worker: 0, Probe: true}))
+	mustAppend(KindDeliver, Encode(Deliver{Admit: admit, Worker: 1, Hash: okHash}))
+	mustAppend(KindDrain, Encode(Transition{Worker: 0, Findings: 1, Probe: true}))
+	mustAppend(KindRestore, Encode(Transition{Worker: 0, Probe: true}))
 	admit2 := mustAppend(KindAdmit, EncodeRequest(fc))
-	divergeAt := mustAppend(KindDeliver, EncodeDeliver(Deliver{Admit: admit2, Worker: 0, Hash: okHash}))
+	divergeAt := mustAppend(KindDeliver, Encode(Deliver{Admit: admit2, Worker: 0, Hash: okHash}))
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -571,7 +571,7 @@ func TestReplayVerifiesAndDiverges(t *testing.T) {
 
 	// Worker 0 now produces different bits: the first divergent seq is
 	// its deliver record.
-	ex = &replayExec{hashes: map[int]map[string][32]byte{0: {"fc": HashVector([]float64{0})}, 1: {"fc": okHash}}}
+	ex = &replayExec{hashes: map[int]map[string][32]byte{0: {"fc": Hash([]float64{0}, 1)}, 1: {"fc": okHash}}}
 	res, err = Replay(snap, ex)
 	d, ok := AsDivergence(err)
 	if !ok {
@@ -600,10 +600,10 @@ func TestReplayDecodesEveryRecord(t *testing.T) {
 		return &Snapshot{Records: out}
 	}
 	res, err := Replay(snap(
-		Record{Kind: KindShed, Payload: EncodeShed(Shed{Op: OpConv, Queued: 3})},
-		Record{Kind: KindCancel, Payload: EncodeCancel(Cancel{Admit: 1})},
-		Record{Kind: KindFallback, Payload: EncodeFallback(Fallback{Worker: 1, Op: OpFC})},
-		Record{Kind: KindRestart, Payload: EncodeRestart(Restart{Recovered: 4})},
+		Record{Kind: KindShed, Payload: Encode(Shed{Op: OpConv, Queued: 3})},
+		Record{Kind: KindCancel, Payload: Encode(Cancel{Admit: 1})},
+		Record{Kind: KindFallback, Payload: Encode(Fallback{Worker: 1, Op: OpFC})},
+		Record{Kind: KindRestart, Payload: Encode(Restart{Recovered: 4})},
 	), &replayExec{})
 	if err != nil || res.Sheds != 1 || res.Cancels != 1 || res.Fallbacks != 1 || res.Restarts != 1 {
 		t.Fatalf("well-formed records: %+v, %v", res, err)
@@ -612,9 +612,9 @@ func TestReplayDecodesEveryRecord(t *testing.T) {
 		"short shed":          {Kind: KindShed, Payload: []byte{1}},
 		"empty cancel":        {Kind: KindCancel},
 		"short fallback":      {Kind: KindFallback, Payload: []byte{9, 9}},
-		"cancel of no admit":  {Kind: KindCancel, Payload: EncodeCancel(Cancel{Admit: 7})},
+		"cancel of no admit":  {Kind: KindCancel, Payload: Encode(Cancel{Admit: 7})},
 		"short restart":       {Kind: KindRestart, Payload: []byte{1}},
-		"restart off its seq": {Kind: KindRestart, Payload: EncodeRestart(Restart{Recovered: 9})},
+		"restart off its seq": {Kind: KindRestart, Payload: Encode(Restart{Recovered: 9})},
 	} {
 		if _, err := Replay(snap(rec), &replayExec{}); err == nil {
 			t.Errorf("%s: replay accepted it", name)
@@ -624,14 +624,14 @@ func TestReplayDecodesEveryRecord(t *testing.T) {
 
 func TestShardRecordRoundTrip(t *testing.T) {
 	in := ShardRec{Admit: 42, Worker: 3, Pos: 4, Count: 2, Of: 9}
-	out, err := DecodeShard(EncodeShard(in))
+	out, err := Decode[ShardRec](Encode(in))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out != in {
 		t.Fatalf("round trip %+v -> %+v", in, out)
 	}
-	if _, err := DecodeShard(EncodeShard(in)[:11]); err == nil {
+	if _, err := Decode[ShardRec](Encode(in)[:11]); err == nil {
 		t.Fatal("truncated shard payload decoded")
 	}
 	if KindShard.String() != "shard" {
@@ -644,7 +644,7 @@ func TestShardRecordRoundTrip(t *testing.T) {
 // per-worker dispatch order), and the parent's merged deliver (Worker
 // -1) is verified through FinishShard.
 func TestReplayShardedRequest(t *testing.T) {
-	mergedHash := HashVolume(tensor.RandomVolume(2, 2, 2, 9))
+	mergedHash := hashOutput(tensor.RandomVolume(2, 2, 2, 9))
 	dir := t.TempDir()
 	w, err := Create(dir, testHeader(), Options{NoSync: true})
 	if err != nil {
@@ -660,9 +660,9 @@ func TestReplayShardedRequest(t *testing.T) {
 		return seq
 	}
 	admit := mustAppend(KindAdmit, EncodeRequest(conv))
-	mustAppend(KindShard, EncodeShard(ShardRec{Admit: admit, Worker: 0, Pos: 0, Count: 5, Of: 9}))
-	mustAppend(KindShard, EncodeShard(ShardRec{Admit: admit, Worker: 1, Pos: 5, Count: 4, Of: 9}))
-	mustAppend(KindDeliver, EncodeDeliver(Deliver{Admit: admit, Worker: -1, Hash: mergedHash}))
+	mustAppend(KindShard, Encode(ShardRec{Admit: admit, Worker: 0, Pos: 0, Count: 5, Of: 9}))
+	mustAppend(KindShard, Encode(ShardRec{Admit: admit, Worker: 1, Pos: 5, Count: 4, Of: 9}))
+	mustAppend(KindDeliver, Encode(Deliver{Admit: admit, Worker: -1, Hash: mergedHash}))
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -685,7 +685,7 @@ func TestReplayShardedRequest(t *testing.T) {
 
 	// A merge that reproduces different bits is a divergence at the
 	// parent's deliver record.
-	ex = &replayExec{merged: map[uint64][32]byte{admit: HashVolume(tensor.RandomVolume(2, 2, 2, 10))}}
+	ex = &replayExec{merged: map[uint64][32]byte{admit: hashOutput(tensor.RandomVolume(2, 2, 2, 10))}}
 	if _, err := Replay(snap, ex); err == nil {
 		t.Fatal("diverging merged hash verified")
 	} else if d, ok := AsDivergence(err); !ok || d.Worker != -1 {
@@ -700,7 +700,7 @@ func TestReplayShardedRequest(t *testing.T) {
 func TestAppendBatchMatchesAppend(t *testing.T) {
 	var entries []Entry
 	for i := 0; i < 60; i++ {
-		entries = append(entries, Entry{Kind: KindShed, Payload: EncodeShed(Shed{Op: OpConv, Queued: int64(i)})})
+		entries = append(entries, Entry{Kind: KindShed, Payload: Encode(Shed{Op: OpConv, Queued: int64(i)})})
 		if i%7 == 3 {
 			entries = append(entries, Entry{Kind: KindAdmit, Payload: EncodeRequest(sampleRequest())})
 		}
@@ -834,7 +834,7 @@ func TestAsyncDrainAfterGroupCommit(t *testing.T) {
 	var last int64
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 100; i++ {
-			if last = a.Record(KindShed, EncodeShed(Shed{Op: OpConv, Queued: int64(i)})); last < 0 {
+			if last = a.Record(KindShed, Encode(Shed{Op: OpConv, Queued: int64(i)})); last < 0 {
 				t.Fatalf("round %d record %d dropped", round, i)
 			}
 		}
@@ -863,7 +863,7 @@ func TestWriterHeadIsDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shed := Entry{Kind: KindShed, Payload: EncodeShed(Shed{Op: OpConv})}
+	shed := Entry{Kind: KindShed, Payload: Encode(Shed{Op: OpConv})}
 	if _, err := w.write([]Entry{shed, shed}); err != nil {
 		t.Fatal(err)
 	}
@@ -907,7 +907,7 @@ func TestAsyncCountsEveryDurableRecord(t *testing.T) {
 	a.Start()
 	const n = 300
 	for i := 0; i < n; i++ {
-		p := EncodeShed(Shed{Op: OpConv, Queued: int64(i)})
+		p := Encode(Shed{Op: OpConv, Queued: int64(i)})
 		if i%10 == 0 {
 			p = EncodeRequest(sampleRequest())
 		}
@@ -947,7 +947,7 @@ func BenchmarkAsyncRecord(b *testing.B) {
 		Op: OpConv, ReLU: true, Cfg: tensor.ConvConfig{Stride: 1, Pad: 1},
 		A: tensor.RandomVolume(8, 8, 8, 1), W: tensor.RandomKernels(16, 8, 3, 3, 2),
 	})
-	shed := EncodeShed(Shed{Op: OpConv, Queued: 1})
+	shed := Encode(Shed{Op: OpConv, Queued: 1})
 	for _, bc := range []struct {
 		name    string
 		payload []byte
@@ -983,4 +983,59 @@ func BenchmarkAsyncRecord(b *testing.B) {
 			}
 		})
 	}
+}
+
+// encodePayload encodes any fixed-width payload value.
+func encodePayload(v any) []byte {
+	switch p := v.(type) {
+	case Shed:
+		return Encode(p)
+	case Deliver:
+		return Encode(p)
+	case Cancel:
+		return Encode(p)
+	case Transition:
+		return Encode(p)
+	case Fallback:
+		return Encode(p)
+	case ShardRec:
+		return Encode(p)
+	case Restart:
+		return Encode(p)
+	}
+	panic(fmt.Sprintf("no payload kind %T", v))
+}
+
+// decodePayload decodes b as a payload of like's type.
+func decodePayload(like any, b []byte) (any, error) {
+	switch like.(type) {
+	case Shed:
+		return Decode[Shed](b)
+	case Deliver:
+		return Decode[Deliver](b)
+	case Cancel:
+		return Decode[Cancel](b)
+	case Transition:
+		return Decode[Transition](b)
+	case Fallback:
+		return Decode[Fallback](b)
+	case ShardRec:
+		return Decode[ShardRec](b)
+	case Restart:
+		return Decode[Restart](b)
+	}
+	panic(fmt.Sprintf("no payload kind %T", like))
+}
+
+// hashOutput hashes a volume, matrix or vector output.
+func hashOutput(out any) [32]byte {
+	switch o := out.(type) {
+	case *tensor.Volume:
+		return Hash(o.Data, o.Z, o.Y, o.X)
+	case *tensor.Matrix:
+		return Hash(o.Data, o.R, o.C)
+	case []float64:
+		return Hash(o, len(o))
+	}
+	panic(fmt.Sprintf("no output kind %T", out))
 }

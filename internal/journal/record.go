@@ -1,12 +1,11 @@
 package journal
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math"
-
-	"albireo/internal/tensor"
 )
 
 // Kind types a journal record.
@@ -112,24 +111,6 @@ type Shed struct {
 	Queued int64
 }
 
-// EncodeShed renders the canonical shed encoding.
-func EncodeShed(s Shed) []byte {
-	e := newEncoder(9)
-	e.u8(uint8(s.Op))
-	e.i64(s.Queued)
-	return e.buf
-}
-
-// DecodeShed parses a shed payload.
-func DecodeShed(b []byte) (Shed, error) {
-	d := newDecoder(b)
-	s := Shed{Op: Op(d.u8()), Queued: d.i64()}
-	if err := d.finish(); err != nil {
-		return Shed{}, fmt.Errorf("journal: shed: %w", err)
-	}
-	return s, nil
-}
-
 // Deliver is the payload of a KindDeliver record.
 type Deliver struct {
 	// Admit is the sequence number of the request's KindAdmit record.
@@ -141,47 +122,10 @@ type Deliver struct {
 	Hash [32]byte
 }
 
-// EncodeDeliver renders the canonical deliver encoding.
-func EncodeDeliver(v Deliver) []byte {
-	e := newEncoder(48)
-	e.u64(v.Admit)
-	e.i64(v.Worker)
-	e.buf = append(e.buf, v.Hash[:]...)
-	return e.buf
-}
-
-// DecodeDeliver parses a deliver payload.
-func DecodeDeliver(b []byte) (Deliver, error) {
-	d := newDecoder(b)
-	v := Deliver{Admit: d.u64(), Worker: d.i64()}
-	copy(v.Hash[:], d.take(32))
-	if err := d.finish(); err != nil {
-		return Deliver{}, fmt.Errorf("journal: deliver: %w", err)
-	}
-	return v, nil
-}
-
 // Cancel is the payload of a KindCancel record.
 type Cancel struct {
 	// Admit is the sequence number of the request's KindAdmit record.
 	Admit uint64
-}
-
-// EncodeCancel renders the canonical cancel encoding.
-func EncodeCancel(c Cancel) []byte {
-	e := newEncoder(8)
-	e.u64(c.Admit)
-	return e.buf
-}
-
-// DecodeCancel parses a cancel payload.
-func DecodeCancel(b []byte) (Cancel, error) {
-	d := newDecoder(b)
-	c := Cancel{Admit: d.u64()}
-	if err := d.finish(); err != nil {
-		return Cancel{}, fmt.Errorf("journal: cancel: %w", err)
-	}
-	return c, nil
 }
 
 // Transition is the payload of KindDrain and KindRestore records.
@@ -198,49 +142,12 @@ type Transition struct {
 	Probe bool
 }
 
-// EncodeTransition renders the canonical transition encoding.
-func EncodeTransition(t Transition) []byte {
-	e := newEncoder(17)
-	e.i64(t.Worker)
-	e.i64(t.Findings)
-	e.bool(t.Probe)
-	return e.buf
-}
-
-// DecodeTransition parses a drain/restore payload.
-func DecodeTransition(b []byte) (Transition, error) {
-	d := newDecoder(b)
-	t := Transition{Worker: d.i64(), Findings: d.i64(), Probe: d.bool()}
-	if err := d.finish(); err != nil {
-		return Transition{}, fmt.Errorf("journal: transition: %w", err)
-	}
-	return t, nil
-}
-
 // Fallback is the payload of a KindFallback record.
 type Fallback struct {
 	// Worker is the pool index whose guard fell back.
 	Worker int64
 	// Op names the layer-op kind that exceeded its budget.
 	Op Op
-}
-
-// EncodeFallback renders the canonical fallback encoding.
-func EncodeFallback(f Fallback) []byte {
-	e := newEncoder(9)
-	e.i64(f.Worker)
-	e.u8(uint8(f.Op))
-	return e.buf
-}
-
-// DecodeFallback parses a fallback payload.
-func DecodeFallback(b []byte) (Fallback, error) {
-	d := newDecoder(b)
-	f := Fallback{Worker: d.i64(), Op: Op(d.u8())}
-	if err := d.finish(); err != nil {
-		return Fallback{}, fmt.Errorf("journal: fallback: %w", err)
-	}
-	return f, nil
 }
 
 // ShardRec is the payload of a KindShard record: one kernel-group
@@ -255,27 +162,6 @@ type ShardRec struct {
 	Pos, Count, Of int64
 }
 
-// EncodeShard renders the canonical shard encoding.
-func EncodeShard(s ShardRec) []byte {
-	e := newEncoder(40)
-	e.u64(s.Admit)
-	e.i64(s.Worker)
-	e.i64(s.Pos)
-	e.i64(s.Count)
-	e.i64(s.Of)
-	return e.buf
-}
-
-// DecodeShard parses a shard payload.
-func DecodeShard(b []byte) (ShardRec, error) {
-	d := newDecoder(b)
-	s := ShardRec{Admit: d.u64(), Worker: d.i64(), Pos: d.i64(), Count: d.i64(), Of: d.i64()}
-	if err := d.finish(); err != nil {
-		return ShardRec{}, fmt.Errorf("journal: shard: %w", err)
-	}
-	return s, nil
-}
-
 // Restart is the payload of a KindRestart record.
 type Restart struct {
 	// Recovered is the last sequence number found valid on reopen.
@@ -285,74 +171,52 @@ type Restart struct {
 	TruncatedBytes int64
 }
 
-// EncodeRestart renders the canonical restart encoding.
-func EncodeRestart(r Restart) []byte {
-	e := newEncoder(16)
-	e.u64(r.Recovered)
-	e.i64(r.TruncatedBytes)
-	return e.buf
+// Payload is the type set of the fixed-width record payloads. Each
+// encodes as its fields in declaration order: integers little-endian
+// at their declared width, bools as one 0 or 1 byte, arrays byte for
+// byte. A new fixed-width record kind is one more struct here.
+type Payload interface {
+	Shed | Deliver | Cancel | Transition | Fallback | ShardRec | Restart
 }
 
-// DecodeRestart parses a restart payload.
-func DecodeRestart(b []byte) (Restart, error) {
-	d := newDecoder(b)
-	r := Restart{Recovered: d.u64(), TruncatedBytes: d.i64()}
-	if err := d.finish(); err != nil {
-		return Restart{}, fmt.Errorf("journal: restart: %w", err)
-	}
-	return r, nil
+// Encode renders a fixed-width payload's canonical encoding.
+func Encode[P Payload](p P) []byte {
+	b := bytes.NewBuffer(make([]byte, 0, binary.Size(p)))
+	binary.Write(b, binary.LittleEndian, p) // fixed-width fields only: cannot fail
+	return b.Bytes()
 }
 
-// HashVolume digests a volume's canonical encoding (shape then
-// IEEE-754 bits, little-endian): the bit-exact output identity of a
-// convolution result.
-func HashVolume(v *tensor.Volume) [32]byte {
-	h := sha256.New()
-	var scratch [8]byte
-	for _, d := range []int64{int64(v.Z), int64(v.Y), int64(v.X)} {
-		binary.LittleEndian.PutUint64(scratch[:], uint64(d))
-		h.Write(scratch[:])
+// Decode parses a fixed-width payload. It accepts only the canonical
+// encoding: the decoded value must re-encode to exactly b, which
+// rejects short input, trailing bytes and a bool byte other than 0 or
+// 1 (any of which would give one record two encodings, and so two
+// chains).
+func Decode[P Payload](b []byte) (P, error) {
+	var p, zero P
+	if err := binary.Read(bytes.NewReader(b), binary.LittleEndian, &p); err != nil {
+		return zero, fmt.Errorf("journal: %T: %w", p, err)
 	}
-	for _, f := range v.Data {
-		binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(f))
-		h.Write(scratch[:])
+	if !bytes.Equal(Encode(p), b) {
+		return zero, fmt.Errorf("journal: %T: non-canonical encoding of %d bytes", p, len(b))
 	}
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
+	return p, nil
 }
 
-// HashMatrix digests a matrix's canonical encoding (shape then
-// IEEE-754 bits, little-endian): the bit-exact output identity of a
-// GEMM-family result.
-func HashMatrix(m *tensor.Matrix) [32]byte {
-	h := sha256.New()
-	var scratch [8]byte
-	for _, d := range []int64{int64(m.R), int64(m.C)} {
-		binary.LittleEndian.PutUint64(scratch[:], uint64(d))
-		h.Write(scratch[:])
-	}
-	for _, f := range m.Data {
-		binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(f))
-		h.Write(scratch[:])
-	}
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
-}
+// EncodeFallback renders the canonical fallback encoding.
+func EncodeFallback(f Fallback) []byte { return Encode(f) }
 
-// HashVector digests a logits vector's canonical encoding: the
-// bit-exact output identity of a fully-connected result.
-func HashVector(v []float64) [32]byte {
-	h := sha256.New()
-	var scratch [8]byte
-	binary.LittleEndian.PutUint64(scratch[:], uint64(len(v)))
-	h.Write(scratch[:])
-	for _, f := range v {
-		binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(f))
-		h.Write(scratch[:])
+// Hash digests an output's canonical encoding - its dimensions (Z,Y,X
+// of a volume, R,C of a matrix, the length of a vector), then its
+// elements' IEEE-754 bits, all as little-endian 64-bit words. It is the
+// bit-exact output identity a KindDeliver record pins and replay must
+// reproduce.
+func Hash(data []float64, dims ...int) [32]byte {
+	b := make([]byte, 0, 8*(len(dims)+len(data)))
+	for _, d := range dims {
+		b = binary.LittleEndian.AppendUint64(b, uint64(d))
 	}
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
+	for _, f := range data {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+	}
+	return sha256.Sum256(b)
 }

@@ -10,7 +10,7 @@ import (
 // engine owns record ordering and hash comparison.
 type Executor interface {
 	// Execute runs one admitted request on the given worker and
-	// returns the canonical output hash (HashVolume / HashVector).
+	// returns the canonical output hash (Hash).
 	Execute(worker int, req *Request) ([32]byte, error)
 	// Probe re-runs a runtime BIST probe cycle on the given worker
 	// (clear quarantine, scan, re-quarantine findings), reproducing
@@ -84,7 +84,7 @@ func Replay(snap *Snapshot, ex Executor) (ReplayResult, error) {
 			admits[rec.Seq] = req
 			res.Admits++
 		case KindDeliver:
-			d, err := DecodeDeliver(rec.Payload)
+			d, err := Decode[Deliver](rec.Payload)
 			if err != nil {
 				return res, fmt.Errorf("seq %d: %w", rec.Seq, err)
 			}
@@ -113,12 +113,12 @@ func Replay(snap *Snapshot, ex Executor) (ReplayResult, error) {
 			}
 			res.Verified++
 		case KindShed:
-			if _, err := DecodeShed(rec.Payload); err != nil {
+			if _, err := Decode[Shed](rec.Payload); err != nil {
 				return res, fmt.Errorf("seq %d: %w", rec.Seq, err)
 			}
 			res.Sheds++
 		case KindCancel:
-			c, err := DecodeCancel(rec.Payload)
+			c, err := Decode[Cancel](rec.Payload)
 			if err != nil {
 				return res, fmt.Errorf("seq %d: %w", rec.Seq, err)
 			}
@@ -127,12 +127,12 @@ func Replay(snap *Snapshot, ex Executor) (ReplayResult, error) {
 			}
 			res.Cancels++
 		case KindFallback:
-			if _, err := DecodeFallback(rec.Payload); err != nil {
+			if _, err := Decode[Fallback](rec.Payload); err != nil {
 				return res, fmt.Errorf("seq %d: %w", rec.Seq, err)
 			}
 			res.Fallbacks++
 		case KindDrain, KindRestore:
-			t, err := DecodeTransition(rec.Payload)
+			t, err := Decode[Transition](rec.Payload)
 			if err != nil {
 				return res, fmt.Errorf("seq %d: %w", rec.Seq, err)
 			}
@@ -146,7 +146,7 @@ func Replay(snap *Snapshot, ex Executor) (ReplayResult, error) {
 				res.Probes++
 			}
 		case KindShard:
-			s, err := DecodeShard(rec.Payload)
+			s, err := Decode[ShardRec](rec.Payload)
 			if err != nil {
 				return res, fmt.Errorf("seq %d: %w", rec.Seq, err)
 			}
@@ -163,7 +163,7 @@ func Replay(snap *Snapshot, ex Executor) (ReplayResult, error) {
 			}
 			res.ShardSubs++
 		case KindRestart:
-			r, err := DecodeRestart(rec.Payload)
+			r, err := Decode[Restart](rec.Payload)
 			if err != nil {
 				return res, fmt.Errorf("seq %d: %w", rec.Seq, err)
 			}
