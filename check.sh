@@ -6,12 +6,20 @@
 #   gofmt      every Go file is gofmt-clean (gofmt -l prints nothing);
 #              gofmt rewrites "//hot:" markers to "// hot:", which the
 #              alloc proof accepts too
+#   no FMA     arm64 builds of the cmd/ binaries have no fused
+#              multiply-add (FMADDD, FMSUBD, FNMADDD, FNMSUBD) in an
+#              internal/core function they link (code inlined into
+#              another package's function is not checked): the Go
+#              spec lets a compiler fuse x*y + z, an explicit
+#              float64(x*y) forbids it, and a fused product would move
+#              the core's bits off amd64's. A cross build and go tool
+#              objdump, no emulator
 #   race test  the full suite under the race detector (the Conv
 #              lane bit-identity tests run here)
 #   lanes      the core goldens, lane, shard, row-plan, crosstalk
-#              fold and activity tests at -cpu 1,2,4: the one-lane
-#              loop, and more lanes than the race step's default
-#              GOMAXPROCS
+#              fold, activity and datapath (Accumulate) tests at
+#              -cpu 1,2,4: the one-lane loop, and more lanes than the
+#              race step's default GOMAXPROCS
 #   fuzz       FuzzReplayRequest for 10 s: replay answers any journal
 #              admit payload and shard window with a result or an
 #              error, never a panic; FuzzRecordRoundTrip for 10 s:
@@ -86,11 +94,26 @@ if [ -n "${unformatted}" ]; then
 	exit 1
 fi
 
+echo "==> no fused multiply-add in internal/core (arm64 builds of every command)"
+mkdir "${jdir}/arm64"
+GOARCH=arm64 go build -o "${jdir}/arm64/" ./cmd/...
+for bin in "${jdir}"/arm64/*; do
+	go tool objdump -s '^albireo/internal/core\.' "${bin}"
+done >"${jdir}/core-arm64.asm"
+if ! grep -q '^TEXT albireo/internal/core\.' "${jdir}/core-arm64.asm"; then
+	echo "no internal/core function in the arm64 disassembly" >&2
+	exit 1
+fi
+if grep -E '\b(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\b' "${jdir}/core-arm64.asm"; then
+	echo "fused multiply-add in internal/core: write the product as float64(x*y)" >&2
+	exit 1
+fi
+
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> kernel lanes at -cpu 1,2,4 (goldens, lane, shard, row-plan, fold and activity tests)"
-go test -count=1 -cpu 1,2,4 -run 'Golden|Lane|Shard|RowViews|RowPlan|Fold|Activity' ./internal/core
+echo "==> kernel lanes at -cpu 1,2,4 (goldens, lane, shard, row-plan, fold, activity and datapath tests)"
+go test -count=1 -cpu 1,2,4 -run 'Golden|Lane|Shard|RowViews|RowPlan|Fold|Activity|Accumulate' ./internal/core
 
 echo "==> replay fuzz (FuzzReplayRequest, 10 s)"
 go test -run '^$' -fuzz FuzzReplayRequest -fuzztime 10s ./internal/fleet

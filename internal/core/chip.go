@@ -306,7 +306,7 @@ func (l *layer) kernel(m int) {
 func (l *layer) writeTile(acc []float64, m, oy, ox0 int) {
 	o := l.out.Data[(m*l.out.Y+oy)*l.out.X+ox0:][:len(acc)]
 	for d, a := range acc {
-		v := a * l.outScale
+		v := float64(a * l.outScale)
 		switch {
 		case l.subtract:
 			o[d] -= v

@@ -184,6 +184,23 @@ func randomRow(rng *rand.Rand, row []float64) {
 	}
 }
 
+// poisonZeroCodeRow fills the row of one ±0-coded tap, if qw has one,
+// with NaN activations, half of the time. The datapath skips a zero
+// code, so those activations must never reach an output.
+func poisonZeroCodeRow(rng *rand.Rand, qw []float64, rows [][]float64) {
+	if rng.Intn(2) == 0 {
+		return
+	}
+	for t, w := range qw {
+		if w == 0 {
+			for d := range rows[t] {
+				rows[t][d] = math.NaN()
+			}
+			return
+		}
+	}
+}
+
 func randomRing(rng *rand.Rand, cfg Config) (int, int) {
 	return rng.Intn(cfg.Nm), rng.Intn(cfg.Nd)
 }
@@ -230,6 +247,10 @@ var faultScenarios = []struct {
 	}},
 }
 
+// blockWidths are the column counts the datapath tests run: both sides
+// of healthyCurrents' column block, and a remainder after a full one.
+var blockWidths = []int{1, 2, 3, 4, 5, 7, 8, 9}
+
 // TestAccumulateMatchesReference drives the PLCU datapath and the
 // verbatim reference side by side over random geometries, impairment
 // switches, weight codes and fault sets, comparing every output bit.
@@ -238,7 +259,7 @@ func TestAccumulateMatchesReference(t *testing.T) {
 	const cycles = 1200
 	rng := rand.New(rand.NewSource(12))
 	kernels := []struct{ h, w int }{{3, 3}, {2, 2}, {1, 3}}
-	for _, nd := range []int{1, 2, 5, 7} {
+	for _, nd := range blockWidths {
 		for _, k := range kernels {
 			for _, xtalk := range []bool{true, false} {
 				for _, noisy := range []bool{true, false} {
@@ -296,6 +317,7 @@ func runTwins(tw datapathTwins, rng *rand.Rand, n int) string {
 			qw[t] = randomCode(rng)
 			randomRow(rng, qa[t])
 		}
+		poisonZeroCodeRow(rng, qw, qa)
 		tw.ref.cycles++
 		live := cfg.Nd
 		if c%2 == 0 {
@@ -462,33 +484,54 @@ func TestAccumulateZeroRowIdentity(t *testing.T) {
 	}
 }
 
-// TestAccumulateFastPathMatchesGeneralLoop pins accumulate's branch-free
-// loop (no crosstalk table, no faulted ring) to its general loop: the
-// same cycles on a twin whose ring-gain table is all ones, which takes
-// the general loop and multiplies every signal by an exact 1, must give
-// the same bits, noise, NaN codes and every live width included.
+// TestAccumulateFastPathMatchesGeneralLoop pins accumulate's healthy
+// leaf kernel (no crosstalk table, no faulted ring) to its general
+// loop: the same cycles on a twin whose ring-gain table is all ones,
+// which takes the general loop and multiplies every signal by an exact
+// 1, must give the same bits, at every Nd of blockWidths and every
+// live width, noise on. Every cycle draws fresh mixed-sign codes, ±0
+// and NaN codes among them, and NaN activations on zero-code taps; an
+// output column is NaN exactly when a NaN code or a NaN activation on
+// a non-zero-code tap reaches it.
 func TestAccumulateFastPathMatchesGeneralLoop(t *testing.T) {
 	t.Parallel()
-	cfg := DefaultConfig()
-	nm, nd := cfg.Nm, cfg.Nd
-	fast, general := NewPLCU(cfg), NewPLCU(cfg)
-	general.gains = make([]float64, nm*nd)
-	for i := range general.gains {
-		general.gains[i] = 1
-	}
 	rng := rand.New(rand.NewSource(19))
-	qw, qa := make([]float64, nm), make([]float64, nm*nd)
-	got, want := make([]float64, nd), make([]float64, nd)
-	for cycle := 0; cycle < 400; cycle++ {
-		for tap := range qw {
-			qw[tap] = randomCode(rng)
-			randomRow(rng, qa[tap*nd:(tap+1)*nd])
+	for _, nd := range blockWidths {
+		cfg := DefaultConfig()
+		cfg.Nd = nd
+		nm := cfg.Nm
+		fast, general := NewPLCU(cfg), NewPLCU(cfg)
+		general.gains = make([]float64, nm*nd)
+		for i := range general.gains {
+			general.gains[i] = 1
 		}
-		live := 1 + rng.Intn(nd)
-		fast.accumulate(got, qw, qa, live, nil)
-		general.accumulate(want, qw, qa, live, nil)
-		if !sameBits(got[:live], want[:live]) {
-			t.Fatalf("cycle %d live %d: fast loop %v, general loop %v", cycle, live, got[:live], want[:live])
+		qw, rows := make([]float64, nm), make([][]float64, nm)
+		for tap := range rows {
+			rows[tap] = make([]float64, nd)
+		}
+		got, want := make([]float64, nd), make([]float64, nd)
+		for cycle := 0; cycle < 100*nd; cycle++ {
+			for tap := range qw {
+				qw[tap] = randomCode(rng)
+				randomRow(rng, rows[tap])
+			}
+			poisonZeroCodeRow(rng, qw, rows)
+			qa := flatRows(rows)
+			live := 1 + cycle%nd
+			fast.accumulate(got, qw, qa, live, nil)
+			general.accumulate(want, qw, qa, live, nil)
+			if !sameBits(got[:live], want[:live]) {
+				t.Fatalf("Nd=%d cycle %d live %d: leaf kernel %v, general loop %v", nd, cycle, live, got[:live], want[:live])
+			}
+			for d := 0; d < live; d++ {
+				nan := false
+				for tap, w := range qw {
+					nan = nan || math.IsNaN(w) || (w != 0 && math.IsNaN(rows[tap][d]))
+				}
+				if math.IsNaN(got[d]) != nan {
+					t.Fatalf("Nd=%d cycle %d live %d column %d: got %g, want NaN %v", nd, cycle, live, d, got[d], nan)
+				}
+			}
 		}
 	}
 }
@@ -643,4 +686,47 @@ func (tw foldTwins) run(rng *rand.Rand, n int) (float64, string) {
 		}
 	}
 	return worst, ""
+}
+
+// BenchmarkStepPrequantized times the step healthy chip layers run:
+// PLCG.stepPrequantized on compiled slots (DAC codes of random sign,
+// one in eight zero) against quantized activation sets, noise on, at
+// every live width. It cycles through a prime number of distinct slot
+// sets, so a tap's sign changes from step to step and the branch
+// predictor cannot learn the pattern.
+func BenchmarkStepPrequantized(b *testing.B) {
+	cfg := DefaultConfig()
+	g := NewPLCG(cfg)
+	rng := rand.New(rand.NewSource(30))
+	const sets = 257
+	qw, qa := make([][][]float64, sets), make([][][]float64, sets)
+	for s := range qw {
+		qw[s], qa[s] = make([][]float64, cfg.Nu), make([][]float64, cfg.Nu)
+		for i, u := range g.units {
+			qw[s][i] = make([]float64, cfg.Nm)
+			for t := range qw[s][i] {
+				w := 2*rng.Float64() - 1
+				if rng.Intn(8) == 0 {
+					w = 0
+				}
+				qw[s][i][t] = u.effectiveWeight(t, u.quantizeWeight(w))
+			}
+			qa[s][i] = make([]float64, cfg.Nm*cfg.Nd)
+			for j := range qa[s][i] {
+				if rng.Intn(4) != 0 {
+					qa[s][i][j] = u.aq.Quantize(rng.Float64())
+				}
+			}
+		}
+	}
+	dst := make([]float64, cfg.Nd)
+	for live := 1; live <= cfg.Nd; live++ {
+		b.Run(fmt.Sprintf("live=%d", live), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s := i % sets
+				g.stepPrequantized(dst, qw[s], qa[s], live)
+			}
+		})
+	}
 }

@@ -171,7 +171,7 @@ func (p *PLCU) ringGain(tap, column int) float64 {
 		case DetunedRing:
 			residual := f.Value
 			if f.Drift > 0 {
-				residual -= f.Drift * float64(p.cycles)
+				residual -= float64(f.Drift * float64(p.cycles))
 			}
 			g *= clampUnit(residual)
 		}

@@ -94,10 +94,10 @@ func foldRow(dst, src []float64, stride int, coef []float64) {
 		c := coef[d*nd : (d+1)*nd]
 		x := src[d*stride]
 		for dp := 0; dp < d; dp++ {
-			x += c[dp] * src[dp*stride]
+			x += float64(c[dp] * src[dp*stride])
 		}
 		for dp := d + 1; dp < nd; dp++ {
-			x += c[dp] * src[dp*stride]
+			x += float64(c[dp] * src[dp*stride])
 		}
 		dst[d] = x
 	}

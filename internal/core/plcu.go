@@ -247,12 +247,12 @@ func (p *PLCU) currentsPrequantized(dst, qw, qa []float64, live int) []float64 {
 // fixed mix of that tap's activations, which depends on the input
 // alone (see DESIGN.md §11, Crosstalk at the broadcast).
 //
-// Taps run on the outside so the Nd columns' accumulations are
-// independent, but each column still sees the per-column operation
-// order of the physical model: taps ascending, the ring's own signal
-// first, then (with a table) the leakage from the other columns in
-// ascending order, then the ring gain. Noise is drawn once per column
-// in column order after all taps.
+// Each column sees the per-column operation order of the physical
+// model: taps ascending into its positive or negative sum, the ring's
+// own signal first, then (with a table) the leakage from the other
+// columns in ascending order, then the ring gain. With no table and no
+// faulted ring, healthyCurrents runs that order in registers. Noise is
+// drawn once per column in column order after all taps.
 //
 // Only columns d < live are computed and written to dst; the caller
 // discards the rest. A dead column still draws its noise sample, so
@@ -265,15 +265,106 @@ func (p *PLCU) currentsPrequantized(dst, qw, qa []float64, live int) []float64 {
 //
 // hot: innermost per-column loop; must not allocate.
 func (p *PLCU) accumulate(dst, qw, qa []float64, live int, coef []float64) []float64 {
-	nm, nd := p.cfg.Nm, p.cfg.Nd
-	gains := p.gains
-	pos, neg := p.pos[:live], p.neg[:live]
+	nd := p.cfg.Nd
+	out := dst[:live]
+	if coef == nil && p.gains == nil {
+		healthyCurrents(out, qw, qa, nd, p.unitCurrent)
+	} else {
+		p.impairedCurrents(out, qw, qa, coef)
+	}
+	if !p.cfg.DisableNoise {
+		for d := range out {
+			out[d] += float64(p.rng.NormFloat64() * p.sigma)
+		}
+		for d := live; d < nd; d++ {
+			p.rng.NormFloat64()
+		}
+	}
+	return dst
+}
+
+// healthyCurrents is the chip's healthy datapath, accumulate with no
+// crosstalk table and no faulted ring: dst[d] = (pos-neg)·I_unit for
+// the len(dst) live columns of the flat set qa (rows of nd columns).
+// It is a call-free leaf, so a block of up to six columns keeps its
+// twelve waveguide sums in registers across the taps (Nd = 5 is one
+// block). Each column's positive and negative sums receive their taps
+// in ascending order, the order of accumulate's general loop, so every
+// bit matches it (TestAccumulateFastPathMatchesGeneralLoop): a ±0 code
+// is skipped, so its activations are never read, and a NaN code goes
+// to the negative sum.
+//
+// hot: the chip's innermost loop; must not allocate.
+func healthyCurrents(dst, qw, qa []float64, nd int, unit float64) {
+	for d := 0; d < len(dst); d += 6 {
+		n := min(6, len(dst)-d)
+		var p0, p1, p2, p3, p4, p5 float64
+		var n0, n1, n2, n3, n4, n5 float64
+		off := d - nd
+		for _, w := range qw {
+			off += nd
+			if w == 0 {
+				continue
+			}
+			mag := math.Abs(w)
+			r := qa[off : off+n]
+			if w > 0 {
+				p0 += float64(mag * r[0])
+				if n > 1 {
+					p1 += float64(mag * r[1])
+				}
+				if n > 2 {
+					p2 += float64(mag * r[2])
+				}
+				if n > 3 {
+					p3 += float64(mag * r[3])
+				}
+				if n > 4 {
+					p4 += float64(mag * r[4])
+				}
+				if n > 5 {
+					p5 += float64(mag * r[5])
+				}
+			} else {
+				n0 += float64(mag * r[0])
+				if n > 1 {
+					n1 += float64(mag * r[1])
+				}
+				if n > 2 {
+					n2 += float64(mag * r[2])
+				}
+				if n > 3 {
+					n3 += float64(mag * r[3])
+				}
+				if n > 4 {
+					n4 += float64(mag * r[4])
+				}
+				if n > 5 {
+					n5 += float64(mag * r[5])
+				}
+			}
+		}
+		diff := [6]float64{p0 - n0, p1 - n1, p2 - n2, p3 - n3, p4 - n4, p5 - n5}
+		for i, v := range diff[:n] {
+			dst[d+i] = v * unit
+		}
+	}
+}
+
+// impairedCurrents is accumulate's general loop, for a crosstalk table
+// or a faulted ring: dst[d] = (pos-neg)·I_unit for the len(dst) live
+// columns. Taps run on the outside so the columns' accumulations are
+// independent; each column still sees the physical order.
+//
+// hot: general per-column loop; must not allocate.
+func (p *PLCU) impairedCurrents(dst, qw, qa, coef []float64) {
+	nd, gains := p.cfg.Nd, p.gains
+	pos, neg := p.pos[:len(dst)], p.neg[:len(dst)]
 	for d := range pos {
 		pos[d] = 0
 		neg[d] = 0
 	}
-	for t := 0; t < nm; t++ {
-		w := qw[t]
+	for t, w := range qw {
 		if w == 0 {
 			continue
 		}
@@ -283,32 +374,19 @@ func (p *PLCU) accumulate(dst, qw, qa []float64, live int, coef []float64) []flo
 		if w > 0 {
 			sum = pos
 		}
-		liveRow := row[:live]
-		sum = sum[:len(liveRow)] // lets the compiler drop the bounds check on sum[d]
-		if coef == nil && gains == nil {
-			// The chip's healthy path: the loop below without its
-			// per-column branches, same bits (a unit gain is exact;
-			// TestAccumulateFastPathMatchesGeneralLoop). Worth 8% of
-			// gemm-zoo latency (DESIGN.md §11, Crosstalk at the
-			// broadcast).
-			for d, a := range liveRow {
-				sum[d] += mag * a
-			}
-			continue
-		}
-		for d, a := range liveRow {
+		for d := range sum {
 			// Intended signal: the ring for (t, d) drops its own
 			// wavelength carrying |w| * a.
-			sig := mag * a
+			sig := float64(mag * row[d])
 			// Crosstalk: the same ring couples a fraction of the other
 			// columns' wavelengths riding tap t's bus.
 			if coef != nil {
 				c := coef[(t*nd+d)*nd : (t*nd+d+1)*nd]
 				for dp := 0; dp < d; dp++ {
-					sig += c[dp] * mag * row[dp]
+					sig += float64(c[dp] * mag * row[dp])
 				}
 				for dp := d + 1; dp < nd; dp++ {
-					sig += c[dp] * mag * row[dp]
+					sig += float64(c[dp] * mag * row[dp])
 				}
 			}
 			// Switching-ring faults attenuate whatever this ring
@@ -323,18 +401,9 @@ func (p *PLCU) accumulate(dst, qw, qa []float64, live int, coef []float64) []flo
 			sum[d] += sig
 		}
 	}
-	noisy := !p.cfg.DisableNoise
-	for d := range pos {
-		i := (pos[d] - neg[d]) * p.unitCurrent
-		if noisy {
-			i += p.rng.NormFloat64() * p.sigma
-		}
-		dst[d] = i
+	for d := range dst {
+		dst[d] = (pos[d] - neg[d]) * p.unitCurrent
 	}
-	for d := live; d < nd && noisy; d++ {
-		p.rng.NormFloat64()
-	}
-	return dst
 }
 
 // DotInto computes the Nd dot products in the value domain (no ADC):
